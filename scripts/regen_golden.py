@@ -4,38 +4,22 @@
 Run from the repository root after changing the corpus or the battery:
 
     python scripts/regen_golden.py
+
+The table is the structured ``wrapcheck corpus`` report at budget 4000,
+with the CLI's defaults of seed 0 and no float restarts.
 """
 
-import json
 import pathlib
 import sys
 
-from wrapcheck.battery import BatteryOptions, run_battery
-from wrapcheck.cli import corpus_paths
-from wrapcheck.descriptor import parse_descriptor_file
+from wrapcheck import cli
 
 GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "tests" / "golden" / "corpus_verdicts.json"
-
-OPTIONS = BatteryOptions(embed=True, embed_budget=4000, embed_float_restarts=0, seed=0)
-
-
-def corpus_table() -> str:
-    reports = []
-    for path in corpus_paths():
-        d = parse_descriptor_file(path)
-        reports.append(run_battery(d, OPTIONS).to_dict())
-    payload = {
-        "options": {
-            "budget": OPTIONS.embed_budget,
-            "float_restarts": OPTIONS.embed_float_restarts,
-            "seed": OPTIONS.seed,
-        },
-        "reports": reports,
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(parents=True, exist_ok=True)
-    GOLDEN.write_text(corpus_table(), encoding="utf-8")
-    print(f"wrote {GOLDEN} ({GOLDEN.stat().st_size} bytes)", file=sys.stderr)
+    code = cli.main(["corpus", "--format", "structured", "--budget", "4000", "--out", str(GOLDEN)])
+    if code == cli.EXIT_OK:
+        print(f"wrote {GOLDEN} ({GOLDEN.stat().st_size} bytes)", file=sys.stderr)
+    sys.exit(code)

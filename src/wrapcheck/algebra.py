@@ -466,33 +466,25 @@ class ConcreteSubalgebra:
 
     def __init__(self, n: int, layers: Sequence[Sequence[Multivector]]):
         self.n = n
-        self._span: list[linalg.Subspace] = []
+        self._span: list[linalg.SparseSubspace] = []
         self._basis: list[list[Multivector]] = []
         for k in range(n + 1):
             vecs = layers[k] if k < len(layers) else []
-            rows = [list(v.coords(k)) for v in vecs]
-            red, _ = linalg.rref(rows)
-            self._span.append(linalg.Subspace(_coord_len(n, k), red))
-            self._basis.append([Multivector.from_coords(n, k, r) for r in red])
+            span = linalg.SparseSubspace(_coord_len(n, k), (v.coords(k) for v in vecs))
+            self._span.append(span)
+            self._basis.append([Multivector.from_coords(n, k, r) for r in span.rows])
 
     @classmethod
     def from_generators(cls, n: int, gens: Sequence[Multivector]) -> "ConcreteSubalgebra":
         """Close the unit and the given homogeneous elements under wedge."""
         layers: list[list[Multivector]] = [[] for _ in range(n + 1)]
-        layers[0].append(Multivector.scalar(n, 1))
-        spans = [linalg.Subspace(_coord_len(n, k)) for k in range(n + 1)]
+        spans = [linalg.SparseSubspace(_coord_len(n, k)) for k in range(n + 1)]
 
         def absorb(v: Multivector) -> bool:
             k = v.degree()
-            if k is None:
+            if k is None or not spans[k].add(v.coords(k)):
                 return False
-            vec = list(v.coords(k))
-            if spans[k].contains(vec):
-                return False
-            rows = [list(b.coords(k)) for b in layers[k]] + [vec]
-            red, _ = linalg.rref(rows)
-            layers[k] = [Multivector.from_coords(n, k, r) for r in red]
-            spans[k] = linalg.Subspace(_coord_len(n, k), red)
+            layers[k] = [Multivector.from_coords(n, k, r) for r in spans[k].rows]
             return True
 
         absorb(Multivector.scalar(n, 1))
@@ -608,7 +600,7 @@ def quotient_by_degree1(A: ConcreteSubalgebra, x: Multivector) -> QuotientReport
     N = A.formal_dim
     dims = A.dims()
 
-    ideal_spans: list[linalg.Subspace] = []
+    ideal_spans: list[linalg.SparseSubspace] = []
     ideal_dims = []
     for k in range(A.n + 1):
         rows = []
@@ -621,7 +613,7 @@ def quotient_by_degree1(A: ConcreteSubalgebra, x: Multivector) -> QuotientReport
                 if coords is None:
                     raise ValueError("ideal leaves the subalgebra; A is not closed under wedge")
                 rows.append(coords)
-        span = linalg.Subspace(dims[k], rows)
+        span = linalg.SparseSubspace(dims[k], rows)
         ideal_spans.append(span)
         ideal_dims.append(span.rank)
 
@@ -672,7 +664,7 @@ def quotient_by_degree1(A: ConcreteSubalgebra, x: Multivector) -> QuotientReport
 
 
 def _quotient_reps(
-    A: ConcreteSubalgebra, ideal_spans: list[linalg.Subspace], k: int
+    A: ConcreteSubalgebra, ideal_spans: list[linalg.SparseSubspace], k: int
 ) -> list[Multivector]:
     """Basis vectors of A_k whose classes span A_k/(x)_k."""
     pivots = set(ideal_spans[k].pivots)

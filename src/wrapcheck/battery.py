@@ -16,23 +16,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import embed, quadform
-from .algebra import basis_and_dims, check_poincare_duality, cup_square_form, euler_characteristic
+from .algebra import basis_and_dims, cup_square_form, euler_characteristic
+from .algebra import check_poincare_duality  # noqa: F401 -- perfbench traces it on this module
 from .descriptor import ManifoldDescriptor
-from .embed import CheckResult, SearchOutcome
-from .nilcoh import NotNilpotent, pi1_verdict
+from .embed import PRINCIPLES, CheckResult, SearchOutcome
+from .exterior import Blade
+from .nilcoh import pi1_verdict
 
-GROWTH_PRINCIPLE = (
-    "the fundamental group of a closed elliptic or quasiregularly elliptic "
-    "n-manifold has polynomial growth of degree at most n"
-)
-ABELIAN_PRINCIPLE = (
-    "the fundamental group of a closed elliptic or quasiregularly elliptic "
-    "manifold is virtually abelian"
-)
-PD_PRINCIPLE = (
-    "the real cohomology ring of a closed oriented manifold satisfies "
-    "Poincare duality"
-)
+# free-abelian pi1 ranks with a closed 4-manifold model (S^1 x S^3, T^2 x S^2, T^4)
+_FOUR_MANIFOLD_PI1 = {1: "Z", 2: "Z^2", 4: "Z^4"}
 
 
 @dataclass
@@ -157,20 +149,9 @@ def _assignment_dict(m: embed.RingMorphism) -> dict:
     out = {}
     for name, mv in sorted(m.assignment.items()):
         out[name] = {
-            "".join(f"e{i}" for i in _mask_indices(mask)) or "1": str(c)
+            "".join(f"e{i}" for i in Blade.from_mask(mask).indices) or "1": str(c)
             for mask, c in mv.items()
         }
-    return out
-
-
-def _mask_indices(mask: int):
-    out = []
-    j = 1
-    while mask:
-        if mask & 1:
-            out.append(j)
-        mask >>= 1
-        j += 1
     return out
 
 
@@ -184,68 +165,60 @@ def _pi1_checks(d: ManifoldDescriptor) -> list[CheckResult]:
     p = d.pi1
     n = d.n
     if p.kind == "finite":
-        return [
-            CheckResult("fundamental-group-growth", "pass", GROWTH_PRINCIPLE, {"pi1": "finite"}),
-            CheckResult("fundamental-group-abelian", "pass", ABELIAN_PRINCIPLE, {"pi1": "finite"}),
-        ]
-    if p.kind == "free-abelian":
-        growth = p.rank
-        verdict = "fail" if growth > n else "pass"
-        return [
-            CheckResult(
-                "fundamental-group-growth",
-                verdict,
-                GROWTH_PRINCIPLE,
-                {"pi1": f"Z^{p.rank}", "growth_degree": growth, "n": n},
-            ),
-            CheckResult(
-                "fundamental-group-abelian", "pass", ABELIAN_PRINCIPLE, {"pi1": f"Z^{p.rank}"}
-            ),
-        ]
-    if p.kind == "nilpotent":
-        try:
-            verdict = pi1_verdict(p.algebra, n)
-        except NotNilpotent as exc:
-            return [
-                CheckResult(
-                    "fundamental-group-growth",
-                    "fail",
-                    GROWTH_PRINCIPLE,
-                    {"error": str(exc)},
-                )
-            ]
-        out = [
-            CheckResult(
-                "fundamental-group-growth",
-                "fail" if verdict.growth_degree > n else "pass",
-                GROWTH_PRINCIPLE,
-                {"growth_degree": verdict.growth_degree, "n": n},
-            ),
-            CheckResult(
-                "fundamental-group-abelian",
-                "pass" if verdict.abelian else "fail",
-                ABELIAN_PRINCIPLE,
-                {
-                    "abelian": verdict.abelian,
-                    "nilpotency_class": verdict.nilpotency_class,
-                },
-            ),
-        ]
-        return out
+        growth = abelian = ("pass", {"pi1": "finite"})
+    elif p.kind == "free-abelian":
+        label = f"Z^{p.rank}"
+        growth = ("fail" if p.rank > n else "pass", {"pi1": label, "growth_degree": p.rank, "n": n})
+        abelian = ("pass", {"pi1": label})
+    elif p.kind == "nilpotent":
+        v = pi1_verdict(p.algebra, n)
+        growth = (
+            "fail" if v.growth_degree > n else "pass",
+            {"growth_degree": v.growth_degree, "n": n},
+        )
+        abelian = (
+            "pass" if v.abelian else "fail",
+            {"abelian": v.abelian, "nilpotency_class": v.nilpotency_class},
+        )
+    else:
+        growth = abelian = ("inconclusive", {"pi1": "outside the nilpotent data model"})
     return [
-        CheckResult(
-            "fundamental-group-growth",
-            "inconclusive",
-            GROWTH_PRINCIPLE,
-            {"pi1": "outside the nilpotent data model"},
-        ),
-        CheckResult(
-            "fundamental-group-abelian",
-            "inconclusive",
-            ABELIAN_PRINCIPLE,
-            {"pi1": "outside the nilpotent data model"},
-        ),
+        CheckResult(check_id, verdict, PRINCIPLES[check_id], witness)
+        for check_id, (verdict, witness) in (
+            ("fundamental-group-growth", growth),
+            ("fundamental-group-abelian", abelian),
+        )
     ]
+
+
+def _four_manifold_check(d: ManifoldDescriptor) -> CheckResult:
+    principle = PRINCIPLES["four-manifold-intersection"]
+    if d.pi1.kind == "finite":
+        label = "finite"
+    elif d.pi1.kind == "free-abelian":
+        label = _FOUR_MANIFOLD_PI1.get(d.pi1.rank)
+    else:
+        label = None
+    if label is None:
+        return CheckResult(
+            "four-manifold-intersection",
+            "inconclusive",
+            principle,
+            {"pi1": "unsupported for the 4-manifold classification"},
+        )
+    b_plus, b_minus = d.betti
+    res = embed.fourmanifold_battery(b_plus, b_minus, label)
+    return CheckResult(
+        "four-manifold-intersection",
+        res.verdict,
+        principle,
+        {
+            "b_plus": b_plus,
+            "b_minus": b_minus,
+            "labels": list(res.labels),
+            **({"reason": res.reason} if res.reason else {}),
+        },
+    )
 
 
 def _cup_form_analysis(d: ManifoldDescriptor) -> dict | None:
@@ -278,53 +251,10 @@ def run_battery(d: ManifoldDescriptor, options: BatteryOptions | None = None) ->
     gb = basis_and_dims(A)
     chi = euler_characteristic(A)
 
-    checks: list[CheckResult] = []
-    checks.extend(_pi1_checks(d))
-
-    pd = check_poincare_duality(A)
-    checks.append(
-        CheckResult(
-            "poincare-duality",
-            "pass" if pd.holds else "fail",
-            PD_PRINCIPLE,
-            {} if pd.holds else {"failing_degree": pd.failing_degree, "detail": pd.detail},
-        )
-    )
-    checks.append(embed.euler_obstruction(A))
-    checks.append(embed.torus_subalgebra_check(A))
-
+    checks = _pi1_checks(d)
+    checks.extend(embed.ring_checks(A))
     if d.n == 4 and d.betti is not None:
-        pi1_label = None
-        if d.pi1.kind == "finite":
-            pi1_label = "finite"
-        elif d.pi1.kind == "free-abelian":
-            candidate = "Z" if d.pi1.rank == 1 else f"Z^{d.pi1.rank}"
-            if candidate in ("Z", "Z^2", "Z^4"):
-                pi1_label = candidate
-        if pi1_label is None:
-            checks.append(
-                CheckResult(
-                    "four-manifold-intersection",
-                    "inconclusive",
-                    embed.PRINCIPLES["four-manifold-intersection"],
-                    {"pi1": "unsupported for the 4-manifold classification"},
-                )
-            )
-        else:
-            res = embed.fourmanifold_battery(d.betti[0], d.betti[1], pi1_label)
-            checks.append(
-                CheckResult(
-                    "four-manifold-intersection",
-                    res.verdict,
-                    embed.PRINCIPLES["four-manifold-intersection"],
-                    {
-                        "b_plus": d.betti[0],
-                        "b_minus": d.betti[1],
-                        "labels": list(res.labels),
-                        **({"reason": res.reason} if res.reason else {}),
-                    },
-                )
-            )
+        checks.append(_four_manifold_check(d))
 
     embedding = None
     if options.embed:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraPresentation, GradedPolynomial
-from .nilcoh import NilLieAlgebra
+from .nilcoh import NilLieAlgebra, lower_central_series
 
 
 class ParseError(ValueError):
@@ -328,13 +328,14 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
 
     # -- pi1 ----------------------------------------------------------------
     kind = None
+    kind_line = 1
     dim = None
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for line_no, key, value in sections["pi1"]:
         if key == "type":
             if kind is not None:
                 raise ParseError("duplicate pi1 type", line_no)
-            kind = value
+            kind, kind_line = value, line_no
         elif key == "dim":
             if not value.isdigit():
                 raise ParseError("pi1 dim must be a positive integer", line_no)
@@ -364,10 +365,15 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
         pi1 = Pi1Data("other")
     elif kind == "nilpotent":
         if dim is None:
-            raise ParseError("nilpotent pi1 needs a dim line", 1)
-        pi1 = Pi1Data("nilpotent", algebra=NilLieAlgebra(dim, brackets))
+            raise ParseError("nilpotent pi1 needs a dim line", kind_line)
+        algebra = NilLieAlgebra(dim, brackets)
+        try:
+            lower_central_series(algebra)  # checks the Jacobi identity, then nilpotency
+        except ValueError as exc:
+            raise ParseError(f"nilpotent pi1: {exc}", kind_line) from None
+        pi1 = Pi1Data("nilpotent", algebra=algebra)
     else:
-        raise ParseError(f"unknown pi1 type {kind!r}", 1)
+        raise ParseError(f"unknown pi1 type {kind!r}", kind_line)
 
     # -- betti ---------------------------------------------------------------
     betti = None

@@ -7,7 +7,8 @@ element, which by Poincare duality of the source certifies
 injectivity.
 
 The search is a semidecision procedure.  Necessary-condition checks
-(degree-one subalgebra, Euler characteristic, graded dimension bounds)
+(the ring checks shared with the battery -- Poincare duality, Euler
+characteristic, degree-one subalgebra -- then graded dimension bounds)
 can prove non-existence; otherwise the search tries structured exact
 candidates (signed sums of disjoint blades per generator, with
 backtracking) and then seeded random-restart nonlinear least squares.
@@ -21,6 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -137,6 +139,18 @@ class CheckResult:
 
 
 PRINCIPLES = {
+    "fundamental-group-growth": (
+        "the fundamental group of a closed elliptic or quasiregularly elliptic "
+        "n-manifold has polynomial growth of degree at most n"
+    ),
+    "fundamental-group-abelian": (
+        "the fundamental group of a closed elliptic or quasiregularly elliptic "
+        "manifold is virtually abelian"
+    ),
+    "poincare-duality": (
+        "the real cohomology ring of a closed oriented manifold satisfies "
+        "Poincare duality"
+    ),
     "degree-one-subalgebra": (
         "the real cohomology ring of a closed elliptic or quasiregularly "
         "elliptic n-manifold embeds in the exterior algebra on n generators, "
@@ -286,9 +300,24 @@ def fourmanifold_battery(b_plus: int, b_minus: int, pi1: str) -> FourManifoldRes
     return FourManifoldResult("pass", (labels[pi1],))
 
 
-def necessary_conditions(A: AlgebraPresentation) -> list[CheckResult]:
-    """Intrinsic checks (relative to A.n) used as search preconditions."""
-    return [euler_obstruction(A), torus_subalgebra_check(A)]
+@lru_cache(maxsize=256)
+def ring_checks(A: AlgebraPresentation) -> tuple[CheckResult, ...]:
+    """Intrinsic checks (relative to A.n), in battery order.
+
+    Computed once per presentation and shared: the battery reports all
+    of them, the search stops at the first failure.
+    """
+    pd = check_poincare_duality(A)
+    return (
+        CheckResult(
+            "poincare-duality",
+            "pass" if pd.holds else "fail",
+            PRINCIPLES["poincare-duality"],
+            {} if pd.holds else {"failing_degree": pd.failing_degree, "detail": pd.detail},
+        ),
+        euler_obstruction(A),
+        torus_subalgebra_check(A),
+    )
 
 
 def target_feasibility(A: AlgebraPresentation, n: int) -> CheckResult:
@@ -327,9 +356,6 @@ class SearchOutcome:
     @property
     def found(self) -> bool:
         return self.status.startswith("found")
-
-
-from functools import lru_cache
 
 
 @lru_cache(maxsize=64)
@@ -461,22 +487,18 @@ def _float_stage(
     active_relations = [r for r in A.relations if (r.degree() or 0) <= n]
     fc = A.fundamental_class
 
-    def to_assignment(x: np.ndarray, exact: bool) -> dict[str, Multivector]:
+    def to_assignment(x: np.ndarray, bound: int | None = None) -> dict[str, Multivector]:
+        """Float images, or rationals with denominators at most ``bound``."""
         out = {}
         for i, name in enumerate(names):
-            coeffs = x[offsets[i]: offsets[i + 1]]
-            if exact:
-                terms = {
-                    m: Fraction(float(c)).limit_denominator(LIFT_DENOMINATOR_BOUND)
-                    for m, c in zip(masks[degs[i]], coeffs)
-                }
-            else:
-                terms = {m: float(c) for m, c in zip(masks[degs[i]], coeffs)}
-            out[name] = Multivector(n, terms)
+            coeffs = (float(c) for c in x[offsets[i]: offsets[i + 1]])
+            if bound is not None:
+                coeffs = (Fraction(c).limit_denominator(bound) for c in coeffs)
+            out[name] = Multivector(n, dict(zip(masks[degs[i]], coeffs)))
         return out
 
     def residuals(x: np.ndarray) -> np.ndarray:
-        asg = to_assignment(x, exact=False)
+        asg = to_assignment(x)
         parts = []
         for rel in active_relations:
             img = evaluate_polynomial(rel, asg, n)
@@ -495,7 +517,7 @@ def _float_stage(
         rng = np.random.default_rng((seed, trial))
         x0 = rng.normal(0.0, 1.0, size=nvars)
         sol = least_squares(residuals, x0, method=method)
-        asg = to_assignment(sol.x, exact=False)
+        asg = to_assignment(sol.x)
         rel_resid = 0.0
         for rel in active_relations:
             rel_resid = max(rel_resid, evaluate_polynomial(rel, asg, n).max_abs_coeff())
@@ -507,18 +529,8 @@ def _float_stage(
         if rel_resid <= tol and fc_norm >= fc_min:
             # lift along a ladder of denominators, exact re-verification only
             for bound in (1, 2, 4, 8, 16, LIFT_DENOMINATOR_BOUND):
-                exact_asg = {}
-                for i, name in enumerate(names):
-                    coeffs = sol.x[offsets[i]: offsets[i + 1]]
-                    exact_asg[name] = Multivector(
-                        n,
-                        {
-                            m: Fraction(float(c)).limit_denominator(bound)
-                            for m, c in zip(masks[degs[i]], coeffs)
-                        },
-                    )
                 try:
-                    m_exact = RingMorphism(A, n, exact_asg, "exact")
+                    m_exact = RingMorphism(A, n, to_assignment(sol.x, bound), "exact")
                 except ValueError:
                     continue
                 if verify_morphism(m_exact) and not m_exact.evaluate(fc).is_zero:
@@ -543,19 +555,7 @@ def search_embedding(
     stage; ``float_restarts`` (default budget // 1000) counts seeded
     least-squares restarts.  Identical arguments give identical output.
     """
-    pd = check_poincare_duality(A)
-    if not pd.holds:
-        return SearchOutcome(
-            "not-found",
-            obstruction=CheckResult(
-                "poincare-duality",
-                "fail",
-                "the cohomology ring of a closed oriented manifold satisfies "
-                "Poincare duality; a presentation without it is not admissible",
-                {"failing_degree": pd.failing_degree, "detail": pd.detail},
-            ),
-        )
-    for check in necessary_conditions(A):
+    for check in ring_checks(A):
         if check.failed:
             return SearchOutcome("not-found", obstruction=check)
     feas = target_feasibility(A, n)

@@ -146,22 +146,24 @@ def right_inverse(a: Sequence[Sequence]) -> Matrix:
 
 
 class SparseSubspace:
-    """Incrementally maintained reduced echelon span of sparse rows.
+    """Incrementally maintained reduced echelon span of rows.
 
-    Rows are dicts column -> Fraction.  Equivalent to :class:`Subspace`
-    (the reduced echelon form of a row space is unique, so pivots and
-    quotient coordinates agree), but elimination only touches the
-    support of each row, which matters for large sparse ideals.
+    Rows may be dicts column -> value or dense sequences; they are kept
+    as sparse dicts of Fractions, so elimination only touches the
+    support of each row, which matters for large sparse ideals.  The
+    reduced echelon form of a row space is unique, so pivots, ``rows``
+    and quotient coordinates do not depend on the insertion order.
     """
 
-    def __init__(self, dim: int, rows: Iterable = ()):  # rows: iterable of dicts
+    def __init__(self, dim: int, rows: Iterable = ()):
         self.dim = dim
         self.pivot_rows: dict[int, dict[int, Fraction]] = {}
         for r in rows:
             self.add(r)
 
     def _reduced(self, row) -> dict[int, Fraction]:
-        out = {c: Fraction(v) for c, v in row.items() if v != 0}
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        out = {c: Fraction(v) for c, v in items if v != 0}
         while True:
             hit = next((c for c in out if c in self.pivot_rows), None)
             if hit is None:
@@ -206,48 +208,22 @@ class SparseSubspace:
     def pivots(self) -> list[int]:
         return sorted(self.pivot_rows)
 
-    def contains_sparse(self, row) -> bool:
-        return not self._reduced(row)
-
-    def contains(self, vec: Sequence) -> bool:
-        return self.contains_sparse({i: v for i, v in enumerate(vec) if v != 0})
-
-    def coords_modulo(self, vec: Sequence) -> tuple[Fraction, ...]:
-        red = self._reduced({i: v for i, v in enumerate(vec) if v != 0})
-        pivot_set = self.pivot_rows.keys()
-        return tuple(
-            red.get(c, Fraction(0)) for c in range(self.dim) if c not in pivot_set
-        )
-
-
-class Subspace:
-    """Row span of a set of vectors, kept in reduced echelon form."""
-
-    def __init__(self, dim: int, rows: Sequence[Sequence] = ()):  # rows may be empty
-        self.dim = dim
-        self.rows, self.pivots = rref([as_fraction_row(r) for r in rows])
-
     @property
-    def rank(self) -> int:
-        return len(self.rows)
+    def rows(self) -> Matrix:
+        """The reduced echelon basis as dense rows, in pivot order."""
+        return [self._dense(self.pivot_rows[p]) for p in self.pivots]
 
-    def reduce(self, vec: Sequence) -> Vector:
-        v = as_fraction_row(vec)
-        for row, p in zip(self.rows, self.pivots):
-            if v[p] != 0:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
+    def _dense(self, row: dict[int, Fraction]) -> Vector:
+        return [row.get(c, Fraction(0)) for c in range(self.dim)]
 
-    def contains(self, vec: Sequence) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
+    def reduce(self, vec) -> Vector:
+        """The dense representative of vec modulo the span (zero at every pivot)."""
+        return self._dense(self._reduced(vec))
 
-    def coords_modulo(self, vec: Sequence) -> tuple[Fraction, ...]:
+    def contains(self, vec) -> bool:
+        return not self._reduced(vec)
+
+    def coords_modulo(self, vec) -> tuple[Fraction, ...]:
         """Coordinates of vec in the quotient: entries at non-pivot columns."""
-        v = self.reduce(vec)
-        pivot_set = set(self.pivots)
-        return tuple(v[c] for c in range(self.dim) if c not in pivot_set)
-
-    @property
-    def codim(self) -> int:
-        return self.dim - len(self.rows)
+        red = self._reduced(vec)
+        return tuple(red.get(c, Fraction(0)) for c in range(self.dim) if c not in self.pivot_rows)

@@ -310,7 +310,7 @@ def quotient_by_central_ideal(
     complement coordinates.
     """
     m = g.dim
-    span = linalg.Subspace(m, ideal_rows)
+    span = linalg.SparseSubspace(m, ideal_rows)
     # verify ideal: [v, X_j] stays inside
     basis = [[Fraction(1 if i == k else 0) for i in range(m)] for k in range(m)]
     for v in span.rows:

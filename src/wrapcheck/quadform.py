@@ -236,7 +236,7 @@ def wedge_pairing_form(n: int) -> QuadraticForm:
     if n % 2 or n < 2:
         raise ValueError("wedge_pairing_form needs an even n >= 2")
     k = n // 2
-    blades = [Multivector.blade(n, _mask_indices(m)) for m in blade_masks(n, k)]
+    blades = [Multivector(n, {m: 1}) for m in blade_masks(n, k)]
     size = len(blades)
     gram = [[Fraction(0)] * size for _ in range(size)]
     for i in range(size):
@@ -245,14 +245,3 @@ def wedge_pairing_form(n: int) -> QuadraticForm:
             gram[i][j] = val
             gram[j][i] = val
     return QuadraticForm(tuple(tuple(row) for row in gram))
-
-
-def _mask_indices(mask: int) -> tuple[int, ...]:
-    out = []
-    j = 1
-    while mask:
-        if mask & 1:
-            out.append(j)
-        mask >>= 1
-        j += 1
-    return tuple(out)

@@ -17,10 +17,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from . import linalg
-from .algebra import ConcreteSubalgebra
-from .exterior import Multivector, wedge
-from .nilcoh import NilLieAlgebra, lower_central_series_subspaces
+from wrapcheck import linalg
+from wrapcheck.algebra import ConcreteSubalgebra
+from wrapcheck.exterior import Multivector, wedge
+from wrapcheck.nilcoh import (
+    NilLieAlgebra,
+    lower_central_series_subspaces,
+    quotient_by_central_ideal,
+)
 
 
 def _random_invertible(rng: random.Random, n: int) -> list[list[Fraction]]:
@@ -81,8 +85,6 @@ def _random_two_step(rng: random.Random, dim: int) -> NilLieAlgebra:
 
 
 def _random_central_quotient(rng: random.Random, g: NilLieAlgebra) -> NilLieAlgebra:
-    from .nilcoh import quotient_by_central_ideal
-
     spans = lower_central_series_subspaces(g)
     last = spans[-2] if len(spans) >= 2 else []
     if not last or len(last) == g.dim:

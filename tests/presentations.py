@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import AlgebraPresentation, GradedPolynomial
+from wrapcheck.algebra import AlgebraPresentation, GradedPolynomial
 
 
 def _mono(gens, coeff, **exps) -> GradedPolynomial:

@@ -15,11 +15,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wrapcheck import presentations as P
 from wrapcheck.algebra import quotient_by_degree1
 from wrapcheck.battery import BatteryOptions, run_battery
 from wrapcheck.cli import EXIT_OK, main
-from wrapcheck.corpusgen import nilpotent_corpus, random_pd_subalgebra
 from wrapcheck.descriptor import parse_descriptor_file
 from wrapcheck.embed import (
     certify_injective,
@@ -65,6 +63,9 @@ from wrapcheck.wrapmaps import (
     sphere_wrap_map,
     sphere_wrap_strip_sampler,
 )
+
+import presentations as P
+from corpusgen import nilpotent_corpus, random_pd_subalgebra
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "corpus_verdicts.json"
 

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from wrapcheck import presentations as P
 from wrapcheck.algebra import (
     AlgebraPresentation,
     ConcreteSubalgebra,
@@ -17,9 +16,10 @@ from wrapcheck.algebra import (
     evaluate_polynomial,
     quotient_by_degree1,
 )
-from wrapcheck.corpusgen import random_pd_subalgebra
 from wrapcheck.exterior import Multivector
 
+import presentations as P
+from corpusgen import random_pd_subalgebra
 from oracles import oracle_quotient_ranks
 
 

@@ -211,6 +211,25 @@ class TestCLI:
         assert main(["frobnicate"]) == EXIT_USAGE
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "name,brackets,message",
+        [
+            # [X1,X2] = X1 makes the lower central series stall at dimension 1
+            ("heisenberg3", ["[1,2] = e1"], "lower central series stabilizes"),
+            ("filiform4", ["[1,2] = e3", "[2,3] = e4", "[1,3] = e4", "[1,4] = e3"], "Jacobi"),
+        ],
+    )
+    def test_malformed_nilpotent_pi1_exit(self, tmp_path, capsys, name, brackets, message):
+        text = pathlib.Path(corpus_file(name)).read_text()
+        head = text[: text.index("bracket:")]
+        bad = tmp_path / f"{name}.descriptor"
+        bad.write_text(head + "".join(f"bracket: {b}\n" for b in brackets))
+        assert main(["check", str(bad)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        type_line = head.splitlines().index("type: nilpotent") + 1
+        assert f"line {type_line}, " in err
+        assert message in err
+
     def test_surface_subcommand(self, tmp_path):
         out = tmp_path / "surface.txt"
         code = main(

@@ -1,7 +1,11 @@
 import pytest
 
-from wrapcheck import presentations as P
+from wrapcheck import algebra, battery, embed
+from wrapcheck.battery import BatteryOptions, run_battery
+from wrapcheck.cli import corpus_paths
+from wrapcheck.descriptor import parse_descriptor, parse_descriptor_file
 from wrapcheck.embed import (
+    PRINCIPLES,
     RingMorphism,
     certify_injective,
     euler_obstruction,
@@ -12,6 +16,8 @@ from wrapcheck.embed import (
     verify_morphism,
 )
 from wrapcheck.exterior import Multivector
+
+import presentations as P
 
 
 def blade(n, *idx):
@@ -217,3 +223,37 @@ class TestSearchEmbedding:
         out = search_embedding(P.torus(5), 4, budget=100, seed=0)
         assert out.status == "not-found"
         assert out.obstruction.check_id == "graded-dimension-bound"
+
+
+class TestSharedRingChecks:
+    NOT_PD = (
+        "name: not-pd\nn: 2\n[cohomology]\ngenerators: x:1 v:2\n"
+        "relation: x v\nrelation: v^2\nfundamental_class: v\n[pi1]\ntype: finite\n"
+    )
+
+    def test_battery_checks_poincare_duality_once(self, monkeypatch):
+        calls = []
+        original = algebra.check_poincare_duality
+
+        def counting(presentation):
+            calls.append(presentation)
+            return original(presentation)
+
+        for module in (algebra, battery, embed):
+            monkeypatch.setattr(module, "check_poincare_duality", counting)
+        algebra.basis_and_dims.cache_clear()
+        embed.ring_checks.cache_clear()
+        path = next(p for p in corpus_paths() if p.name == "t4.descriptor")
+        report = run_battery(parse_descriptor_file(path), BatteryOptions(embed=True, embed_budget=100))
+        assert report.embedding is not None
+        assert len(calls) == 1
+
+    def test_search_and_battery_share_the_pd_principle(self):
+        d = parse_descriptor(self.NOT_PD)
+        report = run_battery(d, BatteryOptions(embed=True, embed_budget=100))
+        pd_check = next(c for c in report.checks if c.check_id == "poincare-duality")
+        assert pd_check.verdict == "fail"
+        out = search_embedding(d.cohomology, d.n, budget=100, seed=0)
+        assert out.obstruction.check_id == "poincare-duality"
+        assert out.obstruction.principle == pd_check.principle == PRINCIPLES["poincare-duality"]
+        assert report.embedding.obstruction == out.obstruction
