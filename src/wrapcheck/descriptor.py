@@ -28,6 +28,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import linalg
 from .algebra import AlgebraPresentation, GradedPolynomial
 from .nilcoh import NilLieAlgebra, lower_central_series
 
@@ -368,7 +369,7 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
             raise ParseError("nilpotent pi1 needs a dim line", kind_line)
         algebra = NilLieAlgebra(dim, brackets)
         try:
-            lower_central_series(algebra)  # checks the Jacobi identity, then nilpotency
+            series = lower_central_series(algebra)  # checks the Jacobi identity, then nilpotency
         except ValueError as exc:
             raise ParseError(f"nilpotent pi1: {exc}", kind_line) from None
         pi1 = Pi1Data("nilpotent", algebra=algebra)
@@ -387,6 +388,18 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
             raise ParseError("betti section needs b_plus and b_minus", 1)
         betti = (vals["b_plus"], vals["b_minus"])
 
+    # H^1(M;Q) = Hom(pi1, Q), so the pi1 data fixes b1 (dim g/[g,g] if nilpotent)
+    if pi1.kind == "nilpotent":
+        expected_b1 = dim - (series[1] if dim else 0)
+    else:
+        expected_b1 = {"finite": 0, "free-abelian": pi1.rank}.get(pi1.kind)
+    b1 = _first_betti(presentation)
+    if expected_b1 is not None and b1 != expected_b1:
+        raise ParseError(
+            f"pi1 type {kind} needs b1 = {expected_b1}, but the cohomology has b1 = {b1}",
+            kind_line,
+        )
+
     return ManifoldDescriptor(
         name=top["name"],
         n=n,
@@ -395,6 +408,21 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
         betti=betti,
         notes="\n".join(notes_lines),
     )
+
+
+def _first_betti(presentation: AlgebraPresentation) -> int:
+    """Degree-one generators minus the rank of the degree-one relations.
+
+    Generator degrees are >= 1, so the degree-one part of the relation
+    ideal is spanned by the degree-one relations themselves.
+    """
+    ones = [i for i, (_, d) in enumerate(presentation.generators) if d == 1]
+    rows = []
+    for rel in presentation.relations:
+        if rel.degree() == 1:
+            coeffs = {exps.index(1): c for c, exps in rel.monomials}
+            rows.append([coeffs.get(i, 0) for i in ones])
+    return len(ones) - linalg.rank(rows)
 
 
 def parse_descriptor_file(path) -> ManifoldDescriptor:

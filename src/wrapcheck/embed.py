@@ -14,6 +14,16 @@ candidates (signed sums of disjoint blades per generator, with
 backtracking) and then seeded random-restart nonlinear least squares.
 A floating candidate is certified only when rounding to small
 denominators produces an exact witness; "not-found" is never a proof.
+
+The least-squares residuals are compiled once per search into numpy
+index and sign tables (:func:`_image_program`), so one evaluation is a
+few gathers and ``np.bincount`` scatters instead of dict arithmetic.
+Finite-difference Jacobians amplify rounding differences into
+different trajectories, so the tables keep the exact summation order
+of :func:`evaluate_polynomial` on float multivectors -- the left
+operand of each product in the order the dict wedge leaves it, not in
+ascending blade order -- and the residuals, hence the search outcomes,
+equal those of the dict arithmetic bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -36,7 +46,7 @@ from .algebra import (
     euler_characteristic,
     evaluate_polynomial,
 )
-from .exterior import Multivector, blade_masks, graded_dimension
+from .exterior import Multivector, blade_masks, graded_dimension, wedge_table
 
 RESIDUAL_TOL = 1e-9
 FC_NORM_MIN = 1e-6
@@ -461,6 +471,99 @@ def _exact_stage(
     return found, nodes
 
 
+class _Chain(NamedTuple):
+    """One monomial as a chain of wedge products, for :func:`_image_program`."""
+
+    index: int  # position among all monomials, in polynomial order
+    coeff: float
+    rows: list  # per factor: (left slot, x index, product slot, sign) rows
+    sizes: list  # support size before the first and after each factor
+    slots: list  # output slot of each final support mask
+
+
+def _image_program(polys, n: int, gen_masks, offsets):
+    """Compile the images of polynomials under a float assignment.
+
+    Generator ``g`` maps to ``sum_j x[offsets[g] + j] e_{gen_masks[g][j]}``
+    and ``polys`` pairs each polynomial with the degree of its image.
+    Returns ``images(x)``: the image coordinates on the ascending blade
+    basis of each degree, stacked in ``polys`` order.
+
+    Each monomial is a chain of :func:`wedge_table` products, one per
+    factor; the monomials that have a t-th factor take their t-th
+    product together, in one gather and one ``np.bincount`` scatter, and
+    a last scatter adds the monomials of each polynomial in order.  That
+    is the summation order of :func:`evaluate_polynomial` on float
+    multivectors, so the images equal its coordinates bit for bit
+    (barring the exact cancellations :func:`wedge_table` names), and
+    the float search's least-squares trajectories stay those of the
+    dict arithmetic.
+    """
+    chains: list[_Chain] = []
+    out_len = 0
+    for p, deg in polys:
+        slot = {m: out_len + i for i, m in enumerate(blade_masks(n, deg))}
+        out_len += len(slot)
+        for coeff, exps in p.monomials:
+            support, rows, sizes = [0], [], [1]
+            for g, e in enumerate(exps):
+                for _ in range(e):
+                    support, pairs = wedge_table(support, gen_masks[g])
+                    rows.append([(i, offsets[g] + j, k, s) for i, j, k, s in pairs])
+                    sizes.append(len(support))
+            if support:
+                slots = [slot[m] for m in support]
+                chains.append(_Chain(len(chains), float(coeff), rows, sizes, slots))
+
+    # The state after product t holds the partial products of the chains
+    # with at least t factors, most factors first: the chains that take
+    # product t + 1 are a prefix, the ones that end at t a suffix.
+    chains.sort(key=lambda c: -len(c.rows))
+    factors = len(chains[0].rows) if chains else 0
+    products = []
+    for t in range(1, factors + 1):
+        I, G, T, S = [], [], [], []
+        left = right = 0
+        for c in chains:
+            if len(c.rows) < t:
+                break
+            for i, gx, k, s in c.rows[t - 1]:
+                I.append(left + i)
+                G.append(gx)
+                T.append(right + k)
+                S.append(s)
+            left += c.sizes[t - 1]
+            right += c.sizes[t]
+        products.append(
+            (
+                np.array(I, dtype=np.intp),
+                np.array(G, dtype=np.intp),
+                np.array(T, dtype=np.intp),
+                np.array(S, dtype=float),
+                right,
+            )
+        )
+    ends = [sum(c.sizes[t] for c in chains if len(c.rows) > t) for t in range(factors + 1)]
+    # the ended suffixes stack by factor count; the last scatter takes them
+    # back in polynomial-then-monomial order
+    by_factors = sorted(chains, key=lambda c: len(c.rows))
+    stacked = [(c.index, slot) for c in by_factors for slot in c.slots]
+    order = sorted(range(len(stacked)), key=lambda r: stacked[r][0])
+    pick = np.array(order, dtype=np.intp)
+    targets = np.array([stacked[r][1] for r in order], dtype=np.intp)
+    coeffs = np.array([c.coeff for c in chains])
+
+    def images(x: np.ndarray) -> np.ndarray:
+        v = coeffs
+        ended = [v[ends[0]:]]
+        for (I, G, T, S, size), end in zip(products, ends[1:]):
+            v = np.bincount(T, v[I] * x[G] * S, minlength=size)
+            ended.append(v[end:])
+        return np.bincount(targets, np.concatenate(ended)[pick], minlength=out_len)
+
+    return images
+
+
 def _float_stage(
     A: AlgebraPresentation,
     n: int,
@@ -486,6 +589,13 @@ def _float_stage(
 
     active_relations = [r for r in A.relations if (r.degree() or 0) <= n]
     fc = A.fundamental_class
+    images = _image_program(
+        [(rel, rel.degree()) for rel in active_relations] + [(fc, A.n)],
+        n,
+        [masks[d] for d in degs],
+        offsets,
+    )
+    nrel = sum(math.comb(n, rel.degree()) for rel in active_relations)
 
     def to_assignment(x: np.ndarray, bound: int | None = None) -> dict[str, Multivector]:
         """Float images, or rationals with denominators at most ``bound``."""
@@ -498,32 +608,20 @@ def _float_stage(
         return out
 
     def residuals(x: np.ndarray) -> np.ndarray:
-        asg = to_assignment(x)
-        parts = []
-        for rel in active_relations:
-            img = evaluate_polynomial(rel, asg, n)
-            deg = rel.degree()
-            parts.append(np.array([float(c) for c in img.coords(deg)], dtype=float))
-        fc_img = evaluate_polynomial(fc, asg, n)
-        fc_vec = np.array([float(c) for c in fc_img.coords(A.n)], dtype=float)
-        parts.append(np.array([fc_vec @ fc_vec - 1.0]))
-        return np.concatenate(parts) if parts else np.zeros(1)
+        coords = images(x)
+        fc_vec = coords[nrel:]
+        return np.append(coords[:nrel], fc_vec @ fc_vec - 1.0)
 
     nvars = int(offsets[-1])
-    nresid = len(residuals(np.zeros(nvars)))
-    method = "lm" if nresid >= nvars and nvars <= 60 else "trf"
+    method = "lm" if nrel + 1 >= nvars and nvars <= 60 else "trf"
     best_res = None
     for trial in range(restarts):
         rng = np.random.default_rng((seed, trial))
         x0 = rng.normal(0.0, 1.0, size=nvars)
         sol = least_squares(residuals, x0, method=method)
-        asg = to_assignment(sol.x)
-        rel_resid = 0.0
-        for rel in active_relations:
-            rel_resid = max(rel_resid, evaluate_polynomial(rel, asg, n).max_abs_coeff())
-        fc_norm = math.sqrt(
-            sum(float(c) ** 2 for c in evaluate_polynomial(fc, asg, n).coords(A.n))
-        )
+        coords = images(sol.x)
+        rel_resid = float(np.max(np.abs(coords[:nrel]), initial=0.0))
+        fc_norm = math.sqrt(sum(float(c) ** 2 for c in coords[nrel:]))
         if best_res is None or rel_resid < best_res:
             best_res = rel_resid
         if rel_resid <= tol and fc_norm >= fc_min:
@@ -535,7 +633,7 @@ def _float_stage(
                     continue
                 if verify_morphism(m_exact) and not m_exact.evaluate(fc).is_zero:
                     return m_exact, "found-certified", rel_resid, fc_norm, trial
-            m_float = RingMorphism(A, n, asg, "floating")
+            m_float = RingMorphism(A, n, to_assignment(sol.x), "floating")
             return m_float, "found-numerical", rel_resid, fc_norm, trial
     return None, "not-found", best_res, None, None
 

@@ -3,9 +3,10 @@
 Elements are stored sparsely as maps blade -> coefficient, where a
 blade is encoded as a bitmask: bit i-1 set means the basis index i is
 present, so masks run from 0 (scalars) to 2**n - 1 (the top blade).
-Coefficients are exact rationals; the floating-point search in
-:mod:`wrapcheck.embed` reuses the same arithmetic with float
-coefficients, which the sparse normal form tolerates.
+Coefficients are exact rationals.  Float coefficients are tolerated
+too (floating candidates of :mod:`wrapcheck.embed` carry them), but the
+float search there evaluates its residuals through :func:`wedge_table`
+index and sign tables, with this dict arithmetic as their reference.
 
 Sign convention, fixed here and used by every module: reordering two
 adjacent odd-degree generators contributes one factor of -1, and
@@ -76,7 +77,18 @@ class Blade:
 
 def blade_masks(n: int, degree: int) -> list[int]:
     """All degree-``degree`` blade masks in Lambda^*(Q^n), ascending."""
-    return [m for m in range(1 << n) if m.bit_count() == degree]
+    if not 0 <= degree <= n:
+        return []
+    if degree == 0:
+        return [0]
+    # step to the next larger integer with the same bit count (Gosper)
+    mask, end, out = (1 << degree) - 1, 1 << n, []
+    while mask < end:
+        out.append(mask)
+        low = mask & -mask
+        high = mask + low
+        mask = high | (((high ^ mask) >> 2) // low)
+    return out
 
 
 def _coerce(c):
@@ -244,6 +256,30 @@ def wedge(a: Multivector, b: Multivector) -> Multivector:
             else:
                 terms[m] = acc
     return Multivector(a.n, terms)
+
+
+def wedge_table(left, right) -> tuple[list[int], list[tuple[int, int, int, int]]]:
+    """Index and sign table of :func:`wedge` on fixed supports.
+
+    ``left`` lists the blade masks of the left operand in its term
+    order and ``right`` those of the right operand.  Returns the
+    product's masks in the order :func:`wedge` first meets them, and one
+    ``(left index, right index, product index, sign)`` row per pair of
+    disjoint blades, in the order :func:`wedge` visits them.  Summing
+    ``a[i] * b[j] * sign`` into ``product[k]`` row by row, from zero,
+    therefore gives the float coefficients :func:`wedge` computes, bit
+    for bit, as long as no coefficient or partial sum is exactly zero
+    (the sparse form would drop that term and move it in the order).
+    """
+    product: dict[int, int] = {}
+    rows = []
+    for i, ma in enumerate(left):
+        for j, mb in enumerate(right):
+            if ma & mb:
+                continue
+            k = product.setdefault(ma | mb, len(product))
+            rows.append((i, j, k, _merge_sign(ma, mb)))
+    return list(product), rows
 
 
 def top_pairing(a: Multivector, b: Multivector):

@@ -230,6 +230,38 @@ class TestCLI:
         assert f"line {type_line}, " in err
         assert message in err
 
+    # S^1 x S^2: one degree-one generator, so b1 = 1
+    S1XS2 = (
+        "name: s1xs2\nn: 3\n[cohomology]\ngenerators: x:1 v:2\n"
+        "relation: v^2\nfundamental_class: x v\n[pi1]\n"
+    )
+
+    @pytest.mark.parametrize(
+        "ring,pi1,message",
+        [
+            ("s1xs2", "type: Z^2\n", "pi1 type Z^2 needs b1 = 2, but the cohomology has b1 = 1"),
+            ("t2", "type: finite\n", "pi1 type finite needs b1 = 0, but the cohomology has b1 = 2"),
+            (
+                "t3",
+                "type: nilpotent\ndim: 3\nbracket: [1,2] = e3\n",
+                "pi1 type nilpotent needs b1 = 2, but the cohomology has b1 = 3",
+            ),
+        ],
+    )
+    def test_pi1_inconsistent_with_b1_exit(self, tmp_path, capsys, ring, pi1, message):
+        if ring == "s1xs2":
+            head = self.S1XS2
+        else:
+            text = pathlib.Path(corpus_file(ring)).read_text()
+            head = text[: text.index("type:")]
+        bad = tmp_path / f"{ring}.descriptor"
+        bad.write_text(head + pi1)
+        assert main(["check", str(bad)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        type_line = len(head.splitlines()) + 1
+        assert f"line {type_line}, " in err
+        assert message in err
+
     def test_surface_subcommand(self, tmp_path):
         out = tmp_path / "surface.txt"
         code = main(

@@ -1,3 +1,8 @@
+import importlib.util
+import json
+import pathlib
+
+import numpy as np
 import pytest
 
 from wrapcheck import algebra, battery, embed
@@ -15,7 +20,7 @@ from wrapcheck.embed import (
     torus_subalgebra_check,
     verify_morphism,
 )
-from wrapcheck.exterior import Multivector
+from wrapcheck.exterior import Multivector, blade_masks
 
 import presentations as P
 
@@ -228,7 +233,7 @@ class TestSearchEmbedding:
 class TestSharedRingChecks:
     NOT_PD = (
         "name: not-pd\nn: 2\n[cohomology]\ngenerators: x:1 v:2\n"
-        "relation: x v\nrelation: v^2\nfundamental_class: v\n[pi1]\ntype: finite\n"
+        "relation: x v\nrelation: v^2\nfundamental_class: v\n[pi1]\ntype: other\n"
     )
 
     def test_battery_checks_poincare_duality_once(self, monkeypatch):
@@ -257,3 +262,55 @@ class TestSharedRingChecks:
         assert out.obstruction.check_id == "poincare-duality"
         assert out.obstruction.principle == pd_check.principle == PRINCIPLES["poincare-duality"]
         assert report.embedding.obstruction == out.obstruction
+
+
+class TestCompiledResiduals:
+    """The float stage's compiled images against evaluate_polynomial."""
+
+    # rings whose relations or fundamental class have 3- or 4-factor monomials
+    LONG_MONOMIALS = ("cp3", "t3", "t4", "nine_disc2", "t3_skeleton_boundary")
+
+    @pytest.mark.parametrize("path", corpus_paths(), ids=lambda p: p.name)
+    def test_bit_identical_to_multivector_arithmetic(self, path):
+        d = parse_descriptor_file(path)
+        A, n = d.cohomology, d.n
+        masks = [blade_masks(n, d) for _, d in A.generators]
+        offsets = np.cumsum([0] + [len(m) for m in masks])
+        polys = [(rel, rel.degree()) for rel in A.relations] + [(A.fundamental_class, A.n)]
+        factors = max(sum(e) for p, _ in polys for _, e in p.monomials)
+        if path.name.removesuffix(".descriptor") in self.LONG_MONOMIALS:
+            assert factors >= 3
+        images = embed._image_program(polys, n, masks, offsets)
+        rng = np.random.default_rng(2024)
+        for scale in (1e-3, 1.0, 1e3):
+            for _ in range(4):
+                x = rng.normal(0.0, scale, size=int(offsets[-1]))
+                asg = {
+                    name: Multivector(
+                        n, dict(zip(masks[i], map(float, x[offsets[i]: offsets[i + 1]])))
+                    )
+                    for i, (name, _) in enumerate(A.generators)
+                }
+                want = [
+                    float(c)
+                    for p, deg in polys
+                    for c in algebra.evaluate_polynomial(p, asg, n).coords(deg)
+                ]
+                assert np.array_equal(images(x), np.array(want))
+
+
+def _regen_golden():
+    script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "regen_golden.py"
+    spec = importlib.util.spec_from_file_location("regen_golden", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestFloatStageGolden:
+    def test_outcomes_match_committed_table(self):
+        regen = _regen_golden()
+        want = json.loads(regen.FLOAT_GOLDEN.read_text())
+        got = regen.float_stage_outcomes()
+        assert len(got) == len(regen.FLOAT_RINGS) * len(regen.FLOAT_SEEDS)
+        assert got == want

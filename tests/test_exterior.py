@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from wrapcheck.exterior import (
     graded_dimension,
     top_pairing,
     wedge,
+    wedge_table,
 )
 
 from oracles import brute_force_wedge
@@ -147,6 +149,34 @@ class TestGradedDimension:
             graded_dimension(4, 5)
         with pytest.raises(ValueError):
             graded_dimension(4, -1)
+
+
+class TestBladeMasks:
+    def test_matches_the_full_scan(self):
+        for n in range(11):
+            for k in range(-1, n + 2):
+                assert blade_masks(n, k) == [m for m in range(1 << n) if m.bit_count() == k]
+
+    def test_maximal_dimension_is_cheap(self):
+        start = time.perf_counter()
+        masks = blade_masks(32, 1)
+        assert time.perf_counter() - start < 0.1
+        assert masks == [1 << i for i in range(32)]
+        assert Multivector.from_coords(32, 1, range(1, 33)).coords(1) == tuple(range(1, 33))
+
+
+class TestWedgeTable:
+    def test_reproduces_float_wedge(self):
+        # a's terms are not in ascending mask order, and neither are the product's
+        ta = {0b00110: 0.3, 0b00011: -1.7, 0b10001: 2.9}
+        tb = {m: 0.1 * (i + 1) for i, m in enumerate(blade_masks(5, 2))}
+        masks, rows = wedge_table(list(ta), list(tb))
+        ca, cb = list(ta.values()), list(tb.values())
+        got = [0.0] * len(masks)
+        for i, j, k, sign in rows:
+            got[k] += ca[i] * cb[j] * sign
+        assert masks != sorted(masks)
+        assert Multivector(5, dict(zip(masks, got))) == wedge(Multivector(5, ta), Multivector(5, tb))
 
 
 class TestMultivector:
