@@ -14,6 +14,7 @@ error; 3 = internal error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from importlib import resources
@@ -212,25 +213,27 @@ _MAPS = {
 
 
 def _cmd_map(args) -> int:
-    m = _MAPS[args.map](args)
-    radii = [float(x) for x in args.radii.split(",")]
+    try:
+        if args.n is not None and args.n < 1:
+            raise ValueError("--n must be at least 1")
+        if args.samples < 1:
+            raise ValueError("--samples must be at least 1")
+        m = _MAPS[args.map](args)
+        try:
+            radii = [float(x) for x in args.radii.split(",")]
+        except ValueError:
+            raise ValueError(f"--radii must be comma-separated numbers: {args.radii!r}") from None
+        wrapmaps.check_quadrature(radii, args.step)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     report = wrapmaps.asymptotic_degree(m, radii, args.step)
-    extras = {}
     if args.map == "sphere-wrap":
         floor = wrapmaps.jacobian_floor(
             m, wrapmaps.sphere_wrap_strip_sampler(), args.samples, seed=args.seed
         )
         lip = wrapmaps.estimate_lipschitz(m, [(-2.0, 6.0), (-10.0, 10.0)], 1e-2)
-        report = wrapmaps.DegreeReport(
-            report.map_name,
-            report.domain_dim,
-            report.radii,
-            report.normalized,
-            report.quadrature_step,
-            report.fd_step,
-            lipschitz=lip,
-            jacobian_floor=floor,
-        )
+        report = dataclasses.replace(report, lipschitz=lip, jacobian_floor=floor)
     _write(report.to_text(), args.out)
     return EXIT_OK
 

@@ -14,7 +14,13 @@ normalized degree, grid Lipschitz ratios, Jacobian floors on declared
 sets, and quasiregularity ratios.  Piecewise seams are not C^1 (the
 plane-to-sphere map is antipodally glued across the x-axis), so seam
 neighborhoods are masked out of differentiation samples; estimates are
-a.e.-sampled values, tagged with their grid resolution.
+a.e.-sampled values, tagged with their grid resolution, and a degree
+report says how many samples the seam mask dropped.
+
+Grids are never held whole: the quadrature, the Lipschitz scan and the
+Jacobian floor walk their samples in chunks of about CHUNK_POINTS
+points and fold each chunk into a running sum, max or min, so memory is
+bounded by the chunk whatever R / h is.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ import numpy as np
 
 FD_STEP = 1e-5
 SEAM_MASK_FACTOR = 10.0
+CHUNK_POINTS = 50_000  # points per chunk of every streamed grid walk
 
 
 # ---------------------------------------------------------------------------
@@ -52,11 +59,27 @@ def eval_f0(x, y):
 
 
 def _hemisphere_chart(r, theta, upper):
-    """p_+/p_- : disk -> hemisphere, (sin(pi r/2) e^{i theta}, +-cos(pi r/2))."""
-    s = np.sin(np.pi * r / 2.0)
-    z = np.cos(np.pi * r / 2.0)
-    z = np.where(upper, z, -z)
-    return np.stack([s * np.cos(theta), s * np.sin(theta), z], axis=-1)
+    """p_+/p_- : disk -> hemisphere, (sin(pi r/2) e^{i theta}, +-cos(pi r/2)).
+
+    Fills one (..., 3) array through one scratch buffer; every
+    transcendental call writes a contiguous array, as a fresh result
+    would, so the values do not depend on the buffering.
+    """
+    shape = np.broadcast_shapes(np.shape(r), np.shape(theta), np.shape(upper))
+    out = np.empty(shape + (3,))
+    a = np.multiply(np.pi, r, out=np.empty(shape))
+    a /= 2.0
+    s = np.sin(a)
+    np.cos(a, out=a)
+    np.negative(a, out=a, where=np.logical_not(upper))
+    out[..., 2] = a
+    np.cos(theta, out=a)
+    a *= s
+    out[..., 0] = a
+    np.sin(theta, out=a)
+    a *= s
+    out[..., 1] = a
+    return out
 
 
 def eval_sphere_wrap(x, y):
@@ -64,14 +87,11 @@ def eval_sphere_wrap(x, y):
     reflected in y; misses both poles."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    lower = y < 0
-    yy = np.abs(y)
     xx = np.mod(x + 1.0, 4.0) - 1.0  # into [-1, 3)
     north = xx <= 1.0
-    xb = np.where(north, xx, 2.0 - xx)
-    r, theta = eval_f0(xb, yy)
+    r, theta = eval_f0(np.where(north, xx, 2.0 - xx), np.abs(y))
     out = _hemisphere_chart(r, theta, north)
-    return np.where(lower[..., None], -out, out)
+    return np.negative(out, out=out, where=(y < 0)[..., None])
 
 
 def eval_torus_collapse(z):
@@ -239,6 +259,9 @@ def torus_collapse_map(d: int) -> EvaluableMap:
 
 
 def join_map(n: int) -> EvaluableMap:
+    if n < 3:
+        raise ValueError("join construction needs n >= 3")
+
     def f(p):
         return eval_fn(p[..., 0], p[..., 1], p[..., 2:], n)
 
@@ -290,16 +313,19 @@ def operator_norm(m: EvaluableMap, pts: np.ndarray, step: float = FD_STEP) -> np
     return np.linalg.svd(d, compute_uv=False)[..., 0]
 
 
-def _chunked(pts: np.ndarray, fn, chunk: int = 200_000) -> np.ndarray:
-    out = []
-    for i in range(0, len(pts), chunk):
-        out.append(fn(pts[i: i + chunk]))
-    return np.concatenate(out) if out else np.zeros(0)
+def _spans(count: int, size: int):
+    """Consecutive (start, stop) ranges covering range(count), at most size long."""
+    for start in range(0, count, size):
+        yield start, min(start + size, count)
 
 
 @dataclass(frozen=True)
 class DegreeReport:
-    """Normalized degree R^-n * integral of the Jacobian over B_R, per R."""
+    """Normalized degree R^-n * integral of the Jacobian over B_R, per R.
+
+    samples counts the grid points in the largest ball, masked those of
+    them the seam mask dropped.
+    """
 
     map_name: str
     domain_dim: int
@@ -310,6 +336,8 @@ class DegreeReport:
     lipschitz: float | None = None
     jacobian_floor: float | None = None
     qr_ratio: float | None = None
+    samples: int | None = None
+    masked: int | None = None
 
     def slope(self) -> float:
         """Least-squares slope of normalized degree against R."""
@@ -326,6 +354,10 @@ class DegreeReport:
             f"# quadrature_step\t{self.quadrature_step:.6g}",
             f"# fd_step\t{self.fd_step:.6g}",
         ]
+        if self.samples is not None:
+            lines.append(f"# samples\t{self.samples}")
+        if self.masked is not None:
+            lines.append(f"# masked\t{self.masked}")
         if self.lipschitz is not None:
             lines.append(f"# lipschitz\t{self.lipschitz:.12g}")
         if self.jacobian_floor is not None:
@@ -338,41 +370,60 @@ class DegreeReport:
         return "\n".join(lines) + "\n"
 
 
+def check_quadrature(radii: Sequence[float], quadrature_step: float) -> list[float]:
+    """The radii as floats, or ValueError unless they are finite, positive
+    and increasing and the step is finite, positive and at most R_max / 4."""
+    radii = [float(r) for r in radii]
+    if not radii or any(radii[i] >= radii[i + 1] for i in range(len(radii) - 1)):
+        raise ValueError("radii must be increasing and nonempty")
+    if not all(math.isfinite(r) and r > 0 for r in radii):
+        raise ValueError("radii must be finite and positive")
+    if not (math.isfinite(quadrature_step) and quadrature_step > 0):
+        raise ValueError("quadrature step must be finite and positive")
+    if quadrature_step > radii[-1] / 4:
+        raise ValueError("quadrature step too coarse relative to the largest radius")
+    return radii
+
+
 def asymptotic_degree(
     m: EvaluableMap, radii: Sequence[float], quadrature_step: float, fd_step: float = FD_STEP
 ) -> DegreeReport:
     """Midpoint quadrature of the signed Jacobian over concentric balls.
 
-    One grid at the largest radius serves every R via masks.  Samples
-    whose difference stencil sits within SEAM_MASK_FACTOR * fd_step of
-    a seam are dropped; with quadrature_step >> fd_step the omitted
-    mass vanishes under refinement.
+    The midpoint grid of the cube [-R, R]^n at the largest radius is
+    walked in chunks of at most CHUNK_POINTS points along its flat
+    (C-order) index, so memory is bounded by the chunk and not by the
+    grid; each chunk adds its partial sum over every ball B_R to a
+    running total.  Samples whose difference stencil sits within
+    SEAM_MASK_FACTOR * fd_step of a seam are dropped and counted; with
+    quadrature_step >> fd_step the omitted mass vanishes under
+    refinement.
     """
-    radii = [float(r) for r in radii]
-    if not radii or any(radii[i] >= radii[i + 1] for i in range(len(radii) - 1)):
-        raise ValueError("radii must be increasing and nonempty")
+    radii = check_quadrature(radii, quadrature_step)
     rmax = radii[-1]
     h = quadrature_step
-    if h > rmax / 4:
-        raise ValueError("quadrature step too coarse relative to the largest radius")
-    axes = [np.arange(-rmax + h / 2, rmax, h)] * m.domain_dim
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    dist2 = np.sum(pts * pts, axis=-1)
-    inside = dist2 <= rmax * rmax
-    pts = pts[inside]
-    dist2 = dist2[inside]
-    seam = _chunked(pts, m.seam_dist)
-    keep = seam > SEAM_MASK_FACTOR * fd_step
-    jac = np.zeros(len(pts))
-    jac[keep] = _chunked(pts[keep], lambda q: signed_jacobian(m, q, fd_step))
+    axis = np.arange(-rmax + h / 2, rmax, h)
+    shape = (len(axis),) * m.domain_dim
+    totals = [0.0] * len(radii)
+    samples = masked = 0
+    for start, stop in _spans(math.prod(shape), CHUNK_POINTS):
+        pts = axis[np.stack(np.unravel_index(np.arange(start, stop), shape), axis=-1)]
+        dist2 = np.sum(pts * pts, axis=-1)
+        inside = dist2 <= rmax * rmax
+        pts = pts[inside]
+        dist2 = dist2[inside]
+        keep = m.seam_dist(pts) > SEAM_MASK_FACTOR * fd_step
+        samples += len(pts)
+        masked += len(pts) - int(np.count_nonzero(keep))
+        jac = np.zeros(len(pts))
+        jac[keep] = signed_jacobian(m, pts[keep], fd_step)
+        for i, r in enumerate(radii):
+            totals[i] += float(jac[dist2 <= r * r].sum())
     cell = h**m.domain_dim
-    normalized = []
-    for r in radii:
-        total = float(jac[dist2 <= r * r].sum() * cell)
-        normalized.append(total / r**m.domain_dim)
+    normalized = tuple(t * cell / r**m.domain_dim for t, r in zip(totals, radii))
     return DegreeReport(
-        m.name, m.domain_dim, tuple(radii), tuple(normalized), h, fd_step
+        m.name, m.domain_dim, tuple(radii), normalized, h, fd_step,
+        samples=samples, masked=masked,
     )
 
 
@@ -383,28 +434,37 @@ def estimate_lipschitz(
 
     Pairs whose segment midpoint lies within one grid step of a seam
     are excluded (piecewise gluing lines are not C^1; the antipodal
-    y = 0 gluing of the sphere wrap is a genuine metric seam).
+    y = 0 gluing of the sphere wrap is a genuine metric seam).  The
+    grid is walked in slabs of rows along axis 0, about CHUNK_POINTS
+    points each, and every slab carries the next slab's first row so
+    that the pairs across the boundary are seen; a max does not depend
+    on the walk.
     """
     axes = [np.arange(lo, hi + grid_step / 2, grid_step) for lo, hi in bounds]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack(grids, axis=-1)
-    values = m(pts.reshape(-1, m.domain_dim)).reshape(pts.shape[:-1] + (m.target.ambient,))
+    rows = max(1, CHUNK_POINTS // max(1, math.prod(len(a) for a in axes[1:])))
     best = 0.0
-    for axis in range(m.domain_dim):
-        sl_a = [slice(None)] * m.domain_dim
-        sl_b = [slice(None)] * m.domain_dim
-        sl_a[axis] = slice(None, -1)
-        sl_b[axis] = slice(1, None)
-        p = values[tuple(sl_a)]
-        q = values[tuple(sl_b)]
-        mid = (pts[tuple(sl_a)] + pts[tuple(sl_b)]) / 2.0
-        seam = m.seam_dist(mid.reshape(-1, m.domain_dim)).reshape(mid.shape[:-1])
-        dist = m.target.distance(
-            p.reshape(-1, m.target.ambient), q.reshape(-1, m.target.ambient)
-        ).reshape(seam.shape)
-        ok = seam > grid_step
-        if np.any(ok):
-            best = max(best, float(dist[ok].max() / grid_step))
+    for start, stop in _spans(len(axes[0]), rows):
+        pts = np.stack(
+            np.meshgrid(axes[0][start: stop + 1], *axes[1:], indexing="ij"), axis=-1
+        )
+        values = m(pts.reshape(-1, m.domain_dim)).reshape(pts.shape[:-1] + (m.target.ambient,))
+        for axis in range(m.domain_dim):
+            # pairs along axis 0 reach into the carried row; pairs along
+            # the other axes stay in the slab's own rows
+            sl_a = [slice(None, stop - start)] + [slice(None)] * (m.domain_dim - 1)
+            sl_b = list(sl_a)
+            sl_a[axis] = slice(None, -1)
+            sl_b[axis] = slice(1, None)
+            p = values[tuple(sl_a)]
+            q = values[tuple(sl_b)]
+            mid = (pts[tuple(sl_a)] + pts[tuple(sl_b)]) / 2.0
+            seam = m.seam_dist(mid.reshape(-1, m.domain_dim)).reshape(mid.shape[:-1])
+            dist = m.target.distance(
+                p.reshape(-1, m.target.ambient), q.reshape(-1, m.target.ambient)
+            ).reshape(seam.shape)
+            ok = seam > grid_step
+            if np.any(ok):
+                best = max(best, float(dist[ok].max() / grid_step))
     return best
 
 
@@ -420,8 +480,8 @@ def jacobian_floor(
     pts = sampler(samples, rng)
     seam = m.seam_dist(pts)
     pts = pts[seam > SEAM_MASK_FACTOR * fd_step]
-    jac = _chunked(pts, lambda q: signed_jacobian(m, q, fd_step))
-    return float(jac.min()) if len(jac) else math.inf
+    mins = (signed_jacobian(m, pts[a:b], fd_step).min() for a, b in _spans(len(pts), CHUNK_POINTS))
+    return float(min(mins, default=math.inf))
 
 
 def sphere_wrap_strip_sampler(y_window: tuple[float, float] = (1.0, 20.0), periods: int = 3):

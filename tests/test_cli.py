@@ -319,6 +319,34 @@ class TestCLI:
         assert code == EXIT_OK
         assert "normalized_integral" in out.read_text()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--map", "identity", "--step", "-0.1"], "step must be finite and positive"),
+            (["--map", "identity", "--step", "0"], "step must be finite and positive"),
+            (["--map", "identity", "--radii", "0,10"], "radii must be finite and positive"),
+            (["--map", "identity", "--radii", "10,abc"], "--radii must be comma-separated numbers"),
+            (["--map", "join", "--n", "1"], "join construction needs n >= 3"),
+            (["--map", "sphere-wrap", "--samples", "-1"], "--samples must be at least 1"),
+        ],
+    )
+    def test_map_bad_input_exit(self, capsys, flags, message):
+        assert main(["map", *flags]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == ""
+
+    def test_map_report_keeps_sample_counts(self, tmp_path):
+        out = tmp_path / "map.tsv"
+        code = main(
+            ["map", "--map", "sphere-wrap", "--radii", "2,4", "--step", "0.5",
+             "--samples", "1000", "--out", str(out)]
+        )
+        assert code == EXIT_OK
+        text = out.read_text()
+        for key in ("# samples\t", "# masked\t", "# lipschitz\t", "# jacobian_floor\t"):
+            assert key in text
+
 
 class TestGoldenCorpus:
     def test_structured_output_is_deterministic(self, tmp_path):

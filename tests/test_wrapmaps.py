@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,6 +185,10 @@ class TestJoinMap:
         rep = asymptotic_degree(join_map(3), [4, 8], 0.25)
         assert min(rep.normalized) > 1.0
 
+    def test_needs_n_at_least_3(self):
+        with pytest.raises(ValueError):
+            join_map(2)
+
 
 class TestLipschitz:
     def test_identity(self):
@@ -240,6 +245,17 @@ class TestAsymptoticDegree:
     def test_radii_validation(self):
         with pytest.raises(ValueError):
             asymptotic_degree(identity_map(2), [10, 5], 0.1)
+
+    @pytest.mark.parametrize(
+        "radii, step",
+        [
+            ([0, 10], 0.1), ([-1, 10], 0.1), ([5, math.inf], 0.1),
+            ([10], 0.0), ([10], -0.1), ([10], math.nan),
+        ],
+    )
+    def test_rejects_nonpositive_or_nonfinite_input(self, radii, step):
+        with pytest.raises(ValueError):
+            asymptotic_degree(identity_map(2), radii, step)
 
     def test_refinement_stability_across_builtin_maps(self):
         cases = [
@@ -305,3 +321,98 @@ class TestOperatorNorm:
         scaled = dataclasses.replace(m, func=lambda p: p * np.array([3.0, 1.0]))
         norms = operator_norm(scaled, np.zeros((4, 2)))
         assert np.allclose(norms, 3.0, atol=1e-6)
+
+
+def _reference_sphere_wrap(x, y):
+    """eval_sphere_wrap as first written, with a fresh array per step."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    lower = y < 0
+    xx = np.mod(x + 1.0, 4.0) - 1.0
+    north = xx <= 1.0
+    xb = np.where(north, xx, 2.0 - xx)
+    r, theta = eval_f0(xb, np.abs(y))
+    s = np.sin(np.pi * r / 2.0)
+    z = np.cos(np.pi * r / 2.0)
+    z = np.where(north, z, -z)
+    out = np.stack([s * np.cos(theta), s * np.sin(theta), z], axis=-1)
+    return np.where(lower[..., None], -out, out)
+
+
+class TestStreamedQuadrature:
+    """The chunked walks reproduce the whole-grid results and stay small."""
+
+    # recorded with the whole-grid quadrature, before it was streamed
+    RECORDED = [
+        (
+            sphere_wrap_map, [10, 20, 30], 0.2,
+            (2.94352026817215, 3.047854394637816, 3.082062764207035),
+        ),
+        (lambda: join_map(3), [4, 8], 0.25, (9.403197277124253, 11.380764874617562)),
+    ]
+
+    @pytest.mark.parametrize("make, radii, step, want", RECORDED)
+    def test_degree_tables_match_whole_grid(self, make, radii, step, want):
+        got = asymptotic_degree(make(), radii, step).normalized
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert abs(a - b) <= 1e-12 * abs(b)
+
+    def test_lipschitz_matches_whole_grid(self):
+        lip = estimate_lipschitz(sphere_wrap_map(), [(-2.0, 6.0), (-10.0, 10.0)], 2e-2)
+        assert repr(lip) == "2.21316713467225"
+
+    def test_lipschitz_sees_pairs_across_slab_boundaries(self, monkeypatch):
+        m = sphere_wrap_map()
+        whole = estimate_lipschitz(m, [(-2.0, 6.0), (-10.0, 10.0)], 5e-2)
+        # one row per slab: every pair along axis 0 crosses a boundary
+        monkeypatch.setattr("wrapcheck.wrapmaps.CHUNK_POINTS", 1)
+        assert estimate_lipschitz(m, [(-2.0, 6.0), (-10.0, 10.0)], 5e-2) == whole
+
+    def test_sphere_wrap_matches_reference(self):
+        rng = np.random.default_rng(7)
+        x = rng.uniform(-9.0, 9.0, 20000)
+        y = rng.uniform(-30.0, 30.0, 20000)
+        # signed zeros and seam values
+        x[:8] = [-1.0, 1.0, 3.0, 0.0, -0.0, 5.0, 2.0, -3.0]
+        y[:8] = [0.0, -0.0, 0.0, -0.0, 2.0, -2.0, 0.0, -0.0]
+        X, Y = np.meshgrid(np.linspace(-2, 2, 1000), np.linspace(-12, 12, 1000))
+        for a, b in [(x, y), (X, Y), (x[:, None], y[None, :50]), (0.5, -2.0)]:
+            got = eval_sphere_wrap(a, b)
+            want = _reference_sphere_wrap(a, b)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_sample_counts(self):
+        rep = asymptotic_degree(identity_map(2), [2, 5], 0.1)
+        axis = np.arange(-5.0 + 0.05, 5.0, 0.1)
+        X, Y = np.meshgrid(axis, axis)
+        assert rep.samples == int(np.count_nonzero(X * X + Y * Y <= 25.0))
+        assert rep.masked == 0
+        # R / h = 4.5 puts the grid on the lines x = 0, +-1, ... and y = 0,
+        # the sphere wrap's seams
+        m = sphere_wrap_map()
+        rep = asymptotic_degree(m, [2, 4.5], 1.0)
+        axis = np.arange(-4.0, 4.5, 1.0)
+        pts = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
+        pts = pts[np.sum(pts * pts, axis=-1) <= 4.5**2]
+        assert rep.samples == len(pts)
+        assert rep.masked == int(np.count_nonzero(m.seam_dist(pts) <= 1e-4))
+        assert 0 < rep.masked < rep.samples
+        text = rep.to_text()
+        assert f"# samples\t{rep.samples}\n" in text
+        assert f"# masked\t{rep.masked}\n" in text
+
+    def test_memory_bounded_in_grid_size(self):
+        # 268096 and 2144432 points in the ball: an 8x larger grid
+        peaks = []
+        for radius in (4, 8):
+            tracemalloc.start()
+            try:
+                rep = asymptotic_degree(identity_map(3), [radius], 0.1)
+                peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+            finally:
+                tracemalloc.stop()
+            assert abs(rep.normalized[0] - 4.0 * math.pi / 3.0) < 1e-3
+        assert max(peaks) < 40.0, peaks
