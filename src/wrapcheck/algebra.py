@@ -261,44 +261,54 @@ def _monomials_of_degree(gens: GeneratorTable, k: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
+def _ideal_span(
+    presentation: AlgebraPresentation, monomials: Sequence[Sequence[tuple[int, ...]]], k: int
+) -> linalg.SparseSubspace:
+    """Degree-k piece of the relation ideal, on the monomials of degree k.
+
+    ``monomials[d]`` lists the monomials of degree d for every d <= k.
+    Each row is a relation times a monomial, merged exponent tuple by
+    exponent tuple; adding a fixed exponent vector keeps the relation's
+    ascending monomial order, so every row is keyed in ascending order.
+    """
+    degrees = [d for _, d in presentation.generators]
+    index = {m: i for i, m in enumerate(monomials[k])}
+    rows = []
+    for rel in presentation.relations:
+        b = rel.degree()
+        if b > k:
+            continue
+        for m in monomials[k - b]:
+            row = {}
+            for c, e in rel.monomials:
+                merged = _monomial_mul(degrees, m, e)
+                if merged is not None:
+                    sign, exps = merged
+                    row[index[exps]] = c if sign > 0 else -c
+            if row:
+                rows.append(row)
+    return linalg.SparseSubspace(len(monomials[k]), rows)
+
+
 class GradedBasis:
     """Per-degree monomial bases of the quotient algebra, with reducers."""
 
-    def __init__(self, presentation: AlgebraPresentation, max_degree: int | None = None):
+    def __init__(self, presentation: AlgebraPresentation):
         self.presentation = presentation
         gens = presentation.generators
         n = presentation.n
-        self.max_degree = n if max_degree is None else max_degree
-        self._monomials: list[list[tuple[int, ...]]] = []
-        self._ideal: list[linalg.SparseSubspace] = []
-        self._mono_index: list[dict[tuple[int, ...], int]] = []
-        for k in range(self.max_degree + 1):
-            monos = _monomials_of_degree(gens, k)
-            index = {m: i for i, m in enumerate(monos)}
-            rows = []
-            for rel in presentation.relations:
-                b = rel.degree()
-                if b is None or b > k:
-                    continue
-                for m in _monomials_of_degree(gens, k - b):
-                    prod = GradedPolynomial.monomial(gens, 1, m) * rel
-                    if prod.is_zero:
-                        continue
-                    rows.append({index[e]: c for c, e in prod.monomials})
-            self._monomials.append(monos)
-            self._mono_index.append(index)
-            self._ideal.append(linalg.SparseSubspace(len(monos), rows))
+        self._monomials = [_monomials_of_degree(gens, k) for k in range(n + 1)]
+        self._mono_index = [{m: i for i, m in enumerate(monos)} for monos in self._monomials]
+        self._ideal = [_ideal_span(presentation, self._monomials, k) for k in range(n + 1)]
 
     # -- ranks and representatives ----------------------------------------
     def rank(self, k: int) -> int:
         if k < 0:
             return 0
-        if k > self.max_degree:
-            if self.presentation.truncate_above_n and k > self.presentation.n:
+        if k > self.presentation.n:
+            if self.presentation.truncate_above_n:
                 return 0
-            raise ValueError(f"degree {k} not computed (max {self.max_degree})")
-        if self.presentation.truncate_above_n and k > self.presentation.n:
-            return 0
+            raise ValueError(f"degree {k} not computed (max {self.presentation.n})")
         return self._ideal[k].codim
 
     @property
@@ -357,14 +367,8 @@ def basis_and_dims(presentation: AlgebraPresentation) -> GradedBasis:
     fc = presentation.fundamental_class
     if gb.is_in_ideal(fc):
         raise DegeneratePresentation("fundamental class lies in the relation ideal")
-    if presentation.truncate_above_n and presentation.generators:
-        max_gen_degree = max(d for _, d in presentation.generators)
-        probe = GradedBasis(presentation, presentation.n + max_gen_degree)
-        excess = [
-            k
-            for k in range(presentation.n + 1, presentation.n + max_gen_degree + 1)
-            if probe._ideal[k].codim > 0
-        ]
+    if presentation.truncate_above_n:
+        excess = _excess_degrees(gb)
         if excess:
             warnings.warn(
                 f"relations do not force vanishing above degree {presentation.n} "
@@ -372,6 +376,23 @@ def basis_and_dims(presentation: AlgebraPresentation) -> GradedBasis:
                 stacklevel=2,
             )
     return gb
+
+
+def _excess_degrees(gb: GradedBasis) -> list[int]:
+    """Degrees n+1 .. n+max generator degree the relations leave nonzero.
+
+    Builds the ideal of each of those degrees alone, from the monomials
+    of degree 0..n that ``gb`` already holds, and keeps none of them.
+    """
+    presentation = gb.presentation
+    gens, n = presentation.generators, presentation.n
+    monomials = list(gb._monomials)
+    excess = []
+    for k in range(n + 1, n + max((d for _, d in gens), default=0) + 1):
+        monomials.append(_monomials_of_degree(gens, k))
+        if _ideal_span(presentation, monomials, k).codim > 0:
+            excess.append(k)
+    return excess
 
 
 def euler_characteristic(presentation: AlgebraPresentation) -> int:

@@ -93,7 +93,9 @@ class BatteryReport:
             lines.append(f"  [{mark}] {c.check_id}: {_witness_text(c)}")
             if c.verdict == "fail":
                 lines.append(f"         principle: {c.principle}")
-        if self.cup_form:
+        if self.cup_form and self.cup_form.get("degenerate"):
+            lines.append(f"  cup form on degree 2: degenerate, rank {self.cup_form['rank']}")
+        elif self.cup_form:
             cf = self.cup_form
             lines.append(
                 f"  cup form on degree 2: signature {cf['signature']}, "

@@ -22,6 +22,7 @@ from importlib import resources
 import numpy as np
 
 from . import geom2d, nilcoh, wrapmaps
+from .algebra import DegeneratePresentation
 from .battery import BatteryOptions, run_battery
 from .descriptor import ParseError, parse_descriptor_file
 from .embed import search_embedding
@@ -59,7 +60,10 @@ def _cmd_check(args) -> int:
         seed=args.seed,
         embed_tolerance=args.tolerance,
     )
-    report = run_battery(d, options)
+    try:
+        report = run_battery(d, options)
+    except DegeneratePresentation as exc:
+        raise ParseError(str(exc), d.fundamental_class_line) from None
     _write(report.to_json() if args.format == "structured" else report.render_text(), args.out)
     return EXIT_OK if report.verdict == "no-obstruction-found" else EXIT_EXCLUDED
 
@@ -67,14 +71,17 @@ def _cmd_check(args) -> int:
 def _cmd_embed(args) -> int:
     d = parse_descriptor_file(args.descriptor)
     n = args.n if args.n is not None else d.n
-    outcome = search_embedding(
-        d.cohomology,
-        n,
-        budget=args.budget,
-        seed=args.seed,
-        float_restarts=args.float_restarts,
-        tol=args.tolerance,
-    )
+    try:
+        outcome = search_embedding(
+            d.cohomology,
+            n,
+            budget=args.budget,
+            seed=args.seed,
+            float_restarts=args.float_restarts,
+            tol=args.tolerance,
+        )
+    except DegeneratePresentation as exc:
+        raise ParseError(str(exc), d.fundamental_class_line) from None
     payload = {
         "name": d.name,
         "target_n": n,
@@ -204,7 +211,6 @@ def _cmd_surface(args) -> int:
 
 
 _MAPS = {
-    "f0": lambda args: wrapmaps.f0_map(),
     "sphere-wrap": lambda args: wrapmaps.sphere_wrap_map(),
     "torus-collapse": lambda args: wrapmaps.torus_collapse_map(args.n or 2),
     "join": lambda args: wrapmaps.join_map(args.n or 3),

@@ -62,6 +62,7 @@ class ManifoldDescriptor:
     pi1: Pi1Data
     betti: tuple[int, int] | None = None  # (b2+, b2-) for 4-manifold mode
     notes: str = ""
+    fundamental_class_line: int = 1  # where a degenerate presentation is reported
 
 
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|\d+/\d+|\d+|\^|\+|-|\*|,)")
@@ -271,6 +272,7 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
     generators = None
     relations = []
     fundamental = None
+    fundamental_line = 1
     truncate = True
     gen_line = None
     for line_no, key, value in sections["cohomology"]:
@@ -311,7 +313,7 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
             else:
                 if fundamental is not None:
                     raise ParseError("duplicate fundamental_class", line_no)
-                fundamental = poly
+                fundamental, fundamental_line = poly, line_no
                 if poly.degree() != n:
                     raise ParseError(
                         f"fundamental class has degree {poly.degree()}, expected {n}", line_no
@@ -407,6 +409,7 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
         pi1=pi1,
         betti=betti,
         notes="\n".join(notes_lines),
+        fundamental_class_line=fundamental_line,
     )
 
 

@@ -15,6 +15,12 @@ backtracking) and then seeded random-restart nonlinear least squares.
 A floating candidate is certified only when rounding to small
 denominators produces an exact witness; "not-found" is never a proof.
 
+The exact stage prunes in Python int arithmetic: candidates carry +-1
+coefficients, and each relation is scaled by the lcm of its
+denominators, which does not change where it vanishes.  Only a leaf
+becomes a :class:`RingMorphism`, certified by :func:`verify_morphism`
+and the fundamental-class check in ``Fraction`` arithmetic.
+
 The least-squares residuals are compiled once per search into numpy
 index and sign tables (:func:`_image_program`), so one evaluation is a
 few gathers and ``np.bincount`` scatters instead of dict arithmetic.
@@ -46,7 +52,7 @@ from .algebra import (
     euler_characteristic,
     evaluate_polynomial,
 )
-from .exterior import Multivector, blade_masks, graded_dimension, wedge_table
+from .exterior import Multivector, _merge_sign, blade_masks, graded_dimension, wedge_table
 
 RESIDUAL_TOL = 1e-9
 FC_NORM_MIN = 1e-6
@@ -369,8 +375,9 @@ class SearchOutcome:
 
 
 @lru_cache(maxsize=64)
-def _disjoint_blade_candidates(n: int, degree: int, cap: int) -> list[Multivector]:
-    """Signed sums of pairwise disjoint degree-``degree`` blades.
+def _disjoint_blade_candidates(n: int, degree: int, cap: int) -> list[dict[int, int]]:
+    """Signed sums of pairwise disjoint degree-``degree`` blades, as
+    ``{mask: +-1}`` dicts (shared through the cache: do not mutate).
 
     Ordered by term count, then lexicographically by blade mask, with
     all-positive sign patterns first, so that torus- and projective-
@@ -379,7 +386,7 @@ def _disjoint_blade_candidates(n: int, degree: int, cap: int) -> list[Multivecto
     if degree > n:
         return []
     masks = blade_masks(n, degree)
-    out: list[Multivector] = []
+    out: list[dict[int, int]] = []
     max_terms = n // degree
 
     def collections(start: int, used: int, acc: list[int], size: int):
@@ -397,52 +404,82 @@ def _disjoint_blade_candidates(n: int, degree: int, cap: int) -> list[Multivecto
     for size in range(1, max_terms + 1):
         for combo in collections(0, 0, [], size):
             for signs in itertools.product((1, -1), repeat=size):
-                out.append(Multivector(n, {m: Fraction(s) for m, s in zip(combo, signs)}))
+                out.append(dict(zip(combo, signs)))
                 if len(out) >= cap:
                     return out
     return out
 
 
+def _int_wedge(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """:func:`wedge` on ``{mask: int}`` dicts, dropping zero terms alike."""
+    out: dict[int, int] = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            if ma & mb:
+                continue
+            m = ma | mb
+            c = out.get(m, 0) + ca * cb * _merge_sign(ma, mb)
+            if c:
+                out[m] = c
+            else:
+                out.pop(m, None)
+    return out
+
+
+def _int_terms(p: GradedPolynomial) -> list[tuple[int, list[int]]]:
+    """``p`` times the lcm of its denominators, as (integer coefficient,
+    generator index per factor) pairs; the scale does not move its zeros."""
+    scale = math.lcm(*(c.denominator for c, _ in p.monomials))
+    return [
+        ((c * scale).numerator, [g for g, x in enumerate(e) for _ in range(x)])
+        for c, e in p.monomials
+    ]
+
+
 def _exact_stage(
     A: AlgebraPresentation, n: int, node_budget: int, per_generator_cap: int = 512
 ) -> tuple[RingMorphism | None, int]:
-    """Backtracking over structured candidates with relation pruning."""
+    """Backtracking over structured candidates with relation pruning.
+
+    Nodes are pruned in integer arithmetic; each leaf becomes a
+    :class:`RingMorphism` over the rationals, returned only if it passes
+    :func:`verify_morphism` and keeps the fundamental class nonzero.
+    """
     gens = A.generators
-    names = [nm for nm, _ in gens]
     candidates = [
         _disjoint_blade_candidates(n, deg, per_generator_cap) for _, deg in gens
     ]
     if any(not c for c in candidates):
         return None, 0
     # relations become checkable once all their generators are assigned
-    rels_by_level: list[list[GradedPolynomial]] = [[] for _ in range(len(gens) + 1)]
+    rels_by_level: list[list] = [[] for _ in range(len(gens) + 1)]
     for rel in A.relations:
-        support = [
-            i for i in range(len(gens)) if any(e[i] for _, e in rel.monomials)
-        ]
-        rels_by_level[max(support) + 1 if support else 0].append(rel)
+        terms = _int_terms(rel)
+        rels_by_level[max((g + 1 for _, f in terms for g in f), default=0)].append(terms)
     fc = A.fundamental_class
     fc_exps = fc.monomials[0][1] if len(fc.monomials) == 1 else None
 
-    assignment: dict[str, Multivector] = {}
+    images: list[dict[int, int]] = [{} for _ in gens]
+    # prefixes[i]: images of the single-monomial fundamental class's
+    # factors on generators below i, wedged together
+    prefixes: list[dict[int, int]] = [{0: 1}] * (len(gens) + 1)
     nodes = 0
 
-    def fc_prefix(upto: int) -> Multivector | None:
-        # partial product of the single-monomial fundamental class
-        if fc_exps is None:
-            return None
-        term = Multivector.scalar(n, 1)
-        for i in range(upto):
-            for _ in range(fc_exps[i]):
-                term = term * assignment[names[i]]
-                if term.is_zero:
-                    return term
-        return term
+    def vanishes(terms) -> bool:
+        total: dict[int, int] = {}
+        for coeff, factors in terms:
+            term = {0: coeff}
+            for g in factors:
+                term = _int_wedge(term, images[g])
+            for m, c in term.items():
+                total[m] = total.get(m, 0) + c
+        return not any(total.values())
 
     def backtrack(level: int) -> RingMorphism | None:
         nonlocal nodes
         if level == len(gens):
-            m = RingMorphism(A, n, dict(assignment))
+            assignment = {nm: Multivector(n, img) for (nm, _), img in zip(gens, images)}
+            m = RingMorphism(A, n, assignment)
             if verify_morphism(m) and not m.evaluate(fc).is_zero:
                 return m
             return None
@@ -450,21 +487,19 @@ def _exact_stage(
             if nodes >= node_budget:
                 return None
             nodes += 1
-            assignment[names[level]] = cand
-            ok = True
-            for rel in rels_by_level[level + 1]:
-                if not evaluate_polynomial(rel, assignment, n).is_zero:
-                    ok = False
-                    break
-            if ok and fc_exps is not None:
-                prefix = fc_prefix(level + 1)
-                if prefix is not None and prefix.is_zero:
-                    ok = False
-            if ok:
-                found = backtrack(level + 1)
-                if found is not None:
-                    return found
-            del assignment[names[level]]
+            images[level] = cand
+            if not all(vanishes(terms) for terms in rels_by_level[level + 1]):
+                continue
+            if fc_exps is not None:
+                prefix = prefixes[level]
+                for _ in range(fc_exps[level]):
+                    prefix = _int_wedge(prefix, cand)
+                if not prefix:
+                    continue
+                prefixes[level + 1] = prefix
+            found = backtrack(level + 1)
+            if found is not None:
+                return found
         return None
 
     found = backtrack(0)

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from wrapcheck import algebra, linalg
 from wrapcheck.algebra import (
     AlgebraPresentation,
     ConcreteSubalgebra,
     DegeneratePresentation,
+    GradedBasis,
     GradedPolynomial,
     basis_and_dims,
     check_poincare_duality,
@@ -16,6 +18,8 @@ from wrapcheck.algebra import (
     evaluate_polynomial,
     quotient_by_degree1,
 )
+from wrapcheck.cli import corpus_paths
+from wrapcheck.descriptor import parse_descriptor_file
 from wrapcheck.exterior import Multivector
 
 import presentations as P
@@ -280,3 +284,57 @@ class TestQuotientByDegree1:
             A, _ = random_pd_subalgebra(rng, n)
             dims = A.dims()
             assert sum((-1) ** k * d for k, d in enumerate(dims)) == 0
+
+
+def reference_ideal(presentation, max_degree):
+    """Monomials and ideal span per degree 0..max_degree, rows built as
+    products of GradedPolynomials (the row builder the exponent-tuple
+    rows must reproduce)."""
+    gens = presentation.generators
+    out = []
+    for k in range(max_degree + 1):
+        monos = algebra._monomials_of_degree(gens, k)
+        index = {m: i for i, m in enumerate(monos)}
+        rows = []
+        for rel in presentation.relations:
+            b = rel.degree()
+            if b > k:
+                continue
+            for m in algebra._monomials_of_degree(gens, k - b):
+                prod = GradedPolynomial.monomial(gens, 1, m) * rel
+                if not prod.is_zero:
+                    rows.append({index[e]: c for c, e in prod.monomials})
+        out.append((monos, linalg.SparseSubspace(len(monos), rows)))
+    return out
+
+
+def _unforced():
+    # nothing kills x w or w^2 above degree 2: excess degrees 3 and 4
+    gens = (("x", 1), ("w", 2))
+    return AlgebraPresentation(gens, (), 2, GradedPolynomial.monomial(gens, 1, (0, 1)))
+
+
+class TestIdealRows:
+    """Exponent-tuple ideal rows against the GradedPolynomial products."""
+
+    PATHS = {p.name.removesuffix(".descriptor"): p for p in corpus_paths()}
+
+    @pytest.mark.parametrize("name", [*PATHS, "unforced"])
+    def test_basis_and_probe_match_reference(self, name):
+        A = _unforced() if name == "unforced" else parse_descriptor_file(self.PATHS[name]).cohomology
+        top = A.n + max(d for _, d in A.generators)
+        ref = reference_ideal(A, top)
+        gb = GradedBasis(A)
+        for k in range(A.n + 1):
+            monos, span = ref[k]
+            pivots = set(span.pivots)
+            assert gb.monomials(k) == monos
+            assert gb.rank(k) == span.codim
+            assert gb.representatives(k) == [m for i, m in enumerate(monos) if i not in pivots]
+            assert gb._ideal[k].pivots == span.pivots
+            rows = gb._ideal[k].rows
+            assert rows == span.rows
+            assert all(type(c) is Fraction for row in rows for c in row)
+        want = [k for k in range(A.n + 1, top + 1) if ref[k][1].codim > 0]
+        assert algebra._excess_degrees(gb) == want
+        assert want == ([3, 4] if name == "unforced" else [])

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 import pathlib
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wrapcheck.battery import BatteryOptions, run_battery
 from wrapcheck.cli import EXIT_EXCLUDED, EXIT_OK, EXIT_USAGE, corpus_paths, main
@@ -262,6 +267,25 @@ class TestCLI:
         assert f"line {type_line}, " in err
         assert message in err
 
+    @pytest.mark.parametrize("command", [["check"], ["embed", "--n", "4"]], ids=["check", "embed"])
+    def test_degenerate_presentation_exit(self, tmp_path, capsys, command):
+        text = pathlib.Path(corpus_file("s2xs2")).read_text()
+        bad = tmp_path / "degenerate.descriptor"
+        bad.write_text(text.replace("fundamental_class: u v", "fundamental_class: u^2"))
+        assert main([command[0], str(bad), *command[1:]]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        fc_line = text.splitlines().index("fundamental_class: u v") + 1
+        assert err.startswith(f"error: line {fc_line}, ")
+        assert "fundamental class lies in the relation ideal" in err
+
+    def test_degenerate_cup_form_text_report(self, tmp_path, capsys):
+        # without a b = 0, filiform4's ring has a degenerate degree-2 cup form
+        text = pathlib.Path(corpus_file("filiform4")).read_text()
+        bad = tmp_path / "filiform4.descriptor"
+        bad.write_text(text.replace("relation: a b\n", ""))
+        assert main(["check", str(bad), "--budget", "200"]) == EXIT_EXCLUDED
+        assert "cup form on degree 2: degenerate, rank 3" in capsys.readouterr().out
+
     def test_surface_subcommand(self, tmp_path):
         out = tmp_path / "surface.txt"
         code = main(
@@ -336,6 +360,13 @@ class TestCLI:
         assert captured.err.startswith("error: ") and message in captured.err
         assert captured.out == ""
 
+    def test_map_f0_refused(self, capsys):
+        # every ball about the origin leaves f0's strip domain [-1,1] x [0,inf)
+        assert main(["map", "--map", "f0"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "invalid choice: 'f0'" in captured.err
+        assert captured.out == ""
+
     def test_map_report_keeps_sample_counts(self, tmp_path):
         out = tmp_path / "map.tsv"
         code = main(
@@ -346,6 +377,48 @@ class TestCLI:
         text = out.read_text()
         for key in ("# samples\t", "# masked\t", "# lipschitz\t", "# jacobian_floor\t"):
             assert key in text
+
+
+CORPUS_TEXTS = [p.read_text() for p in corpus_paths()]
+# the corpus's own tokens, plus malformed numbers and stray punctuation
+VOCABULARY = sorted(
+    {tok for text in CORPUS_TEXTS for tok in text.split()}
+    | {"0", "-1", "99", "1/0", "^", "^0", ":", "x:0", "e9"}
+    | {"[", "]", "=", "#", ",", "+", "-", "*"}
+)
+
+
+@st.composite
+def mutated_descriptors(draw):
+    """A bundled descriptor with one line deleted, or one token inserted or replaced."""
+    lines = draw(st.sampled_from(CORPUS_TEXTS)).splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    op = draw(st.sampled_from(("delete", "insert", "replace")))
+    if op == "delete":
+        del lines[i]
+    else:
+        words = lines[i].split(" ")
+        j = draw(st.integers(0, len(words) - (op == "replace")))
+        tok = draw(st.sampled_from(VOCABULARY))
+        if op == "insert":
+            words.insert(j, tok)
+        else:
+            words[j] = tok
+        lines[i] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+class TestFuzzedDescriptors:
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(mutated_descriptors())
+    def test_check_exits_0_1_or_2(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "fuzzed.descriptor"
+            path.write_text(text)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["check", str(path), "--budget", "200", "--float-restarts", "0"])
+        assert code in (EXIT_OK, EXIT_EXCLUDED, EXIT_USAGE), err.getvalue()
 
 
 class TestGoldenCorpus:

@@ -20,7 +20,7 @@ from wrapcheck.embed import (
     torus_subalgebra_check,
     verify_morphism,
 )
-from wrapcheck.exterior import Multivector, blade_masks
+from wrapcheck.exterior import Multivector, blade_masks, wedge
 
 import presentations as P
 
@@ -262,6 +262,150 @@ class TestSharedRingChecks:
         assert out.obstruction.check_id == "poincare-duality"
         assert out.obstruction.principle == pd_check.principle == PRINCIPLES["poincare-duality"]
         assert report.embedding.obstruction == out.obstruction
+
+
+# nodes and witness of each corpus ring's exact stage at budget 4000
+EXACT_STAGE_PINS = {
+    "cp2": (13, {"w": "1*e{1,2} + 1*e{3,4}"}),
+    "cp2_1_1": (27, {"c1": "1*e{1,2} + 1*e{3,4}", "d1": "1*e{1,2} + -1*e{3,4}"}),
+    "cp2_3_3": (
+        105,
+        {
+            "c1": "1*e{1,2} + 1*e{3,4}",
+            "c2": "1*e{1,3} + -1*e{2,4}",
+            "c3": "1*e{2,3} + 1*e{1,4}",
+            "d1": "1*e{1,2} + -1*e{3,4}",
+            "d2": "1*e{1,3} + 1*e{2,4}",
+            "d3": "1*e{2,3} + -1*e{1,4}",
+        },
+    ),
+    "cp2_4_0": (3768, None),
+    "cp3": (211, {"w": "1*e{1,2} + 1*e{3,4} + 1*e{5,6}"}),
+    "filiform4": (4000, None),
+    "genus2": (456, None),
+    "heisenberg3": (1590, None),
+    "nine_disc2": (4000, None),
+    "s2": (1, {"u": "1*e{1,2}"}),
+    "s2xs2": (12, {"u": "1*e{1,2}", "v": "1*e{3,4}"}),
+    "s3": (1, {"u": "1*e{1,2,3}"}),
+    "sum2_s2xs2": (
+        25,
+        {"u1": "1*e{1,2}", "u2": "1*e{1,3}", "v1": "1*e{3,4}", "v2": "-1*e{2,4}"},
+    ),
+    "sum3_s2xs2": (
+        37,
+        {
+            "u1": "1*e{1,2}",
+            "u2": "1*e{1,3}",
+            "u3": "1*e{2,3}",
+            "v1": "1*e{3,4}",
+            "v2": "-1*e{2,4}",
+            "v3": "1*e{1,4}",
+        },
+    ),
+    "sum4_s2xs2": (4000, None),
+    "t2": (4, {"x": "1*e{1}", "y": "1*e{2}"}),
+    "t3": (9, {"x1": "1*e{1}", "x2": "1*e{2}", "x3": "1*e{3}"}),
+    "t3_skeleton_boundary": (4000, None),
+    "t4": (16, {"x1": "1*e{1}", "x2": "1*e{2}", "x3": "1*e{3}", "x4": "1*e{4}"}),
+}
+
+
+def _witness(m):
+    return None if m is None else {nm: repr(mv) for nm, mv in sorted(m.assignment.items())}
+
+
+def fraction_exact_stage(A, n, node_budget, per_generator_cap=512):
+    """The exact stage pruned with Multivectors in Fraction arithmetic."""
+    gens = A.generators
+    names = [nm for nm, _ in gens]
+    candidates = [
+        [Multivector(n, c) for c in embed._disjoint_blade_candidates(n, deg, per_generator_cap)]
+        for _, deg in gens
+    ]
+    if any(not c for c in candidates):
+        return None, 0
+    rels_by_level = [[] for _ in range(len(gens) + 1)]
+    for rel in A.relations:
+        support = [i for i in range(len(gens)) if any(e[i] for _, e in rel.monomials)]
+        rels_by_level[max(support) + 1 if support else 0].append(rel)
+    fc = A.fundamental_class
+    fc_exps = fc.monomials[0][1] if len(fc.monomials) == 1 else None
+    assignment = {}
+    nodes = 0
+
+    def fc_prefix(upto):
+        term = Multivector.scalar(n, 1)
+        for i in range(upto):
+            for _ in range(fc_exps[i]):
+                term = wedge(term, assignment[names[i]])
+                if term.is_zero:
+                    return term
+        return term
+
+    def backtrack(level):
+        nonlocal nodes
+        if level == len(gens):
+            m = RingMorphism(A, n, dict(assignment))
+            if verify_morphism(m) and not m.evaluate(fc).is_zero:
+                return m
+            return None
+        for cand in candidates[level]:
+            if nodes >= node_budget:
+                return None
+            nodes += 1
+            assignment[names[level]] = cand
+            ok = all(
+                algebra.evaluate_polynomial(rel, assignment, n).is_zero
+                for rel in rels_by_level[level + 1]
+            )
+            if ok and fc_exps is not None and fc_prefix(level + 1).is_zero:
+                ok = False
+            if ok:
+                found = backtrack(level + 1)
+                if found is not None:
+                    return found
+            del assignment[names[level]]
+        return None
+
+    return backtrack(0), nodes
+
+
+class TestExactStage:
+    @pytest.mark.parametrize("path", corpus_paths(), ids=lambda p: p.name)
+    def test_nodes_and_witness_pinned(self, path):
+        d = parse_descriptor_file(path)
+        m, nodes = embed._exact_stage(d.cohomology, d.n, 4000)
+        assert (nodes, _witness(m)) == EXACT_STAGE_PINS[d.name]
+        if m is not None:
+            assert certify_injective(m)
+
+    # CP^2 # CP^2 with x^2 = y^2 (found) and x^2 = 2 y^2 (not found: a
+    # +-1 disjoint-blade sum in Lambda^2(Q^4) squares to 0 or +-2 e1234),
+    # written with fractional coefficients
+    HALVES = "name: halves\nn: 4\n[cohomology]\ngenerators: x:2 y:2\nrelation: x y\n"
+
+    @pytest.mark.parametrize(
+        "relation,fundamental_class,found",
+        [
+            ("1/2 x^2 - 1/2 y^2", "x^2", True),
+            ("1/2 x^2 - 1/2 y^2", "1/2 x^2 + 1/2 y^2", True),
+            ("1/2 x^2 - y^2", "x^2", False),
+            ("1/2 x^2 - y^2", "2/3 x^2 + 1/3 y^2", False),
+        ],
+    )
+    def test_fraction_relations_match_fraction_pruning(self, relation, fundamental_class, found):
+        text = (
+            f"{self.HALVES}relation: {relation}\nfundamental_class: {fundamental_class}\n"
+            "[pi1]\ntype: finite\n"
+        )
+        A = parse_descriptor(text).cohomology
+        m, nodes = embed._exact_stage(A, 4, 600)
+        ref, ref_nodes = fraction_exact_stage(A, 4, 600)
+        assert (nodes, _witness(m)) == (ref_nodes, _witness(ref))
+        assert (m is not None) == found
+        if found:
+            assert certify_injective(m)
 
 
 class TestCompiledResiduals:
