@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import embed, quadform
 from .algebra import basis_and_dims, cup_square_form, euler_characteristic
 from .algebra import check_poincare_duality  # noqa: F401 -- perfbench traces it on this module
-from .descriptor import ManifoldDescriptor
+from .descriptor import ManifoldDescriptor, ParseError
 from .embed import PRINCIPLES, CheckResult, SearchOutcome
 from .exterior import Blade
 from .nilcoh import pi1_verdict
@@ -224,7 +224,21 @@ def _four_manifold_check(d: ManifoldDescriptor) -> CheckResult:
 
 
 def _cup_form_analysis(d: ManifoldDescriptor) -> dict | None:
+    """The degree-2 cup form's invariants, or None without one.
+
+    Declared [betti] data must be the ring's: b_plus + b_minus = b2,
+    and (b_plus, b_minus) is the signature of a nondegenerate form;
+    otherwise ParseError at the [betti] line, so that the four-manifold
+    check never judges data the ring contradicts.
+    """
     gb = basis_and_dims(d.cohomology)
+    declared = d.betti if d.n == 4 else None
+    if declared is not None and sum(declared) != gb.rank(2):
+        raise ParseError(
+            f"[betti] declares b_plus + b_minus = {sum(declared)}, "
+            f"but the cohomology has b2 = {gb.rank(2)}",
+            d.betti_line,
+        )
     if gb.rank(2) < 1 or d.n < 4 or gb.rank(4) != 1:
         return None
     gram, _ = cup_square_form(d.cohomology, 2)
@@ -237,8 +251,14 @@ def _cup_form_analysis(d: ManifoldDescriptor) -> dict | None:
         "signature": list(sig),
         "discriminant": quadform.discriminant(form),
     }
-    if d.n == 4 and d.betti is not None:
-        out["matches_declared_betti"] = sig == d.betti
+    if declared is not None:
+        if sig != declared:
+            raise ParseError(
+                f"[betti] declares (b_plus, b_minus) = {declared}, "
+                f"but the cup form on degree 2 has signature {sig}",
+                d.betti_line,
+            )
+        out["matches_declared_betti"] = True
     wedge4 = quadform.wedge_pairing_form(4)
     if form.rank == wedge4.rank:
         out["equivalent_to_middle_wedge_form"] = quadform.rationally_equivalent(form, wedge4)
@@ -255,6 +275,7 @@ def run_battery(d: ManifoldDescriptor, options: BatteryOptions | None = None) ->
 
     checks = _pi1_checks(d)
     checks.extend(embed.ring_checks(A))
+    cup_form = _cup_form_analysis(d)  # before the search: it rejects inconsistent [betti] data
     if d.n == 4 and d.betti is not None:
         checks.append(_four_manifold_check(d))
 
@@ -268,8 +289,6 @@ def run_battery(d: ManifoldDescriptor, options: BatteryOptions | None = None) ->
             float_restarts=options.embed_float_restarts,
             tol=options.embed_tolerance,
         )
-
-    cup_form = _cup_form_analysis(d)
 
     failing = tuple(c.check_id for c in checks if c.verdict == "fail")
     verdict = "excluded-with-witness" if failing else "no-obstruction-found"

@@ -63,6 +63,7 @@ class ManifoldDescriptor:
     betti: tuple[int, int] | None = None  # (b2+, b2-) for 4-manifold mode
     notes: str = ""
     fundamental_class_line: int = 1  # where a degenerate presentation is reported
+    betti_line: int = 1  # where [betti] data that disagrees with the ring is reported
 
 
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|\d+/\d+|\d+|\^|\+|-|\*|,)")
@@ -218,6 +219,7 @@ _BETTI_KEYS = {"b_plus", "b_minus"}
 def parse_descriptor(text: str) -> ManifoldDescriptor:
     top: dict[str, str] = {}
     sections: dict[str, list[tuple[int, str, str]]] = {}
+    section_lines: dict[str, int] = {}
     notes_lines: list[str] = []
     current = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -232,6 +234,7 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
             if current != "notes" and current in sections:
                 raise ParseError(f"duplicate section [{current}]", line_no)
             sections.setdefault(current, [])
+            section_lines.setdefault(current, line_no)
             continue
         if current == "notes":
             notes_lines.append(raw.strip())
@@ -379,15 +382,21 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
         raise ParseError(f"unknown pi1 type {kind!r}", kind_line)
 
     # -- betti ---------------------------------------------------------------
+    # agreement with the cup form is checked where the battery computes it
     betti = None
+    betti_line = section_lines.get("betti", 1)
     if "betti" in sections:
         vals = {}
         for line_no, key, value in sections["betti"]:
-            if not value.lstrip("-").isdigit():
-                raise ParseError(f"{key} must be an integer", line_no)
+            if key in vals:
+                raise ParseError(f"duplicate {key}", line_no)
+            if not re.fullmatch(r"[0-9]+", value):
+                raise ParseError(f"{key} must be a nonnegative integer, got {value!r}", line_no)
             vals[key] = int(value)
         if set(vals) != _BETTI_KEYS:
-            raise ParseError("betti section needs b_plus and b_minus", 1)
+            raise ParseError("betti section needs b_plus and b_minus", betti_line)
+        if n != 4:
+            raise ParseError(f"[betti] holds 4-manifold data, but n = {n}", betti_line)
         betti = (vals["b_plus"], vals["b_minus"])
 
     # H^1(M;Q) = Hom(pi1, Q), so the pi1 data fixes b1 (dim g/[g,g] if nilpotent)
@@ -410,6 +419,7 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
         betti=betti,
         notes="\n".join(notes_lines),
         fundamental_class_line=fundamental_line,
+        betti_line=betti_line,
     )
 
 

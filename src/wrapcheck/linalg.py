@@ -115,10 +115,6 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
     ]
 
 
-def mat_vec(a: Sequence[Sequence], v: Sequence) -> Vector:
-    return [sum((Fraction(x) * Fraction(y) for x, y in zip(row, v)), Fraction(0)) for row in a]
-
-
 def solve(a: Sequence[Sequence], b: Sequence) -> Vector | None:
     """One solution of A x = b, or None if inconsistent."""
     rows = [as_fraction_row(r) + [Fraction(x)] for r, x in zip(a, b)]
@@ -163,14 +159,15 @@ class SparseSubspace:
 
     def _reduced(self, row) -> dict[int, Fraction]:
         items = row.items() if isinstance(row, dict) else enumerate(row)
-        out = {c: Fraction(v) for c, v in items if v != 0}
+        # entries that are Fractions already are immutable and kept as they are
+        out = {c: v if isinstance(v, Fraction) else Fraction(v) for c, v in items if v != 0}
         while True:
             hit = next((c for c in out if c in self.pivot_rows), None)
             if hit is None:
                 return out
             f = out[hit]
             for c, v in self.pivot_rows[hit].items():
-                acc = out.get(c, Fraction(0)) - f * v
+                acc = out.get(c, 0) - f * v
                 if acc == 0:
                     out.pop(c, None)
                 else:
@@ -182,13 +179,13 @@ class SparseSubspace:
         if not red:
             return False
         p = min(red)
-        inv = Fraction(1) / red[p]
+        inv = 1 / red[p]
         red = {c: v * inv for c, v in red.items()}
         for existing in self.pivot_rows.values():
             if p in existing:
                 f = existing[p]
                 for c, v in red.items():
-                    acc = existing.get(c, Fraction(0)) - f * v
+                    acc = existing.get(c, 0) - f * v
                     if acc == 0:
                         existing.pop(c, None)
                     else:

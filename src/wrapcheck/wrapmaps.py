@@ -19,13 +19,19 @@ report says how many samples the seam mask dropped.
 
 Grids are never held whole: the quadrature, the Lipschitz scan and the
 Jacobian floor walk their samples in chunks of about CHUNK_POINTS
-points and fold each chunk into a running sum, max or min, so memory is
-bounded by the chunk whatever R / h is.
+points.  The chunks run on a thread pool of WORKERS threads, one per
+CPU this process may run on (numpy releases the interpreter lock inside
+the map evaluations and the batched determinants), and the calling
+thread folds their results into a running sum, max or min in span
+order, so every result is the serial walk's bit for bit and memory is
+bounded by WORKERS * CHUNK_POINTS points whatever R / h is.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -34,6 +40,8 @@ import numpy as np
 FD_STEP = 1e-5
 SEAM_MASK_FACTOR = 10.0
 CHUNK_POINTS = 50_000  # points per chunk of every streamed grid walk
+# threads per walk: the CPUs this process may run on
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -46,15 +54,26 @@ def eval_f0(x, y):
 
     r = x + e^-y (1 - x), theta = y + ln r for x >= 0; the x < 0 half
     is the mirror (r(|x|,y), -theta(|x|,y)).
+
+    The same float operations are written into the two outputs; exp
+    and log read and write arrays of the shapes a fresh result would
+    have, so the values do not depend on the buffering.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if np.any(np.abs(x) > 1 + 1e-12) or np.any(y < -1e-12):
-        raise ValueError("f0 domain is [-1,1] x [0,inf)")
     ax = np.abs(x)
-    r = ax + np.exp(-y) * (1.0 - ax)
-    theta = y + np.log(r)
-    theta = np.where(x < 0, -theta, theta)
+    if np.any(ax > 1 + 1e-12) or np.any(y < -1e-12):
+        raise ValueError("f0 domain is [-1,1] x [0,inf)")
+    shape = np.broadcast_shapes(x.shape, y.shape)
+    decay = np.negative(y, out=np.empty(y.shape))
+    np.exp(decay, out=decay)
+    r = np.subtract(1.0, ax, out=np.empty(shape))
+    r *= decay
+    r += ax
+    del ax, decay  # free them before theta is allocated
+    theta = np.log(r, out=np.empty(shape))
+    theta += y
+    np.negative(theta, out=theta, where=x < 0)
     return r, theta
 
 
@@ -313,10 +332,14 @@ def operator_norm(m: EvaluableMap, pts: np.ndarray, step: float = FD_STEP) -> np
     return np.linalg.svd(d, compute_uv=False)[..., 0]
 
 
-def _spans(count: int, size: int):
-    """Consecutive (start, stop) ranges covering range(count), at most size long."""
-    for start in range(0, count, size):
-        yield start, min(start + size, count)
+def _chunk_walk(chunk: Callable[[int, int], object], count: int, size: int):
+    """chunk(start, stop) over consecutive ranges covering range(count),
+    at most size long, run on WORKERS threads; yields the results in
+    range order, so a fold over them does not depend on the threads.
+    An exception raised in a chunk reaches the caller unchanged."""
+    spans = [(start, min(start + size, count)) for start in range(0, count, size)]
+    with ThreadPoolExecutor(max_workers=WORKERS) as pool:
+        yield from pool.map(lambda span: chunk(*span), spans)
 
 
 @dataclass(frozen=True)
@@ -392,33 +415,38 @@ def asymptotic_degree(
 
     The midpoint grid of the cube [-R, R]^n at the largest radius is
     walked in chunks of at most CHUNK_POINTS points along its flat
-    (C-order) index, so memory is bounded by the chunk and not by the
-    grid; each chunk adds its partial sum over every ball B_R to a
-    running total.  Samples whose difference stencil sits within
-    SEAM_MASK_FACTOR * fd_step of a seam are dropped and counted; with
-    quadrature_step >> fd_step the omitted mass vanishes under
-    refinement.
+    (C-order) index, WORKERS chunks at a time, so memory is bounded by
+    the chunks and not by the grid; each chunk's partial sum over every
+    ball B_R is added to a running total in chunk order.  Samples whose
+    difference stencil sits within SEAM_MASK_FACTOR * fd_step of a seam
+    are dropped and counted; with quadrature_step >> fd_step the
+    omitted mass vanishes under refinement.
     """
     radii = check_quadrature(radii, quadrature_step)
     rmax = radii[-1]
     h = quadrature_step
     axis = np.arange(-rmax + h / 2, rmax, h)
     shape = (len(axis),) * m.domain_dim
-    totals = [0.0] * len(radii)
-    samples = masked = 0
-    for start, stop in _spans(math.prod(shape), CHUNK_POINTS):
+
+    def chunk(start, stop):
         pts = axis[np.stack(np.unravel_index(np.arange(start, stop), shape), axis=-1)]
         dist2 = np.sum(pts * pts, axis=-1)
         inside = dist2 <= rmax * rmax
         pts = pts[inside]
         dist2 = dist2[inside]
         keep = m.seam_dist(pts) > SEAM_MASK_FACTOR * fd_step
-        samples += len(pts)
-        masked += len(pts) - int(np.count_nonzero(keep))
         jac = np.zeros(len(pts))
         jac[keep] = signed_jacobian(m, pts[keep], fd_step)
-        for i, r in enumerate(radii):
-            totals[i] += float(jac[dist2 <= r * r].sum())
+        sums = [float(jac[dist2 <= r * r].sum()) for r in radii]
+        return sums, len(pts), len(pts) - int(np.count_nonzero(keep))
+
+    totals = [0.0] * len(radii)
+    samples = masked = 0
+    for sums, inside, dropped in _chunk_walk(chunk, math.prod(shape), CHUNK_POINTS):
+        for i, s in enumerate(sums):
+            totals[i] += s
+        samples += inside
+        masked += dropped
     cell = h**m.domain_dim
     normalized = tuple(t * cell / r**m.domain_dim for t, r in zip(totals, radii))
     return DegreeReport(
@@ -436,18 +464,19 @@ def estimate_lipschitz(
     are excluded (piecewise gluing lines are not C^1; the antipodal
     y = 0 gluing of the sphere wrap is a genuine metric seam).  The
     grid is walked in slabs of rows along axis 0, about CHUNK_POINTS
-    points each, and every slab carries the next slab's first row so
-    that the pairs across the boundary are seen; a max does not depend
-    on the walk.
+    points each and WORKERS slabs at a time, and every slab carries the
+    next slab's first row so that the pairs across the boundary are
+    seen; a max does not depend on the walk.
     """
     axes = [np.arange(lo, hi + grid_step / 2, grid_step) for lo, hi in bounds]
     rows = max(1, CHUNK_POINTS // max(1, math.prod(len(a) for a in axes[1:])))
-    best = 0.0
-    for start, stop in _spans(len(axes[0]), rows):
+
+    def slab(start, stop):
         pts = np.stack(
             np.meshgrid(axes[0][start: stop + 1], *axes[1:], indexing="ij"), axis=-1
         )
         values = m(pts.reshape(-1, m.domain_dim)).reshape(pts.shape[:-1] + (m.target.ambient,))
+        best = 0.0
         for axis in range(m.domain_dim):
             # pairs along axis 0 reach into the carried row; pairs along
             # the other axes stay in the slab's own rows
@@ -465,7 +494,9 @@ def estimate_lipschitz(
             ok = seam > grid_step
             if np.any(ok):
                 best = max(best, float(dist[ok].max() / grid_step))
-    return best
+        return best
+
+    return max(_chunk_walk(slab, len(axes[0]), rows), default=0.0)
 
 
 def jacobian_floor(
@@ -480,7 +511,9 @@ def jacobian_floor(
     pts = sampler(samples, rng)
     seam = m.seam_dist(pts)
     pts = pts[seam > SEAM_MASK_FACTOR * fd_step]
-    mins = (signed_jacobian(m, pts[a:b], fd_step).min() for a, b in _spans(len(pts), CHUNK_POINTS))
+    mins = _chunk_walk(
+        lambda a, b: signed_jacobian(m, pts[a:b], fd_step).min(), len(pts), CHUNK_POINTS
+    )
     return float(min(mins, default=math.inf))
 
 

@@ -278,6 +278,47 @@ class TestCLI:
         assert err.startswith(f"error: line {fc_line}, ")
         assert "fundamental class lies in the relation ideal" in err
 
+    # at: the line of the error, counted from the [betti] line
+    @pytest.mark.parametrize(
+        "ring,betti,at,message",
+        [
+            ("s2xs2", "b_plus: -1\nb_minus: 1\n", 1, "b_plus must be a nonnegative integer"),
+            ("s2xs2", "b_plus: 1\nb_minus: 1\nb_plus: 1\n", 3, "duplicate b_plus"),
+            ("s2xs2", "b_plus: 1\n", 0, "betti section needs b_plus and b_minus"),
+            ("t2", "b_plus: 0\nb_minus: 0\n", 0, "[betti] holds 4-manifold data, but n = 2"),
+            # S^2 x S^2 has b2 = 2 and a cup form of signature (1, 1); declaring
+            # (4, 0) used to exclude it while its report printed a certified embedding
+            (
+                "s2xs2",
+                "b_plus: 4\nb_minus: 0\n",
+                0,
+                "[betti] declares b_plus + b_minus = 4, but the cohomology has b2 = 2",
+            ),
+            (
+                "s2xs2",
+                "b_plus: 2\nb_minus: 0\n",
+                0,
+                "[betti] declares (b_plus, b_minus) = (2, 0), "
+                "but the cup form on degree 2 has signature (1, 1)",
+            ),
+        ],
+        ids=["negative", "duplicate", "missing-key", "n-not-4", "sum-mismatch", "signature-mismatch"],
+    )
+    def test_bad_betti_exit(self, tmp_path, capsys, ring, betti, at, message):
+        text = pathlib.Path(corpus_file(ring)).read_text()
+        if "[betti]" in text:
+            head = text[: text.index("b_plus:")]
+        else:
+            head = text + "[betti]\n"
+        bad = tmp_path / f"{ring}.descriptor"
+        bad.write_text(head + betti)
+        assert main(["check", str(bad)]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        line = head.splitlines().index("[betti]") + 1 + at
+        assert err.startswith(f"error: line {line}, ")
+        assert message in err
+
     def test_degenerate_cup_form_text_report(self, tmp_path, capsys):
         # without a b = 0, filiform4's ring has a degenerate degree-2 cup form
         text = pathlib.Path(corpus_file("filiform4")).read_text()

@@ -1,9 +1,11 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from wrapcheck import wrapmaps
 from wrapcheck.wrapmaps import (
     asymptotic_degree,
     constant_map,
@@ -52,6 +54,24 @@ class TestF0:
             eval_f0(1.5, 1.0)
         with pytest.raises(ValueError):
             eval_f0(0.5, -1.0)
+
+    def test_matches_reference(self):
+        rng = np.random.default_rng(11)
+        x = rng.uniform(-1.0, 1.0, 20000)
+        y = rng.uniform(0.0, 40.0, 20000)
+        # signed zeros and the edges of the strip
+        x[:6] = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5]
+        y[:6] = [0.0, -0.0, 0.0, 3.0, -0.0, 0.0]
+        # the strip coordinates eval_sphere_wrap feeds in on the pole grid
+        X, Y = np.meshgrid(np.linspace(-2, 2, 1000), np.linspace(-12, 12, 1000))
+        xx = np.mod(X + 1.0, 4.0) - 1.0
+        pole = (np.where(xx <= 1.0, xx, 2.0 - xx), np.abs(Y))
+        cases = [(x, y), pole, (x[:, None], y[None, :50]), (0.5, 2.0), (-0.0, 0.0), (-1.0, 7.5)]
+        for a, b in cases:
+            for got, want in zip(eval_f0(a, b), _reference_f0(a, b)):
+                assert np.shape(got) == np.shape(want)
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestSphereWrap:
@@ -323,6 +343,19 @@ class TestOperatorNorm:
         assert np.allclose(norms, 3.0, atol=1e-6)
 
 
+def _reference_f0(x, y):
+    """eval_f0 as first written, with a fresh array per step."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if np.any(np.abs(x) > 1 + 1e-12) or np.any(y < -1e-12):
+        raise ValueError("f0 domain is [-1,1] x [0,inf)")
+    ax = np.abs(x)
+    r = ax + np.exp(-y) * (1.0 - ax)
+    theta = y + np.log(r)
+    theta = np.where(x < 0, -theta, theta)
+    return r, theta
+
+
 def _reference_sphere_wrap(x, y):
     """eval_sphere_wrap as first written, with a fresh array per step."""
     x = np.asarray(x, dtype=float)
@@ -331,7 +364,7 @@ def _reference_sphere_wrap(x, y):
     xx = np.mod(x + 1.0, 4.0) - 1.0
     north = xx <= 1.0
     xb = np.where(north, xx, 2.0 - xx)
-    r, theta = eval_f0(xb, np.abs(y))
+    r, theta = _reference_f0(xb, np.abs(y))
     s = np.sin(np.pi * r / 2.0)
     z = np.cos(np.pi * r / 2.0)
     z = np.where(north, z, -z)
@@ -416,3 +449,41 @@ class TestStreamedQuadrature:
                 tracemalloc.stop()
             assert abs(rep.normalized[0] - 4.0 * math.pi / 3.0) < 1e-3
         assert max(peaks) < 40.0, peaks
+
+
+class TestParallelWalks:
+    """The chunks run on a thread pool; the folds see them in span order."""
+
+    def test_pool_sized_to_available_cpus(self):
+        if hasattr(os, "sched_getaffinity"):
+            assert wrapmaps.WORKERS == len(os.sched_getaffinity(0))
+        assert wrapmaps.WORKERS >= 1
+
+    def test_results_do_not_depend_on_worker_count(self, monkeypatch):
+        # 100-point chunks: 38 for the sphere-wrap table (its grid meets
+        # the seams, so some samples are masked), 139 for the join table,
+        # about 200 for the floor and 161 one-row Lipschitz slabs
+        monkeypatch.setattr(wrapmaps, "CHUNK_POINTS", 100)
+        m = sphere_wrap_map()
+        runs = []
+        for workers in (1, 4):
+            monkeypatch.setattr(wrapmaps, "WORKERS", workers)
+            runs.append(
+                (
+                    asymptotic_degree(m, [3, 6.1], 0.2),
+                    asymptotic_degree(join_map(3), [2, 3], 0.25),
+                    jacobian_floor(m, sphere_wrap_strip_sampler(), 20000, seed=2),
+                    estimate_lipschitz(m, [(-2.0, 6.0), (-5.0, 5.0)], 5e-2),
+                )
+            )
+        assert runs[0] == runs[1]
+        assert runs[0][0].samples > 0 and runs[0][0].masked > 0
+
+    def test_chunk_exception_reaches_caller(self, monkeypatch):
+        # every ball about the origin leaves the strip map's domain
+        monkeypatch.setattr(wrapmaps, "CHUNK_POINTS", 100)
+        monkeypatch.setattr(wrapmaps, "WORKERS", 4)
+        with pytest.raises(ValueError) as err:
+            asymptotic_degree(f0_map(), [4, 8], 0.5)
+        assert type(err.value) is ValueError
+        assert str(err.value) == "f0 domain is [-1,1] x [0,inf)"
