@@ -20,11 +20,12 @@ report says how many samples the seam mask dropped.
 Grids are never held whole: the quadrature, the Lipschitz scan and the
 Jacobian floor walk their samples in chunks of about CHUNK_POINTS
 points.  The chunks run on a thread pool of WORKERS threads, one per
-CPU this process may run on (numpy releases the interpreter lock inside
-the map evaluations and the batched determinants), and the calling
-thread folds their results into a running sum, max or min in span
-order, so every result is the serial walk's bit for bit and memory is
-bounded by WORKERS * CHUNK_POINTS points whatever R / h is.
+CPU this process may run on up to MAX_WORKERS (numpy releases the
+interpreter lock inside the map evaluations and the batched
+determinants), and the calling thread folds their results into a
+running sum, max or min in span order, so every result is the serial
+walk's bit for bit and memory is bounded by WORKERS * CHUNK_POINTS
+points whatever R / h is.
 """
 
 from __future__ import annotations
@@ -40,8 +41,15 @@ import numpy as np
 FD_STEP = 1e-5
 SEAM_MASK_FACTOR = 10.0
 CHUNK_POINTS = 50_000  # points per chunk of every streamed grid walk
-# threads per walk: the CPUs this process may run on
-WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+# threads per walk: the CPUs this process may run on, at most MAX_WORKERS.
+# Each thread holds one chunk (about 7.5 MB of numpy arrays for the 3-d
+# identity, 12 MB for the 3-d join), so the cap, not the CPU count,
+# bounds a walk's memory.
+MAX_WORKERS = 4
+WORKERS = min(
+    MAX_WORKERS,
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -54,26 +62,15 @@ def eval_f0(x, y):
 
     r = x + e^-y (1 - x), theta = y + ln r for x >= 0; the x < 0 half
     is the mirror (r(|x|,y), -theta(|x|,y)).
-
-    The same float operations are written into the two outputs; exp
-    and log read and write arrays of the shapes a fresh result would
-    have, so the values do not depend on the buffering.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    ax = np.abs(x)
-    if np.any(ax > 1 + 1e-12) or np.any(y < -1e-12):
+    if np.any(np.abs(x) > 1 + 1e-12) or np.any(y < -1e-12):
         raise ValueError("f0 domain is [-1,1] x [0,inf)")
-    shape = np.broadcast_shapes(x.shape, y.shape)
-    decay = np.negative(y, out=np.empty(y.shape))
-    np.exp(decay, out=decay)
-    r = np.subtract(1.0, ax, out=np.empty(shape))
-    r *= decay
-    r += ax
-    del ax, decay  # free them before theta is allocated
-    theta = np.log(r, out=np.empty(shape))
-    theta += y
-    np.negative(theta, out=theta, where=x < 0)
+    ax = np.abs(x)
+    r = ax + np.exp(-y) * (1.0 - ax)
+    theta = y + np.log(r)
+    theta = np.where(x < 0, -theta, theta)
     return r, theta
 
 
