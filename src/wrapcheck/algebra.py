@@ -97,20 +97,8 @@ class GradedPolynomial:
         return sum(d * x for (_, d), x in zip(gens, exps))
 
     @classmethod
-    def zero(cls, generators: GeneratorTable) -> "GradedPolynomial":
-        return cls(tuple(generators), ())
-
-    @classmethod
     def monomial(cls, generators, coeff, exps) -> "GradedPolynomial":
         return cls(tuple(generators), ((Fraction(coeff), tuple(exps)),))
-
-    @classmethod
-    def generator(cls, generators, name) -> "GradedPolynomial":
-        gens = tuple(generators)
-        names = [g for g, _ in gens]
-        exps = [0] * len(gens)
-        exps[names.index(name)] = 1
-        return cls.monomial(gens, 1, exps)
 
     @property
     def is_zero(self) -> bool:
@@ -236,9 +224,6 @@ class AlgebraPresentation:
             raise ValueError(
                 f"fundamental class has degree {self.fundamental_class.degree()}, expected {self.n}"
             )
-
-    def polynomial(self, coeff, exps) -> GradedPolynomial:
-        return GradedPolynomial.monomial(self.generators, coeff, exps)
 
 
 def _monomials_of_degree(gens: GeneratorTable, k: int) -> list[tuple[int, ...]]:
@@ -413,9 +398,7 @@ def check_poincare_duality(presentation: AlgebraPresentation) -> PDReport:
     n = presentation.n
     if gb.rank(n) != 1:
         return PDReport(False, n, f"top degree has rank {gb.rank(n)}, expected 1")
-    fc_coords = gb.coords(presentation.fundamental_class)
-    fc_entry = next(c for c in fc_coords if c != 0)
-    gens = presentation.generators
+    fc_entry = next(c for c in gb.coords(presentation.fundamental_class) if c != 0)
     for k in range(0, n // 2 + 1):
         reps_k = gb.representatives(k)
         reps_nk = gb.representatives(n - k)
@@ -425,20 +408,7 @@ def check_poincare_duality(presentation: AlgebraPresentation) -> PDReport:
             )
         if not reps_k:
             continue
-        pairing = []
-        for ma in reps_k:
-            row = []
-            for mb in reps_nk:
-                prod = GradedPolynomial.monomial(gens, 1, ma) * GradedPolynomial.monomial(
-                    gens, 1, mb
-                )
-                if prod.is_zero:
-                    row.append(Fraction(0))
-                    continue
-                coords = gb.coords(prod)
-                row.append(next((c for c in coords if c != 0), Fraction(0)) / fc_entry)
-            pairing.append(row)
-        if linalg.rank(pairing) != len(reps_k):
+        if linalg.rank(_pairing(gb, reps_k, reps_nk, fc_entry)) != len(reps_k):
             return PDReport(False, k, f"degenerate pairing in degree {k}")
     return PDReport(True)
 
@@ -456,25 +426,32 @@ def cup_square_form(presentation: AlgebraPresentation, k: int):
     gb = basis_and_dims(presentation)
     if gb.rank(2 * k) != 1:
         raise ValueError(f"degree {2 * k} has rank {gb.rank(2 * k)}, expected 1")
-    gens = presentation.generators
     reps = gb.representatives(k)
     unit = Fraction(1)
     if 2 * k == presentation.n:
         unit = next(c for c in gb.coords(presentation.fundamental_class) if c != 0)
+    return _pairing(gb, reps, reps, unit), reps
+
+
+def _pairing(gb: GradedBasis, left, right, unit: Fraction) -> linalg.Matrix:
+    """Gram matrix of products of monomial pairs in a degree of rank one.
+
+    Each product is read off its one quotient coordinate and divided by
+    ``unit``; a product that vanishes reads zero.
+    """
+    gens = gb.presentation.generators
     gram = []
-    for ma in reps:
+    for ma in left:
         row = []
-        for mb in reps:
-            prod = GradedPolynomial.monomial(gens, 1, ma) * GradedPolynomial.monomial(
-                gens, 1, mb
-            )
+        for mb in right:
+            prod = GradedPolynomial.monomial(gens, 1, ma) * GradedPolynomial.monomial(gens, 1, mb)
             if prod.is_zero:
                 row.append(Fraction(0))
             else:
                 coords = gb.coords(prod)
                 row.append(next((c for c in coords if c != 0), Fraction(0)) / unit)
         gram.append(row)
-    return gram, reps
+    return gram
 
 
 # ---------------------------------------------------------------------------
@@ -551,12 +528,15 @@ class ConcreteSubalgebra:
         return self._span[k].contains(list(v.coords(k)))
 
     def coords_in_basis(self, v: Multivector, k: int) -> linalg.Vector | None:
-        """Coordinates of a degree-k element in this subalgebra's basis."""
-        rows = [list(b.coords(k)) for b in self._basis[k]]
-        if not rows:
-            return None if not v.is_zero else []
-        mat = linalg.transpose(rows)
-        return linalg.solve(mat, list(v.coords(k)))
+        """Coordinates of a degree-k element in this subalgebra's basis, or None.
+
+        The basis is the reduced echelon basis of the degree-k span, so
+        the coordinates of a member are its entries at the pivot columns.
+        """
+        coords = v.coords(k)
+        if not self._span[k].contains(coords):
+            return None
+        return [coords[p] for p in self._span[k].pivots]
 
     def check_poincare_duality(self) -> PDReport:
         """dim 1 top plus nondegenerate pairing into the top degree."""

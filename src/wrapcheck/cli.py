@@ -117,7 +117,6 @@ def _cmd_lie(args) -> int:
     g = d.pi1.algebra
     series = nilcoh.lower_central_series(g)
     betti = nilcoh.lie_cohomology_dims(g)
-    growth = nilcoh.bass_growth_degree(g)
     verdict = nilcoh.pi1_verdict(g, d.n)
     kernel = nilcoh.nomizu_kernel(g)
     payload = {
@@ -126,7 +125,7 @@ def _cmd_lie(args) -> int:
         "lower_central_series": series,
         "nilpotency_class": len(series) - 1,
         "betti": list(betti),
-        "growth_degree": growth,
+        "growth_degree": verdict.growth_degree,
         "degree2_kernel": kernel.kernel_dim,
         "abelianization_dim": kernel.q1_dim,
         "verdict_closed_n_manifold": "pass" if verdict.passed else "fail",
@@ -142,7 +141,7 @@ def _cmd_lie(args) -> int:
         lines = [f"{d.name}: nilpotent Lie algebra of dimension {g.dim}"]
         lines.append(f"  lower central series dims: {series} (class {len(series) - 1})")
         lines.append(f"  nilmanifold betti numbers: {list(betti)}")
-        lines.append(f"  growth degree: {growth}")
+        lines.append(f"  growth degree: {verdict.growth_degree}")
         lines.append(f"  degree-2 kernel of the abelianization pullback: {kernel.kernel_dim}")
         lines.append(
             f"  closed {d.n}-manifold verdict: "

@@ -46,13 +46,6 @@ class Pi1Data:
     rank: int | None = None
     algebra: NilLieAlgebra | None = None
 
-    def label(self) -> str:
-        if self.kind == "free-abelian":
-            return f"Z^{self.rank}"
-        if self.kind == "nilpotent":
-            return f"nilpotent(dim={self.algebra.dim})"
-        return self.kind
-
 
 @dataclass(frozen=True)
 class ManifoldDescriptor:
@@ -289,7 +282,7 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
                         f"generator {part!r} must be name:degree", line_no
                     )
                 nm, deg = part.split(":", 1)
-                if not deg.lstrip("-").isdigit():
+                if not re.fullmatch(r"-?[0-9]+", deg):
                     raise ParseError(f"bad degree {deg!r}", line_no)
                 deg = int(deg)
                 if deg < 1:
@@ -343,7 +336,7 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
                 raise ParseError("duplicate pi1 type", line_no)
             kind, kind_line = value, line_no
         elif key == "dim":
-            if not value.isdigit():
+            if not re.fullmatch(r"[0-9]+", value):
                 raise ParseError("pi1 dim must be a positive integer", line_no)
             dim = int(value)
         elif key == "bracket":

@@ -44,6 +44,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 from scipy.optimize import least_squares
 
+from . import linalg
 from .algebra import (
     AlgebraPresentation,
     GradedPolynomial,
@@ -214,8 +215,6 @@ def torus_subalgebra_check(A: AlgebraPresentation) -> CheckResult:
     if k <= n:
         reps1 = gb.representatives(1)
         gens = A.generators
-        from . import linalg  # local import to keep module top light
-
         for j in range(2, k + 1):
             target = math.comb(k, j)
             rows = []
@@ -226,7 +225,7 @@ def torus_subalgebra_check(A: AlgebraPresentation) -> CheckResult:
                 if prod.is_zero:
                     continue
                 rows.append(list(gb.coords(prod)))
-            got = linalg.rank(rows) if rows else 0
+            got = linalg.rank(rows)
             if got < target:
                 reasons.append(
                     {

@@ -179,9 +179,6 @@ class Multivector:
     def max_abs_coeff(self) -> float:
         return max((abs(c) for c in self._terms.values()), default=0.0)
 
-    def map_coefficients(self, f) -> "Multivector":
-        return Multivector(self.n, {m: f(c) for m, c in self._terms.items()})
-
     def with_dimension(self, n: int) -> "Multivector":
         """The same element viewed in a larger ambient algebra."""
         if n < self.n:

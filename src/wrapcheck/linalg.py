@@ -4,6 +4,11 @@ Every symbolic module (exterior quotients, graded bases, Lie algebra
 cohomology, congruence diagonalization) reduces to row operations on
 rational matrices at desk scale, so plain Gaussian elimination is all
 we need.  Matrices are lists of lists of Fractions; rows are vectors.
+
+:class:`SparseSubspace` is the one echelon-form kernel: ``rank``,
+``solve`` and ``nullspace`` read it.  ``det`` keeps its own forward
+elimination because it needs the product of the pivots, not an
+echelon form.
 """
 
 from __future__ import annotations
@@ -23,38 +28,8 @@ def zero_vector(dim: int) -> Vector:
     return [Fraction(0)] * dim
 
 
-def rref(rows: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    mat = [as_fraction_row(r) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = Fraction(1) / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
-
-
 def rank(rows: Sequence[Sequence]) -> int:
-    return len(rref(rows)[0])
+    return SparseSubspace(len(rows[0]) if rows else 0, rows).rank
 
 
 def det(matrix: Sequence[Sequence]) -> Fraction:
@@ -87,14 +62,15 @@ def det(matrix: Sequence[Sequence]) -> Fraction:
 
 def nullspace(rows: Sequence[Sequence], ncols: int) -> Matrix:
     """Basis of the kernel of the linear map with the given matrix rows."""
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    span = SparseSubspace(ncols, rows)
     basis = []
-    for fcol in free:
+    for fcol in range(ncols):
+        if fcol in span.pivot_rows:
+            continue
         v = zero_vector(ncols)
         v[fcol] = Fraction(1)
-        for row, p in zip(red, pivots):
-            v[p] = -row[fcol]
+        for p, row in span.pivot_rows.items():
+            v[p] = -row.get(fcol, Fraction(0))
         basis.append(v)
     return basis
 
@@ -116,29 +92,19 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
 
 
 def solve(a: Sequence[Sequence], b: Sequence) -> Vector | None:
-    """One solution of A x = b, or None if inconsistent."""
-    rows = [as_fraction_row(r) + [Fraction(x)] for r, x in zip(a, b)]
+    """One solution of A x = b, or None if inconsistent.
+
+    The augmented system is inconsistent iff a pivot lands in its last
+    column; free variables are set to zero.
+    """
     ncols = len(a[0]) if a else 0
-    red, pivots = rref(rows)
+    span = SparseSubspace(ncols + 1, (list(r) + [x] for r, x in zip(a, b)))
+    if ncols in span.pivot_rows:
+        return None
     x = zero_vector(ncols)
-    for row, p in zip(red, pivots):
-        if p == ncols:
-            return None
-        x[p] = row[-1]
+    for p, row in span.pivot_rows.items():
+        x[p] = row.get(ncols, Fraction(0))
     return x
-
-
-def right_inverse(a: Sequence[Sequence]) -> Matrix:
-    """A right inverse of a matrix with full row rank."""
-    m = len(a)
-    cols: Matrix = []
-    for j in range(m):
-        e = [Fraction(1 if i == j else 0) for i in range(m)]
-        x = solve(a, e)
-        if x is None:
-            raise ValueError("matrix does not have full row rank")
-        cols.append(x)
-    return transpose(cols)
 
 
 class SparseSubspace:

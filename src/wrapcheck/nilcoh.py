@@ -105,9 +105,6 @@ class NilLieAlgebra:
                         out[k] += ui * vj * w[k]
         return out
 
-    def structure_constant(self, i: int, j: int, k: int) -> Fraction:
-        return Fraction(self.bracket_basis(i, j)[k - 1])
-
     @property
     def is_abelian(self) -> bool:
         return not self._brackets
@@ -117,8 +114,7 @@ class NilLieAlgebra:
         m = self.dim
         tmat = [linalg.as_fraction_row(r) for r in t]
         tinv_cols = []
-        for j in range(m):
-            e = [Fraction(1 if i == j else 0) for i in range(m)]
+        for e in linalg.identity(m):
             x = linalg.solve(tmat, e)
             if x is None:
                 raise ValueError("change of basis matrix is singular")
@@ -148,7 +144,7 @@ class NilLieAlgebra:
 
 def jacobi_check(g: NilLieAlgebra) -> bool:
     m = g.dim
-    basis = [[Fraction(1 if i == k else 0) for i in range(m)] for k in range(m)]
+    basis = linalg.identity(m)
     for i in range(m):
         for j in range(i + 1, m):
             for l in range(j + 1, m):
@@ -163,52 +159,31 @@ def jacobi_check(g: NilLieAlgebra) -> bool:
 
 
 def _subspace_brackets(g: NilLieAlgebra, span_rows: list[linalg.Vector]) -> list[linalg.Vector]:
-    """Span of [v, X_j] for v in the given span and all basis X_j."""
-    m = g.dim
-    rows = []
-    basis = [[Fraction(1 if i == k else 0) for i in range(m)] for k in range(m)]
-    for v in span_rows:
-        for b in basis:
-            w = g.bracket(v, b)
-            if any(x != 0 for x in w):
-                rows.append(w)
-    red, _ = linalg.rref(rows)
-    return red
+    """Reduced echelon basis of the span of [v, X_j] for v in the span and all X_j."""
+    basis = linalg.identity(g.dim)
+    return linalg.SparseSubspace(g.dim, (g.bracket(v, b) for v in span_rows for b in basis)).rows
 
 
 def lower_central_series(g: NilLieAlgebra) -> list[int]:
     """Dimensions [dim g_1, dim g_2, ...] down to 0; g_1 = g.
 
-    Raises NotNilpotent if the series stabilizes above zero.
+    Raises ValueError if the Jacobi identity fails and NotNilpotent if
+    the series stabilizes above zero.
     """
     if not jacobi_check(g):
         raise ValueError("structure constants violate the Jacobi identity")
-    m = g.dim
-    current = [[Fraction(1 if i == k else 0) for i in range(m)] for k in range(m)]
-    dims = [m]
-    while dims[-1] > 0:
-        nxt = _subspace_brackets(g, current)
-        d = len(nxt)
-        if d == dims[-1]:
-            raise NotNilpotent(f"lower central series stabilizes at dimension {d}")
-        dims.append(d)
-        current = nxt
-    return dims
+    return [len(span) for span in lower_central_series_subspaces(g)]
 
 
 def lower_central_series_subspaces(g: NilLieAlgebra) -> list[list[linalg.Vector]]:
-    m = g.dim
-    spans = [[[Fraction(1 if i == k else 0) for i in range(m)] for k in range(m)]]
+    """Reduced echelon bases of g_1 = g, g_2 = [g, g], ... down to 0."""
+    spans = [linalg.identity(g.dim)]
     while spans[-1]:
         nxt = _subspace_brackets(g, spans[-1])
         if len(nxt) == len(spans[-1]):
-            raise NotNilpotent("lower central series stabilizes above zero")
+            raise NotNilpotent(f"lower central series stabilizes at dimension {len(nxt)}")
         spans.append(nxt)
     return spans
-
-
-def nilpotency_class(g: NilLieAlgebra) -> int:
-    return len(lower_central_series(g)) - 1
 
 
 @dataclass(frozen=True)
@@ -223,14 +198,10 @@ class CEComplex:
     dim: int
     differentials: tuple[tuple[tuple[Fraction, ...], ...], ...]
 
-    def d_matrix(self, k: int):
-        return self.differentials[k]
-
     def rank_d(self, k: int) -> int:
         if k < 0 or k >= self.dim:
             return 0
-        mat = self.differentials[k]
-        return linalg.rank([list(r) for r in mat]) if mat else 0
+        return linalg.rank(self.differentials[k])
 
 
 def _d_of_one_form(g: NilLieAlgebra, k: int) -> Multivector:
@@ -312,7 +283,7 @@ def quotient_by_central_ideal(
     m = g.dim
     span = linalg.SparseSubspace(m, ideal_rows)
     # verify ideal: [v, X_j] stays inside
-    basis = [[Fraction(1 if i == k else 0) for i in range(m)] for k in range(m)]
+    basis = linalg.identity(m)
     for v in span.rows:
         for b in basis:
             if not span.contains(g.bracket(v, b)):
@@ -320,38 +291,21 @@ def quotient_by_central_ideal(
     pivots = set(span.pivots)
     complement = [i for i in range(m) if i not in pivots]
     q_dim = len(complement)
-    # projection: reduce modulo the ideal, read complement coordinates
-    proj_rows = []
-    for i in complement:
-        row = linalg.zero_vector(m)
-        row[i] = Fraction(1)
-        proj_rows.append(row)
 
     def project(v: linalg.Vector) -> linalg.Vector:
         red = span.reduce(v)
         return [red[i] for i in complement]
 
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
-    lifted = []
-    for i in complement:
-        e = linalg.zero_vector(m)
-        e[i] = Fraction(1)
-        lifted.append(e)
     for a in range(q_dim):
         for b in range(a + 1, q_dim):
-            w = project(g.bracket(lifted[a], lifted[b]))
+            w = project(g.bracket(basis[complement[a]], basis[complement[b]]))
             comps = {k + 1: c for k, c in enumerate(w) if c != 0}
             if comps:
                 table[(a + 1, b + 1)] = comps
     # projection matrix: row k = coordinates of the quotient coordinate k
-    proj = []
-    for idx in range(q_dim):
-        row = []
-        for j in range(m):
-            e = linalg.zero_vector(m)
-            e[j] = Fraction(1)
-            row.append(project(e)[idx])
-        proj.append(row)
+    images = [project(e) for e in basis]
+    proj = [[image[idx] for image in images] for idx in range(q_dim)]
     return NilLieAlgebra(q_dim, table), proj
 
 
@@ -372,17 +326,18 @@ def nomizu_kernel(g: NilLieAlgebra) -> NomizuKernel:
     equality is recomputed here from honest rank computations and
     cross-checked internally.
     """
-    spans = lower_central_series_subspaces(g)
     if g.is_abelian:
         return NomizuKernel(0, 0, True, g.dim, g.dim)
+    spans = lower_central_series_subspaces(g)
     gamma2 = spans[1]
     gamma3 = spans[2] if len(spans) > 2 else []
-    q1, _ = quotient_by_central_ideal(g, gamma2)
-    q2, proj2 = quotient_by_central_ideal(g, gamma3)
-    # the factor map phi: q2 -> q1 with phi . pi2 = pi1
-    _, proj1 = quotient_by_central_ideal(g, gamma2)
-    section = linalg.right_inverse(proj2)
-    phi = linalg.mat_mul(proj1, section)
+    q1, proj1 = quotient_by_central_ideal(g, gamma2)
+    q2, _ = quotient_by_central_ideal(g, gamma3)
+    # the factor map phi: q2 -> q1 with phi . pi2 = pi1.  The basis vectors
+    # off gamma3's pivots are a section of pi2, so phi is pi1 on them
+    # (unique because gamma3 lies in gamma2).
+    pivots3 = set(linalg.SparseSubspace(g.dim, gamma3).pivots)
+    phi = [[row[j] for j in range(g.dim) if j not in pivots3] for row in proj1]
     r = q1.dim
     m2 = q2.dim
     # pullback of 2-forms along phi on blade bases
@@ -414,9 +369,11 @@ def nomizu_kernel(g: NilLieAlgebra) -> NomizuKernel:
 
 
 def bass_growth_degree(g: NilLieAlgebra) -> int:
-    """Polynomial growth degree: sum over k of k * dim(gamma_k / gamma_{k+1})."""
-    dims = lower_central_series(g)
-    return sum((k + 1) * (dims[k] - dims[k + 1]) for k in range(len(dims) - 1))
+    """Polynomial growth degree: sum over k of k * dim(gamma_k / gamma_{k+1}).
+
+    The sum telescopes to the sum of the dimensions dim gamma_k.
+    """
+    return sum(lower_central_series(g))
 
 
 @dataclass(frozen=True)
@@ -435,7 +392,7 @@ def pi1_verdict(g: NilLieAlgebra, n: int) -> Pi1Verdict:
     nonabelian; passes only for abelian algebras of dimension <= n.
     """
     dims = lower_central_series(g)
-    growth = bass_growth_degree(g)
+    growth = sum(dims)  # the Bass growth degree, as in bass_growth_degree
     reasons = []
     if growth > n:
         reasons.append(f"growth degree {growth} exceeds the manifold dimension {n}")

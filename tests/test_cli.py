@@ -20,6 +20,24 @@ def corpus_file(name: str) -> str:
     return str(CORPUS / f"{name}.descriptor")
 
 
+def certified_embedding_keeps_intersection_check(d, report) -> bool:
+    """For n = 4 and finite pi1, assert that a found-certified embedding
+    never coexists with a failed four-manifold-intersection check; True
+    when the report has such an embedding.
+
+    A certified map is injective, because the ring satisfies Poincare
+    duality and the fundamental class maps to a nonzero element, and an
+    injective map embeds the intersection form in the (3,3) wedge pairing.
+    """
+    if d.n != 4 or d.pi1.kind != "finite" or report.embedding is None:
+        return False
+    if report.embedding.status != "found-certified":
+        return False
+    verdicts = {c.check_id: c.verdict for c in report.checks}
+    assert verdicts.get("four-manifold-intersection") != "fail", d.name
+    return True
+
+
 class TestParser:
     def test_t4_descriptor(self):
         d = parse_descriptor_file(corpus_file("t4"))
@@ -187,6 +205,15 @@ class TestBattery:
             if rep.verdict == "excluded-with-witness":
                 assert rep.witnesses
 
+    def test_certified_embedding_never_meets_failed_intersection_check(self):
+        certified = []
+        for path in corpus_paths():
+            d = parse_descriptor_file(path)
+            rep = run_battery(d, BatteryOptions(embed_budget=4000))
+            if certified_embedding_keeps_intersection_check(d, rep):
+                certified.append(d.name)
+        assert len(certified) >= 6  # cp2, s2xs2 and the blow-ups and sums of them
+
     def test_text_rendering(self):
         d = parse_descriptor_file(corpus_file("s2xs2"))
         rep = run_battery(d, BatteryOptions(embed_budget=2000))
@@ -319,6 +346,26 @@ class TestCLI:
         assert err.startswith(f"error: line {line}, ")
         assert message in err
 
+    # int() rejects each of these, so the parser must name the line instead
+    @pytest.mark.parametrize(
+        "ring,line,bad_line,message",
+        [
+            ("heisenberg3", "dim: 3", "dim: ²", "pi1 dim must be a positive integer"),
+            ("t2", "generators: x:1 y:1", "generators: x:² y:1", "bad degree '²'"),
+            ("t2", "generators: x:1 y:1", "generators: x:--1 y:1", "bad degree '--1'"),
+        ],
+        ids=["superscript-dim", "superscript-degree", "double-minus-degree"],
+    )
+    def test_malformed_integer_exit(self, tmp_path, capsys, ring, line, bad_line, message):
+        text = pathlib.Path(corpus_file(ring)).read_text()
+        bad = tmp_path / f"{ring}.descriptor"
+        bad.write_text(text.replace(line, bad_line))
+        assert main(["check", str(bad)]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: line {text.splitlines().index(line) + 1}, ")
+        assert message in err
+
     def test_degenerate_cup_form_text_report(self, tmp_path, capsys):
         # without a b = 0, filiform4's ring has a degenerate degree-2 cup form
         text = pathlib.Path(corpus_file("filiform4")).read_text()
@@ -376,6 +423,14 @@ class TestCLI:
         assert data["lower_central_series"] == [3, 1, 0]
         assert data["growth_degree"] == 4
 
+    def test_lie_subcommand_text(self, tmp_path):
+        out = tmp_path / "lie.txt"
+        assert main(["lie", corpus_file("filiform4"), "--out", str(out)]) == EXIT_EXCLUDED
+        text = out.read_text()
+        assert "lower central series dims: [4, 2, 1, 0] (class 3)" in text
+        assert "growth degree: 7" in text
+        assert "degree-2 kernel of the abelianization pullback: 1" in text
+
     def test_map_subcommand(self, tmp_path):
         out = tmp_path / "map.tsv"
         code = main(
@@ -424,7 +479,7 @@ CORPUS_TEXTS = [p.read_text() for p in corpus_paths()]
 # the corpus's own tokens, plus malformed numbers and stray punctuation
 VOCABULARY = sorted(
     {tok for text in CORPUS_TEXTS for tok in text.split()}
-    | {"0", "-1", "99", "1/0", "^", "^0", ":", "x:0", "e9"}
+    | {"0", "-1", "99", "1/0", "^", "^0", ":", "x:0", "e9", "²", "x:²"}
     | {"[", "]", "=", "#", ",", "+", "-", "*"}
 )
 
@@ -460,6 +515,11 @@ class TestFuzzedDescriptors:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(["check", str(path), "--budget", "200", "--float-restarts", "0"])
         assert code in (EXIT_OK, EXIT_EXCLUDED, EXIT_USAGE), err.getvalue()
+        if code != EXIT_USAGE:
+            d = parse_descriptor(text)
+            if d.n == 4 and d.pi1.kind == "finite":
+                rep = run_battery(d, BatteryOptions(embed_budget=200))
+                certified_embedding_keeps_intersection_check(d, rep)
 
 
 class TestGoldenCorpus:
