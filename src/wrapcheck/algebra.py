@@ -16,6 +16,7 @@ No Groebner machinery is needed at this scale.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -399,16 +400,24 @@ def check_poincare_duality(presentation: AlgebraPresentation) -> PDReport:
     if gb.rank(n) != 1:
         return PDReport(False, n, f"top degree has rank {gb.rank(n)}, expected 1")
     fc_entry = next(c for c in gb.coords(presentation.fundamental_class) if c != 0)
-    for k in range(0, n // 2 + 1):
-        reps_k = gb.representatives(k)
-        reps_nk = gb.representatives(n - k)
-        if len(reps_k) != len(reps_nk):
+    return _duality_report(
+        n, gb.representatives, lambda a, b: _product_coefficient(gb, a, b, fc_entry)
+    )
+
+
+def _duality_report(top: int, basis, pair) -> PDReport:
+    """Nondegeneracy of basis(k) x basis(top - k) -> Q for every k <= top/2.
+
+    ``basis(k)`` is a basis of degree k and ``pair(a, b)`` the coefficient
+    of the product a b in the one-dimensional degree ``top``.
+    """
+    for k in range(top // 2 + 1):
+        left, right = basis(k), basis(top - k)
+        if len(left) != len(right):
             return PDReport(
-                False, k, f"rank {len(reps_k)} in degree {k} vs {len(reps_nk)} in degree {n - k}"
+                False, k, f"rank {len(left)} in degree {k} vs {len(right)} in degree {top - k}"
             )
-        if not reps_k:
-            continue
-        if linalg.rank(_pairing(gb, reps_k, reps_nk, fc_entry)) != len(reps_k):
+        if left and linalg.rank([[pair(a, b) for b in right] for a in left]) != len(left):
             return PDReport(False, k, f"degenerate pairing in degree {k}")
     return PDReport(True)
 
@@ -430,28 +439,20 @@ def cup_square_form(presentation: AlgebraPresentation, k: int):
     unit = Fraction(1)
     if 2 * k == presentation.n:
         unit = next(c for c in gb.coords(presentation.fundamental_class) if c != 0)
-    return _pairing(gb, reps, reps, unit), reps
+    return [[_product_coefficient(gb, a, b, unit) for b in reps] for a in reps], reps
 
 
-def _pairing(gb: GradedBasis, left, right, unit: Fraction) -> linalg.Matrix:
-    """Gram matrix of products of monomial pairs in a degree of rank one.
+def _product_coefficient(gb: GradedBasis, ma, mb, unit: Fraction) -> Fraction:
+    """Product of two monomials in a degree of rank one, as a number.
 
-    Each product is read off its one quotient coordinate and divided by
+    The product is read off its one quotient coordinate and divided by
     ``unit``; a product that vanishes reads zero.
     """
     gens = gb.presentation.generators
-    gram = []
-    for ma in left:
-        row = []
-        for mb in right:
-            prod = GradedPolynomial.monomial(gens, 1, ma) * GradedPolynomial.monomial(gens, 1, mb)
-            if prod.is_zero:
-                row.append(Fraction(0))
-            else:
-                coords = gb.coords(prod)
-                row.append(next((c for c in coords if c != 0), Fraction(0)) / unit)
-        gram.append(row)
-    return gram
+    prod = GradedPolynomial.monomial(gens, 1, ma) * GradedPolynomial.monomial(gens, 1, mb)
+    if prod.is_zero:
+        return Fraction(0)
+    return next((c for c in gb.coords(prod) if c != 0), Fraction(0)) / unit
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +469,7 @@ class ConcreteSubalgebra:
         self._basis: list[list[Multivector]] = []
         for k in range(n + 1):
             vecs = layers[k] if k < len(layers) else []
-            span = linalg.SparseSubspace(_coord_len(n, k), (v.coords(k) for v in vecs))
+            span = linalg.SparseSubspace(math.comb(n, k), (v.coords(k) for v in vecs))
             self._span.append(span)
             self._basis.append([Multivector.from_coords(n, k, r) for r in span.rows])
 
@@ -476,7 +477,7 @@ class ConcreteSubalgebra:
     def from_generators(cls, n: int, gens: Sequence[Multivector]) -> "ConcreteSubalgebra":
         """Close the unit and the given homogeneous elements under wedge."""
         layers: list[list[Multivector]] = [[] for _ in range(n + 1)]
-        spans = [linalg.SparseSubspace(_coord_len(n, k)) for k in range(n + 1)]
+        spans = [linalg.SparseSubspace(math.comb(n, k)) for k in range(n + 1)]
 
         def absorb(v: Multivector) -> bool:
             k = v.degree()
@@ -543,34 +544,13 @@ class ConcreteSubalgebra:
         N = self.formal_dim
         if len(self._basis[N]) != 1:
             return PDReport(False, N, f"top degree {N} has dimension {len(self._basis[N])}")
-        top = self._basis[N][0]
-        top_coord = next(c for c in top.coords(N) if c != 0)
-        for k in range(0, N // 2 + 1):
-            bk, bnk = self._basis[k], self._basis[N - k]
-            if len(bk) != len(bnk):
-                return PDReport(False, k, "mismatched complementary dimensions")
-            if not bk:
-                continue
-            gram = []
-            for a in bk:
-                row = []
-                for b in bnk:
-                    w = wedge(a, b)
-                    coeff = Fraction(0)
-                    if not w.is_zero:
-                        c = self.coords_in_basis(w, N)
-                        coeff = c[0] if c else Fraction(0)
-                    row.append(coeff)
-                gram.append(row)
-            if linalg.rank(gram) != len(bk):
-                return PDReport(False, k, f"degenerate pairing in degree {k}")
-        return PDReport(True)
 
+        def pair(a: Multivector, b: Multivector) -> Fraction:
+            w = wedge(a, b)
+            c = None if w.is_zero else self.coords_in_basis(w, N)
+            return c[0] if c else Fraction(0)
 
-def _coord_len(n: int, k: int) -> int:
-    import math
-
-    return math.comb(n, k)
+        return _duality_report(N, self.basis, pair)
 
 
 @dataclass(frozen=True)
@@ -622,37 +602,19 @@ def quotient_by_degree1(A: ConcreteSubalgebra, x: Multivector) -> QuotientReport
     dim_ideal = sum(ideal_dims)
     dim_quotient = sum(quotient_dims)
 
-    pd_holds = True
-    failing = None
+    def pair(a: Multivector, b: Multivector) -> Fraction:
+        w = wedge(a, b)
+        if w.is_zero:
+            return Fraction(0)
+        red = ideal_spans[N - 1].coords_modulo(A.coords_in_basis(w, N - 1))
+        return next((c for c in red if c != 0), Fraction(0))
+
     if quotient_dims[N] != 0 or (N >= 1 and quotient_dims[N - 1] != 1):
-        pd_holds = False
-        failing = N
-    if pd_holds and N >= 1:
+        pd_holds, failing = False, N
+    else:
         # pairing of quotient classes into the 1-dimensional degree N-1 piece
-        for k in range(0, (N - 1) // 2 + 1):
-            qk, qnk = quotient_dims[k], quotient_dims[N - 1 - k]
-            if qk != qnk:
-                pd_holds, failing = False, k
-                break
-            if qk == 0:
-                continue
-            rows_k = _quotient_reps(A, ideal_spans, k)
-            rows_nk = _quotient_reps(A, ideal_spans, N - 1 - k)
-            gram = []
-            for a in rows_k:
-                row = []
-                for b in rows_nk:
-                    w = wedge(a, b)
-                    if w.is_zero:
-                        row.append(Fraction(0))
-                        continue
-                    coords = A.coords_in_basis(w, N - 1)
-                    red = ideal_spans[N - 1].coords_modulo(coords)
-                    row.append(next((c for c in red if c != 0), Fraction(0)))
-                gram.append(row)
-            if linalg.rank(gram) != qk:
-                pd_holds, failing = False, k
-                break
+        pd = _duality_report(N - 1, lambda k: _quotient_reps(A, ideal_spans, k), pair)
+        pd_holds, failing = pd.holds, pd.failing_degree
 
     return QuotientReport(
         dim_quotient=dim_quotient,

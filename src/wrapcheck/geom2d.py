@@ -101,10 +101,6 @@ class RadialProfile:
             return 2 * math.pi * r * np.log(r) ** (1.0 + self.epsilon)
         return np.interp(r, self.r, self.values)
 
-    def radial_metric_profile(self, r: np.ndarray) -> np.ndarray:
-        """rho(r) = L(r) / 2*pi, the warping function of the metric."""
-        return self.circumference(r) / (2 * math.pi)
-
     def curvature_samples(self, r: np.ndarray) -> np.ndarray:
         """Closed-form curvature where available, else finite differences."""
         r = np.asarray(r, dtype=float)
@@ -435,6 +431,13 @@ Edge = tuple[int, int, str]  # (x, y, "h") = edge to (x+1, y); "v" = edge to (x,
 Cell = tuple[int, int]  # unit square [x, x+1] x [y, y+1]
 
 
+def _add_edge(chain: dict[Edge, int], e: Edge, c: int) -> None:
+    """chain[e] += c, dropping the edge when its coefficient cancels."""
+    chain[e] = chain.get(e, 0) + c
+    if chain[e] == 0:
+        del chain[e]
+
+
 @dataclass
 class LatticeChain:
     """Finitely supported integer 2-chain on the grid."""
@@ -446,19 +449,13 @@ class LatticeChain:
 
     def boundary(self) -> dict[Edge, int]:
         out: dict[Edge, int] = {}
-
-        def add(e: Edge, c: int):
-            out[e] = out.get(e, 0) + c
-            if out[e] == 0:
-                del out[e]
-
         for (x, y), c in self.cells.items():
             if c == 0:
                 continue
-            add((x, y, "h"), c)
-            add((x + 1, y, "v"), c)
-            add((x, y + 1, "h"), -c)
-            add((x, y, "v"), -c)
+            _add_edge(out, (x, y, "h"), c)
+            _add_edge(out, (x + 1, y, "v"), c)
+            _add_edge(out, (x, y + 1, "h"), -c)
+            _add_edge(out, (x, y, "v"), -c)
         return out
 
     def superlevel_counts(self) -> list[int]:
@@ -475,25 +472,19 @@ class LatticeChain:
 
 def loop_to_cycle(loop: LatticeLoop, base=(0, 0)) -> dict[Edge, int]:
     z: dict[Edge, int] = {}
-
-    def add(e: Edge, c: int):
-        z[e] = z.get(e, 0) + c
-        if z[e] == 0:
-            del z[e]
-
     x, y = base
     for s in loop.steps:
         if s == "E":
-            add((x, y, "h"), 1)
+            _add_edge(z, (x, y, "h"), 1)
             x += 1
         elif s == "W":
-            add((x - 1, y, "h"), -1)
+            _add_edge(z, (x - 1, y, "h"), -1)
             x -= 1
         elif s == "N":
-            add((x, y, "v"), 1)
+            _add_edge(z, (x, y, "v"), 1)
             y += 1
         else:
-            add((x, y - 1, "v"), -1)
+            _add_edge(z, (x, y - 1, "v"), -1)
             y -= 1
     return z
 

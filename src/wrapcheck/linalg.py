@@ -6,9 +6,8 @@ rational matrices at desk scale, so plain Gaussian elimination is all
 we need.  Matrices are lists of lists of Fractions; rows are vectors.
 
 :class:`SparseSubspace` is the one echelon-form kernel: ``rank``,
-``solve`` and ``nullspace`` read it.  ``det`` keeps its own forward
-elimination because it needs the product of the pivots, not an
-echelon form.
+``solve`` and ``nullspace`` read it.  Determinants are products of
+the congruence diagonal in :mod:`wrapcheck.quadform`.
 """
 
 from __future__ import annotations
@@ -30,34 +29,6 @@ def zero_vector(dim: int) -> Vector:
 
 def rank(rows: Sequence[Sequence]) -> int:
     return SparseSubspace(len(rows[0]) if rows else 0, rows).rank
-
-
-def det(matrix: Sequence[Sequence]) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    mat = [as_fraction_row(r) for r in matrix]
-    n = len(mat)
-    if any(len(r) != n for r in mat):
-        raise ValueError("determinant of a non-square matrix")
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if mat[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            mat[c], mat[pivot_row] = mat[pivot_row], mat[c]
-            sign = -sign
-        result *= mat[c][c]
-        inv = Fraction(1) / mat[c][c]
-        for i in range(c + 1, n):
-            if mat[i][c] != 0:
-                f = mat[i][c] * inv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
-    return sign * result
 
 
 def nullspace(rows: Sequence[Sequence], ncols: int) -> Matrix:

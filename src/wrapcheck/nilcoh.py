@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -29,7 +30,8 @@ class NilLieAlgebra:
 
     Brackets are stored for i < j only; antisymmetry is built into the
     indexing.  The Jacobi identity is checked by :func:`jacobi_check`,
-    nilpotency by :func:`lower_central_series`.
+    nilpotency by :func:`lower_central_series`; both are cached per
+    algebra object, which no method changes after construction.
     """
 
     __slots__ = ("dim", "_brackets")
@@ -142,6 +144,7 @@ class NilLieAlgebra:
         return f"NilLieAlgebra(dim={self.dim}, {items or 'abelian'})"
 
 
+@lru_cache(maxsize=256)
 def jacobi_check(g: NilLieAlgebra) -> bool:
     m = g.dim
     basis = linalg.identity(m)
@@ -172,18 +175,24 @@ def lower_central_series(g: NilLieAlgebra) -> list[int]:
     """
     if not jacobi_check(g):
         raise ValueError("structure constants violate the Jacobi identity")
-    return [len(span) for span in lower_central_series_subspaces(g)]
+    return [len(span) for span in _central_series(g)]
 
 
 def lower_central_series_subspaces(g: NilLieAlgebra) -> list[list[linalg.Vector]]:
     """Reduced echelon bases of g_1 = g, g_2 = [g, g], ... down to 0."""
+    return [[list(v) for v in span] for span in _central_series(g)]
+
+
+@lru_cache(maxsize=256)
+def _central_series(g: NilLieAlgebra) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+    """The lower central series bases, once per algebra and as immutable tuples."""
     spans = [linalg.identity(g.dim)]
     while spans[-1]:
         nxt = _subspace_brackets(g, spans[-1])
         if len(nxt) == len(spans[-1]):
             raise NotNilpotent(f"lower central series stabilizes at dimension {len(nxt)}")
         spans.append(nxt)
-    return spans
+    return tuple(tuple(tuple(v) for v in span) for span in spans)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,10 @@ sign twist.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 from typing import Sequence
 
 from . import linalg
@@ -50,20 +52,29 @@ class QuadraticForm:
     def rank(self) -> int:
         return len(self.gram)
 
+    @cached_property
+    def congruence_diagonal(self) -> tuple[Fraction, ...]:
+        """The diagonal of ``diagonalize(self)``, computed once per form."""
+        return tuple(diagonalize(self)[0])
+
     def determinant(self) -> Fraction:
-        return linalg.det([list(r) for r in self.gram])
+        # diagonalize only adds multiples of one column to another, so
+        # det T = 1 and the Gram determinant is the product of the diagonal
+        return math.prod(self.congruence_diagonal, start=Fraction(1))
 
     @property
     def is_nondegenerate(self) -> bool:
-        return self.rank > 0 and self.determinant() != 0
+        return self.rank > 0 and 0 not in self.congruence_diagonal
 
 
 def diagonalize(f: QuadraticForm) -> tuple[list[Fraction], list[list[Fraction]]]:
     """Exact congruence diagonalization: returns (diagonal, T) with
     T^t . gram . T diagonal.
 
-    Symmetric elimination; a zero diagonal entry with a nonzero
-    off-diagonal partner is fixed by adding that row and column first.
+    Symmetric elimination; a zero diagonal entry a[k][k] with a nonzero
+    partner a[k][p] is fixed first by adding column and row p with factor
+    c = +-1, which leaves 2c a[k][p] + a[p][p]; that is nonzero for c = 1
+    or for c = -1.
     """
     n = f.rank
     a = [list(row) for row in f.gram]
@@ -82,7 +93,7 @@ def diagonalize(f: QuadraticForm) -> tuple[list[Fraction], list[list[Fraction]]]
         if a[k][k] == 0:
             pivot = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
             if pivot is not None:
-                add_col(k, pivot, Fraction(1))
+                add_col(k, pivot, Fraction(-1 if 2 * a[k][pivot] + a[pivot][pivot] == 0 else 1))
         if a[k][k] == 0:
             continue
         for j in range(k + 1, n):
@@ -92,26 +103,28 @@ def diagonalize(f: QuadraticForm) -> tuple[list[Fraction], list[list[Fraction]]]
     return diag, t
 
 
+def _factorization(m: int) -> dict[int, int]:
+    """Prime -> exponent of a nonzero integer |m|, by trial division."""
+    m = abs(m)
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= m:
+        while m % d == 0:
+            m //= d
+            out[d] = out.get(d, 0) + 1
+        d += 1 if d == 2 else 2
+    if m > 1:
+        out[m] = 1  # leftover prime
+    return out
+
+
 def _squarefree_part(x: Fraction) -> int:
     """x modulo nonzero rational squares, as a squarefree integer."""
     if x == 0:
         return 0
     m = x.numerator * x.denominator  # x ~ num*den mod squares
     sign = -1 if m < 0 else 1
-    m = abs(m)
-    out = 1
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            if e % 2:
-                out *= d
-        d += 1 if d == 2 else 2
-    out *= m  # leftover prime
-    return sign * out
+    return sign * math.prod(p for p, e in _factorization(m).items() if e % 2)
 
 
 def discriminant(f: QuadraticForm) -> int:
@@ -125,25 +138,10 @@ def discriminant(f: QuadraticForm) -> int:
 def signature(f: QuadraticForm) -> tuple[int, int]:
     if not f.is_nondegenerate:
         raise DegenerateForm("signature of a degenerate form")
-    diag, _ = diagonalize(f)
+    diag = f.congruence_diagonal
     pos = sum(1 for d in diag if d > 0)
     neg = sum(1 for d in diag if d < 0)
     return pos, neg
-
-
-def _prime_factors(m: int) -> set[int]:
-    m = abs(m)
-    out = set()
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.add(d)
-            while m % d == 0:
-                m //= d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        out.add(m)
-    return out
 
 
 def _valuation_and_unit(x: int, p: int) -> tuple[int, int]:
@@ -199,7 +197,7 @@ def hasse_invariant(f: QuadraticForm, place) -> int:
     """Product of hilbert_symbol(d_i, d_j, place) over i < j on a diagonalization."""
     if not f.is_nondegenerate:
         raise DegenerateForm("hasse invariant of a degenerate form")
-    diag, _ = diagonalize(f)
+    diag = f.congruence_diagonal
     out = 1
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
@@ -221,12 +219,13 @@ def rationally_equivalent(f: QuadraticForm, g: QuadraticForm) -> bool:
         return False
     if hasse_invariant(f, "infinity") != hasse_invariant(g, "infinity"):
         return False
-    places = {2} | _prime_factors(df) | _prime_factors(dg)
+    places = {2} | set(_factorization(df)) | set(_factorization(dg))
     return all(hasse_invariant(f, p) == hasse_invariant(g, p) for p in places)
 
 
+@cache
 def wedge_pairing_form(n: int) -> QuadraticForm:
-    """Top-degree pairing on middle-degree blades of Lambda*(Q^n).
+    """Top-degree pairing on middle-degree blades of Lambda*(Q^n), built once per n.
 
     Gram[i][j] = top_pairing(b_i, b_j) taken from the upper triangle
     and mirrored; for n = 2 mod 4 the honest pairing on odd-degree

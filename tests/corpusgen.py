@@ -32,7 +32,7 @@ def _random_invertible(rng: random.Random, n: int) -> list[list[Fraction]]:
         mat = [
             [Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)
         ]
-        if linalg.det(mat) != 0:
+        if linalg.rank(mat) == n:
             return mat
 
 

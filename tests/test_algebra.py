@@ -201,6 +201,34 @@ class TestPoincareDuality:
         assert check_poincare_duality(P.sum_s2xs2(3)).holds
 
 
+def e4(*indices) -> Multivector:
+    return Multivector.blade(4, indices) if indices else Multivector.scalar(4, 1)
+
+
+class TestConcretePoincareDuality:
+    def test_mismatched_complementary_dimensions(self):
+        # closure of e1, e2, e123 in Lambda(Q^3): dims (1, 2, 1, 1)
+        gens = [Multivector.blade(3, b) for b in ((1,), (2,), (1, 2, 3))]
+        A = ConcreteSubalgebra.from_generators(3, gens)
+        assert A.dims() == (1, 2, 1, 1)
+        report = A.check_poincare_duality()
+        assert (report.holds, report.failing_degree) == (False, 1)
+        assert report.detail == "rank 2 in degree 1 vs 1 in degree 2"
+
+    def test_degenerate_pairing(self):
+        # dims (1, 2, 2, 2, 1) match, but e12 and e13 wedge to zero with both
+        layers = [[e4()], [e4(1), e4(2)], [e4(1, 2), e4(1, 3)], [e4(2, 3, 4), e4(1, 3, 4)]]
+        layers.append([e4(1, 2, 3, 4)])
+        report = ConcreteSubalgebra(4, layers).check_poincare_duality()
+        assert (report.holds, report.failing_degree) == (False, 2)
+        assert report.detail == "degenerate pairing in degree 2"
+
+    def test_holds(self):
+        layers = [[e4()], [e4(1), e4(2)], [e4(1, 2), e4(3, 4)], [e4(2, 3, 4), e4(1, 3, 4)]]
+        layers.append([e4(1, 2, 3, 4)])
+        assert ConcreteSubalgebra(4, layers).check_poincare_duality().holds
+
+
 class TestCupSquareForm:
     def test_t4_middle_form(self):
         gram, reps = cup_square_form(P.torus(4), 2)

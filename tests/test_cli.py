@@ -366,6 +366,37 @@ class TestCLI:
         assert err.startswith(f"error: line {text.splitlines().index(line) + 1}, ")
         assert message in err
 
+    # a^2 = -2ab skews S^2 x S^2's cup form to ((-2, 1), (1, 0)); a zero pivot
+    # whose partner column cancels it once read its signature as (0, 1)
+    @pytest.mark.parametrize(
+        "betti", ["\n[betti]\nb_plus: 1\nb_minus: 1\n", ""], ids=["betti", "no-betti"]
+    )
+    def test_skewed_s2xs2_signature(self, tmp_path, capsys, betti):
+        text = pathlib.Path(corpus_file("s2xs2")).read_text()
+        text = text[: text.index("[betti]")].replace("u^2", "u^2 + 2 u v") + betti
+        skewed = tmp_path / "s2xs2_skew.descriptor"
+        skewed.write_text(text)
+        assert main(["check", str(skewed), "--budget", "200"]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert "cup form on degree 2: signature [1, 1], square class -1" in out
+        assert err == ""
+
+    def test_lie_computes_the_series_once_per_algebra(self, tmp_path, monkeypatch):
+        from wrapcheck import nilcoh
+
+        steps = []
+        original = nilcoh._subspace_brackets
+        monkeypatch.setattr(
+            nilcoh, "_subspace_brackets", lambda g, rows: steps.append(g) or original(g, rows)
+        )
+        misses = nilcoh.jacobi_check.cache_info().misses
+        out = tmp_path / "lie.txt"
+        assert main(["lie", corpus_file("filiform4"), "--out", str(out)]) == EXIT_EXCLUDED
+        # filiform4's series [4, 2, 1, 0] takes three bracket steps, all on one algebra;
+        # the Jacobi identity is checked on it and on the quotient nomizu_kernel builds
+        assert len(steps) == 3 and len({id(g) for g in steps}) == 1
+        assert nilcoh.jacobi_check.cache_info().misses - misses == 2
+
     def test_degenerate_cup_form_text_report(self, tmp_path, capsys):
         # without a b = 0, filiform4's ring has a degenerate degree-2 cup form
         text = pathlib.Path(corpus_file("filiform4")).read_text()

@@ -59,7 +59,7 @@ class TestLowerCentralSeries:
     def test_invariant_under_change_of_basis(self):
         rng = random.Random(1)
         t = [[Fraction(rng.randint(-2, 2)) for _ in range(4)] for _ in range(4)]
-        while linalg.det(t) == 0:
+        while linalg.rank(t) < 4:
             t = [[Fraction(rng.randint(-2, 2)) for _ in range(4)] for _ in range(4)]
         assert lower_central_series(FILIFORM4.change_basis(t)) == [4, 2, 1, 0]
 

@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
 from wrapcheck import linalg
@@ -37,6 +40,47 @@ class TestDiagonalize:
     def test_zero_form(self):
         z = QuadraticForm(((0, 0), (0, 0)))
         assert diagonalize(z)[0] == [0, 0]
+
+    def test_partner_that_cancels_the_zero_pivot(self):
+        # a[0][0] = 0 and a[1][1] = -2 a[0][1]: adding column 1 once leaves
+        # a[0][0] = 0, which used to leave the form undiagonalized
+        f = QuadraticForm(((0, 1), (1, -2)))
+        assert f.congruence_diagonal[0] != 0
+        assert signature(f) == (1, 1)
+        assert f.determinant() == -1
+
+    def test_every_small_form_against_independent_counts(self):
+        forms = [((a, b), (b, c)) for a, b, c in itertools.product(range(-2, 3), repeat=3)]
+        rng = random.Random(8)
+        for _ in range(2000):
+            n = rng.choice([3, 4])
+            g = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            forms.append(tuple(tuple(g[min(i, j)][max(i, j)] for j in range(n)) for i in range(n)))
+        for gram in forms:
+            f = QuadraticForm(gram)
+            diag, t = diagonalize(f)
+            product = linalg.mat_mul(
+                linalg.mat_mul(linalg.transpose(t), [list(r) for r in f.gram]), t
+            )
+            n = f.rank
+            assert product == [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)], gram
+            assert f.determinant() == _leibniz_det(gram), gram
+            if f.is_nondegenerate:
+                eig = np.linalg.eigvalsh(np.array(gram, dtype=float))
+                assert signature(f) == (int((eig > 0).sum()), int((eig < 0).sum())), gram
+
+
+def _leibniz_det(gram) -> int:
+    """Exact determinant as a signed sum over permutations."""
+    n = len(gram)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, p in enumerate(perm):
+            term *= gram[i][p]
+        total += term
+    return total
 
     def test_congruence_identity(self):
         rng = random.Random(3)
@@ -77,7 +121,7 @@ class TestDiscriminant:
             base = QuadraticForm.diagonal([rng.choice([1, 2, 3, -1, -2]) for _ in range(n)])
             while True:
                 t = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
-                if abs(linalg.det(t)) == 1:
+                if abs(sympy.Matrix(t).det()) == 1:
                     break
             g = linalg.mat_mul(linalg.mat_mul(linalg.transpose(t), [list(r) for r in base.gram]), t)
             moved = QuadraticForm(tuple(tuple(row) for row in g))
