@@ -69,19 +69,6 @@ class TestDiagonalize:
                 eig = np.linalg.eigvalsh(np.array(gram, dtype=float))
                 assert signature(f) == (int((eig > 0).sum()), int((eig < 0).sum())), gram
 
-
-def _leibniz_det(gram) -> int:
-    """Exact determinant as a signed sum over permutations."""
-    n = len(gram)
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-        term = -1 if inversions % 2 else 1
-        for i, p in enumerate(perm):
-            term *= gram[i][p]
-        total += term
-    return total
-
     def test_congruence_identity(self):
         rng = random.Random(3)
         for _ in range(15):
@@ -98,6 +85,19 @@ def _leibniz_det(gram) -> int:
             for i in range(n):
                 for j in range(n):
                     assert product[i][j] == (diag[i] if i == j else 0)
+
+
+def _leibniz_det(gram) -> int:
+    """Exact determinant as a signed sum over permutations."""
+    n = len(gram)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, p in enumerate(perm):
+            term *= gram[i][p]
+        total += term
+    return total
 
 
 class TestDiscriminant:
