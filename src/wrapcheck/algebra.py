@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import linalg
 from .exterior import Multivector, wedge
@@ -247,37 +248,54 @@ def _monomials_of_degree(gens: GeneratorTable, k: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def _ideal_span(
+def _ideal_rows(
     presentation: AlgebraPresentation, monomials: Sequence[Sequence[tuple[int, ...]]], k: int
-) -> linalg.SparseSubspace:
-    """Degree-k piece of the relation ideal, on the monomials of degree k.
+) -> Iterator[dict[int, Fraction]]:
+    """Rows spanning the degree-k piece of the relation ideal, as dicts
+    column -> Fraction on the monomials of degree k.
 
     ``monomials[d]`` lists the monomials of degree d for every d <= k.
     Each row is a relation times a monomial, merged exponent tuple by
     exponent tuple; adding a fixed exponent vector keeps the relation's
     ascending monomial order, so every row is keyed in ascending order.
+    A relation term with no odd generator commutes with everything, so
+    its merge is a plain tuple sum with sign +1.
     """
     degrees = [d for _, d in presentation.generators]
+    odd = [i for i, d in enumerate(degrees) if d % 2]
     index = {m: i for i, m in enumerate(monomials[k])}
-    rows = []
     for rel in presentation.relations:
         b = rel.degree()
         if b > k:
             continue
+        terms = [(c, e, any(e[i] for i in odd)) for c, e in rel.monomials]
         for m in monomials[k - b]:
             row = {}
-            for c, e in rel.monomials:
+            for c, e, has_odd in terms:
+                if not has_odd:
+                    row[index[tuple(map(operator.add, m, e))]] = c
+                    continue
                 merged = _monomial_mul(degrees, m, e)
                 if merged is not None:
                     sign, exps = merged
                     row[index[exps]] = c if sign > 0 else -c
             if row:
-                rows.append(row)
-    return linalg.SparseSubspace(len(monomials[k]), rows)
+                yield row
+
+
+def _ideal_span(
+    presentation: AlgebraPresentation, monomials: Sequence[Sequence[tuple[int, ...]]], k: int
+) -> linalg.SparseSubspace:
+    """Degree-k piece of the relation ideal, on the monomials of degree k."""
+    return linalg.SparseSubspace(len(monomials[k]), _ideal_rows(presentation, monomials, k))
 
 
 class GradedBasis:
-    """Per-degree monomial bases of the quotient algebra, with reducers."""
+    """Per-degree monomial bases of the quotient algebra, with reducers.
+
+    ``basis_and_dims`` also stores the truncation probe's result on it
+    as ``excess_degrees``.
+    """
 
     def __init__(self, presentation: AlgebraPresentation):
         self.presentation = presentation
@@ -345,30 +363,35 @@ class GradedBasis:
 def basis_and_dims(presentation: AlgebraPresentation) -> GradedBasis:
     """Quotient bases per degree 0..n; errors on a degenerate presentation.
 
-    Emits a warning when the relations alone do not force vanishing in
-    degrees n+1 .. n+max_generator_degree (truncation is then doing
-    real work, which a closed-manifold presentation should not need).
+    Stores the degrees n+1 .. n+max_generator_degree that the relations
+    alone leave nonzero as ``excess_degrees`` (``[]`` without truncation)
+    and warns when there are any: truncation is then doing real work,
+    which a closed-manifold presentation should not need.
     """
     gb = GradedBasis(presentation)
     fc = presentation.fundamental_class
     if gb.is_in_ideal(fc):
         raise DegeneratePresentation("fundamental class lies in the relation ideal")
-    if presentation.truncate_above_n:
-        excess = _excess_degrees(gb)
-        if excess:
-            warnings.warn(
-                f"relations do not force vanishing above degree {presentation.n} "
-                f"(first excess degree {excess[0]}); relying on truncation",
-                stacklevel=2,
-            )
+    gb.excess_degrees = _excess_degrees(gb) if presentation.truncate_above_n else []
+    if gb.excess_degrees:
+        warnings.warn(
+            f"relations do not force vanishing above degree {presentation.n} "
+            f"(first excess degree {gb.excess_degrees[0]}); relying on truncation",
+            stacklevel=2,
+        )
     return gb
 
 
 def _excess_degrees(gb: GradedBasis) -> list[int]:
     """Degrees n+1 .. n+max generator degree the relations leave nonzero.
 
-    Builds the ideal of each of those degrees alone, from the monomials
-    of degree 0..n that ``gb`` already holds, and keeps none of them.
+    Builds the ideal rows of each of those degrees alone, from the
+    monomials of degree 0..n that ``gb`` already holds, and keeps none
+    of them.  A degree is first certified full by :func:`_fills_mod_p`:
+    rank over F_p is at most rank over Q, so rows spanning every column
+    mod p span them over Q too.  A deficit mod p, or a denominator that
+    p divides, proves nothing, and only then does the degree go through
+    the exact ``SparseSubspace``; the list is therefore the exact one.
     """
     presentation = gb.presentation
     gens, n = presentation.generators, presentation.n
@@ -376,9 +399,49 @@ def _excess_degrees(gb: GradedBasis) -> list[int]:
     excess = []
     for k in range(n + 1, n + max((d for _, d in gens), default=0) + 1):
         monomials.append(_monomials_of_degree(gens, k))
+        if _fills_mod_p(_ideal_rows(presentation, monomials, k), len(monomials[k])):
+            continue
         if _ideal_span(presentation, monomials, k).codim > 0:
             excess.append(k)
     return excess
+
+
+_PRIME = (1 << 61) - 1
+
+
+def _fills_mod_p(rows: Iterable[dict[int, Fraction]], dim: int) -> bool:
+    """True when the rows span all ``dim`` columns mod the prime 2^61 - 1.
+
+    Echelon form in Python ints, each pivot at its row's first column,
+    stopping as soon as the rank is full.  False means inconclusive.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        if len(pivots) == dim:
+            break
+        red = {}
+        for c, v in row.items():
+            den = v.denominator % _PRIME
+            if den == 0:
+                return False
+            x = v.numerator * pow(den, -1, _PRIME) % _PRIME
+            if x:
+                red[c] = x
+        while red:
+            c = min(red)
+            pivot = pivots.get(c)
+            if pivot is None:
+                inv = pow(red[c], -1, _PRIME)
+                pivots[c] = {j: x * inv % _PRIME for j, x in red.items()}
+                break
+            f = red[c]
+            for j, x in pivot.items():
+                y = (red.get(j, 0) - f * x) % _PRIME
+                if y:
+                    red[j] = y
+                else:
+                    red.pop(j, None)
+    return len(pivots) == dim
 
 
 def euler_characteristic(presentation: AlgebraPresentation) -> int:

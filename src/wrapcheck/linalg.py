@@ -62,13 +62,12 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
     ]
 
 
-def solve(a: Sequence[Sequence], b: Sequence) -> Vector | None:
-    """One solution of A x = b, or None if inconsistent.
+def solve(a: Sequence[Sequence], b: Sequence, ncols: int) -> Vector | None:
+    """One solution of A x = b in ``ncols`` unknowns, or None if inconsistent.
 
     The augmented system is inconsistent iff a pivot lands in its last
     column; free variables are set to zero.
     """
-    ncols = len(a[0]) if a else 0
     span = SparseSubspace(ncols + 1, (list(r) + [x] for r, x in zip(a, b)))
     if ncols in span.pivot_rows:
         return None

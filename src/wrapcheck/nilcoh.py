@@ -117,7 +117,7 @@ class NilLieAlgebra:
         tmat = [linalg.as_fraction_row(r) for r in t]
         tinv_cols = []
         for e in linalg.identity(m):
-            x = linalg.solve(tmat, e)
+            x = linalg.solve(tmat, e, m)
             if x is None:
                 raise ValueError("change of basis matrix is singular")
             tinv_cols.append(x)

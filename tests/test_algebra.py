@@ -1,3 +1,4 @@
+import contextlib
 import random
 import warnings
 from fractions import Fraction
@@ -342,14 +343,29 @@ def _unforced():
     return AlgebraPresentation(gens, (), 2, GradedPolynomial.monomial(gens, 1, (0, 1)))
 
 
+def _scaled_square(coeff):
+    # x^2 = 0 scaled by a coefficient with no unit image mod the certificate's
+    # prime: degree 4 is full over Q, but the mod-p rank cannot show it
+    gens = (("x", 2),)
+    return AlgebraPresentation(gens, (mono(gens, coeff, 2),), 2, mono(gens, 1, 1))
+
+
 class TestIdealRows:
     """Exponent-tuple ideal rows against the GradedPolynomial products."""
 
     PATHS = {p.name.removesuffix(".descriptor"): p for p in corpus_paths()}
+    # presentations whose probe cannot be settled mod p and must reach the
+    # exact elimination: no relations at all, a row that vanishes mod p, and
+    # a denominator that p divides
+    FALLBACK = {
+        "unforced": _unforced,
+        "p_coefficient": lambda: _scaled_square(algebra._PRIME),
+        "inverse_p_coefficient": lambda: _scaled_square(Fraction(1, algebra._PRIME)),
+    }
 
-    @pytest.mark.parametrize("name", [*PATHS, "unforced"])
-    def test_basis_and_probe_match_reference(self, name):
-        A = _unforced() if name == "unforced" else parse_descriptor_file(self.PATHS[name]).cohomology
+    @pytest.mark.parametrize("name", [*PATHS, *FALLBACK])
+    def test_basis_and_probe_match_reference(self, name, monkeypatch):
+        A = self.FALLBACK[name]() if name in self.FALLBACK else parse_descriptor_file(self.PATHS[name]).cohomology
         top = A.n + max(d for _, d in A.generators)
         ref = reference_ideal(A, top)
         gb = GradedBasis(A)
@@ -364,5 +380,19 @@ class TestIdealRows:
             assert rows == span.rows
             assert all(type(c) is Fraction for row in rows for c in row)
         want = [k for k in range(A.n + 1, top + 1) if ref[k][1].codim > 0]
+        fallbacks = []
+        exact = algebra._ideal_span
+
+        def counted(presentation, monomials, k):
+            if k > presentation.n:
+                fallbacks.append(k)
+            return exact(presentation, monomials, k)
+
+        monkeypatch.setattr(algebra, "_ideal_span", counted)
         assert algebra._excess_degrees(gb) == want
         assert want == ([3, 4] if name == "unforced" else [])
+        assert (len(fallbacks) > 0) == (name in self.FALLBACK)
+        # a fresh build, past the cache, so that the warning fires again
+        with pytest.warns(UserWarning, match="truncation") if want else contextlib.nullcontext():
+            stored = basis_and_dims.__wrapped__(A)
+        assert stored.excess_degrees == want
