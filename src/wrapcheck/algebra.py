@@ -4,7 +4,7 @@ A presentation consists of generators with positive degrees, relation
 polynomials in the free graded-commutative ring on those generators,
 and a formal dimension n with a distinguished fundamental class of
 degree n.  Cohomology rings of closed oriented manifolds are the
-intended inputs, so truncation above degree n is on by default.
+intended inputs, so everything above degree n is zero.
 
 Dimension counts and duality checks are pure linear algebra: monomials
 of a fixed degree form a finite basis (generator degrees are >= 1),
@@ -193,17 +193,16 @@ def evaluate_polynomial(
 class AlgebraPresentation:
     """Graded-commutative algebra R[gens]/(relations) with formal dimension n.
 
-    ``truncate_above_n`` (default) declares everything above degree n
-    zero, as for a closed n-manifold; relations of degree > n are kept
-    (they matter when mapping into larger exterior algebras) but are
-    redundant for the truncated basis computation.
+    Everything above degree n is zero, as for a closed n-manifold;
+    relations of degree > n are kept (they matter when mapping into
+    larger exterior algebras) but are redundant for the truncated basis
+    computation.
     """
 
     generators: GeneratorTable
     relations: tuple[GradedPolynomial, ...]
     n: int
     fundamental_class: GradedPolynomial
-    truncate_above_n: bool = True
 
     def __post_init__(self):
         gens = tuple((str(nm), int(d)) for nm, d in self.generators)
@@ -307,13 +306,7 @@ class GradedBasis:
 
     # -- ranks and representatives ----------------------------------------
     def rank(self, k: int) -> int:
-        if k < 0:
-            return 0
-        if k > self.presentation.n:
-            if self.presentation.truncate_above_n:
-                return 0
-            raise ValueError(f"degree {k} not computed (max {self.presentation.n})")
-        return self._ideal[k].codim
+        return self._ideal[k].codim if 0 <= k <= self.presentation.n else 0
 
     @property
     def ranks(self) -> tuple[int, ...]:
@@ -321,8 +314,6 @@ class GradedBasis:
 
     def representatives(self, k: int) -> list[tuple[int, ...]]:
         """Standard monomials: those away from the ideal's pivot columns."""
-        if self.presentation.truncate_above_n and k > self.presentation.n:
-            return []
         pivots = set(self._ideal[k].pivots)
         return [m for i, m in enumerate(self._monomials[k]) if i not in pivots]
 
@@ -341,21 +332,13 @@ class GradedBasis:
 
     def coords(self, p: GradedPolynomial) -> tuple[Fraction, ...]:
         """Coordinates in the quotient, on the standard-monomial basis."""
-        k = p.degree()
-        if k is None:
-            raise ValueError("zero polynomial has no degree")
-        if self.presentation.truncate_above_n and k > self.presentation.n:
-            return ()
-        _, vec = self.vector_of(p)
+        k, vec = self.vector_of(p)
         return self._ideal[k].coords_modulo(vec)
 
     def is_in_ideal(self, p: GradedPolynomial) -> bool:
         if p.is_zero:
             return True
-        k = p.degree()
-        if self.presentation.truncate_above_n and k > self.presentation.n:
-            return True
-        _, vec = self.vector_of(p)
+        k, vec = self.vector_of(p)
         return self._ideal[k].contains(vec)
 
 
@@ -364,15 +347,15 @@ def basis_and_dims(presentation: AlgebraPresentation) -> GradedBasis:
     """Quotient bases per degree 0..n; errors on a degenerate presentation.
 
     Stores the degrees n+1 .. n+max_generator_degree that the relations
-    alone leave nonzero as ``excess_degrees`` (``[]`` without truncation)
-    and warns when there are any: truncation is then doing real work,
-    which a closed-manifold presentation should not need.
+    alone leave nonzero as ``excess_degrees`` and warns when there are
+    any: truncation is then doing real work, which a closed-manifold
+    presentation should not need.
     """
     gb = GradedBasis(presentation)
     fc = presentation.fundamental_class
     if gb.is_in_ideal(fc):
         raise DegeneratePresentation("fundamental class lies in the relation ideal")
-    gb.excess_degrees = _excess_degrees(gb) if presentation.truncate_above_n else []
+    gb.excess_degrees = _excess_degrees(gb)
     if gb.excess_degrees:
         warnings.warn(
             f"relations do not force vanishing above degree {presentation.n} "

@@ -204,7 +204,7 @@ _SECTION = re.compile(r"\[([a-z0-9_]+)\]\s*$")
 _KEYVAL = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)\s*:\s*(.*)$")
 
 _TOP_KEYS = {"name", "n"}
-_COH_KEYS = {"generators", "relation", "fundamental_class", "truncate_above_n"}
+_COH_KEYS = {"generators", "relation", "fundamental_class"}
 _PI1_KEYS = {"type", "dim", "bracket"}
 _BETTI_KEYS = {"b_plus", "b_minus"}
 
@@ -269,7 +269,6 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
     relations = []
     fundamental = None
     fundamental_line = 1
-    truncate = True
     gen_line = None
     for line_no, key, value in sections["cohomology"]:
         if key == "generators":
@@ -294,10 +293,6 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
                 generators.append((nm, deg))
             generators = tuple(generators)
             gen_line = line_no
-        elif key == "truncate_above_n":
-            if value not in ("true", "false"):
-                raise ParseError("truncate_above_n must be true or false", line_no)
-            truncate = value == "true"
         else:
             if generators is None:
                 raise ParseError("generators must come before polynomials", line_no)
@@ -319,9 +314,7 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
     if fundamental is None:
         raise ParseError("missing fundamental_class", gen_line or 1)
     try:
-        presentation = AlgebraPresentation(
-            generators, tuple(relations), n, fundamental, truncate
-        )
+        presentation = AlgebraPresentation(generators, tuple(relations), n, fundamental)
     except ValueError as exc:
         raise ParseError(str(exc), gen_line or 1) from None
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, NamedTuple
@@ -53,11 +53,13 @@ from .algebra import (
     euler_characteristic,
     evaluate_polynomial,
 )
-from .exterior import Multivector, _merge_sign, blade_masks, graded_dimension, wedge_table
+from .exterior import Multivector, blade_masks, graded_dimension, wedge_table, wedge_terms
 
 RESIDUAL_TOL = 1e-9
 FC_NORM_MIN = 1e-6
 LIFT_DENOMINATOR_BOUND = 10**4
+# structured candidates tried per generator in the exact stage
+CANDIDATE_CAP = 512
 
 
 @dataclass(frozen=True)
@@ -409,22 +411,6 @@ def _disjoint_blade_candidates(n: int, degree: int, cap: int) -> list[dict[int, 
     return out
 
 
-def _int_wedge(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """:func:`wedge` on ``{mask: int}`` dicts, dropping zero terms alike."""
-    out: dict[int, int] = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            if ma & mb:
-                continue
-            m = ma | mb
-            c = out.get(m, 0) + ca * cb * _merge_sign(ma, mb)
-            if c:
-                out[m] = c
-            else:
-                out.pop(m, None)
-    return out
-
-
 def _int_terms(p: GradedPolynomial) -> list[tuple[int, list[int]]]:
     """``p`` times the lcm of its denominators, as (integer coefficient,
     generator index per factor) pairs; the scale does not move its zeros."""
@@ -436,7 +422,7 @@ def _int_terms(p: GradedPolynomial) -> list[tuple[int, list[int]]]:
 
 
 def _exact_stage(
-    A: AlgebraPresentation, n: int, node_budget: int, per_generator_cap: int = 512
+    A: AlgebraPresentation, n: int, node_budget: int
 ) -> tuple[RingMorphism | None, int]:
     """Backtracking over structured candidates with relation pruning.
 
@@ -445,9 +431,7 @@ def _exact_stage(
     :func:`verify_morphism` and keeps the fundamental class nonzero.
     """
     gens = A.generators
-    candidates = [
-        _disjoint_blade_candidates(n, deg, per_generator_cap) for _, deg in gens
-    ]
+    candidates = [_disjoint_blade_candidates(n, deg, CANDIDATE_CAP) for _, deg in gens]
     if any(not c for c in candidates):
         return None, 0
     # relations become checkable once all their generators are assigned
@@ -469,7 +453,7 @@ def _exact_stage(
         for coeff, factors in terms:
             term = {0: coeff}
             for g in factors:
-                term = _int_wedge(term, images[g])
+                term = wedge_terms(term, images[g])
             for m, c in term.items():
                 total[m] = total.get(m, 0) + c
         return not any(total.values())
@@ -492,7 +476,7 @@ def _exact_stage(
             if fc_exps is not None:
                 prefix = prefixes[level]
                 for _ in range(fc_exps[level]):
-                    prefix = _int_wedge(prefix, cand)
+                    prefix = wedge_terms(prefix, cand)
                 if not prefix:
                     continue
                 prefixes[level + 1] = prefix
@@ -599,13 +583,8 @@ def _image_program(polys, n: int, gen_masks, offsets):
 
 
 def _float_stage(
-    A: AlgebraPresentation,
-    n: int,
-    restarts: int,
-    seed: int,
-    tol: float,
-    fc_min: float,
-) -> tuple[RingMorphism | None, str, float | None, float | None, int | None]:
+    A: AlgebraPresentation, n: int, restarts: int, seed: int, tol: float
+) -> SearchOutcome:
     """Random-restart least squares on relation residuals.
 
     Minimizes the stacked relation coefficients plus (|FC|^2 - 1); the
@@ -617,7 +596,7 @@ def _float_stage(
     degs = [d for _, d in gens]
     sizes = [math.comb(n, d) if d <= n else 0 for d in degs]
     if any(s == 0 for s in sizes):
-        return None, "not-found", None, None, None
+        return SearchOutcome("not-found")
     offsets = np.cumsum([0] + sizes)
     masks = {d: blade_masks(n, d) for d in set(degs)}
 
@@ -658,7 +637,7 @@ def _float_stage(
         fc_norm = math.sqrt(sum(float(c) ** 2 for c in coords[nrel:]))
         if best_res is None or rel_resid < best_res:
             best_res = rel_resid
-        if rel_resid <= tol and fc_norm >= fc_min:
+        if rel_resid <= tol and fc_norm >= FC_NORM_MIN:
             # lift along a ladder of denominators, exact re-verification only
             for bound in (1, 2, 4, 8, 16, LIFT_DENOMINATOR_BOUND):
                 try:
@@ -666,10 +645,10 @@ def _float_stage(
                 except ValueError:
                     continue
                 if verify_morphism(m_exact) and not m_exact.evaluate(fc).is_zero:
-                    return m_exact, "found-certified", rel_resid, fc_norm, trial
+                    return SearchOutcome("found-certified", m_exact, rel_resid, fc_norm, trial)
             m_float = RingMorphism(A, n, to_assignment(sol.x), "floating")
-            return m_float, "found-numerical", rel_resid, fc_norm, trial
-    return None, "not-found", best_res, None, None
+            return SearchOutcome("found-numerical", m_float, rel_resid, fc_norm, trial)
+    return SearchOutcome("not-found", best_residual=best_res)
 
 
 def search_embedding(
@@ -677,15 +656,15 @@ def search_embedding(
     n: int,
     budget: int = 20000,
     seed: int = 0,
-    float_restarts: int | None = None,
+    float_restarts: int = 0,
     tol: float = RESIDUAL_TOL,
-    fc_min: float = FC_NORM_MIN,
 ) -> SearchOutcome:
     """Look for an injective graded ring map into Lambda*(Q^n).
 
     ``budget`` caps the number of backtracking nodes in the exact
-    stage; ``float_restarts`` (default budget // 1000) counts seeded
-    least-squares restarts.  Identical arguments give identical output.
+    stage; ``float_restarts`` (default 0, exact stage only) counts
+    seeded least-squares restarts.  Identical arguments give identical
+    output.
     """
     for check in ring_checks(A):
         if check.failed:
@@ -703,18 +682,6 @@ def search_embedding(
             trial_index=0,
             nodes_used=nodes,
         )
-    if float_restarts is None:
-        float_restarts = max(0, budget // 1000)
     if float_restarts > 0:
-        m, status, resid, fc_norm, trial = _float_stage(A, n, float_restarts, seed, tol, fc_min)
-        if status != "not-found":
-            return SearchOutcome(
-                status,
-                morphism=m,
-                residual=resid,
-                fc_norm=fc_norm,
-                trial_index=trial,
-                nodes_used=nodes,
-            )
-        return SearchOutcome("not-found", best_residual=resid, nodes_used=nodes)
+        return replace(_float_stage(A, n, float_restarts, seed, tol), nodes_used=nodes)
     return SearchOutcome("not-found", nodes_used=nodes)

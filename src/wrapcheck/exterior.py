@@ -237,22 +237,27 @@ class Multivector:
         return " + ".join(parts)
 
 
-def wedge(a: Multivector, b: Multivector) -> Multivector:
-    """Graded-commutative product; repeated indices kill a term."""
-    a._check(b)
+def wedge_terms(a: dict, b: dict) -> dict:
+    """The product of two ``{mask: coefficient}`` maps, uncoerced, with
+    cancelled terms dropped; the loop under :func:`wedge`."""
     terms: dict[int, object] = {}
-    for ma, ca in a._terms.items():
-        for mb, cb in b._terms.items():
+    for ma, ca in a.items():
+        for mb, cb in b.items():
             if ma & mb:
                 continue
             m = ma | mb
-            c = ca * cb * _merge_sign(ma, mb)
-            acc = terms.get(m, 0) + c
+            acc = terms.get(m, 0) + ca * cb * _merge_sign(ma, mb)
             if acc == 0:
                 terms.pop(m, None)
             else:
                 terms[m] = acc
-    return Multivector(a.n, terms)
+    return terms
+
+
+def wedge(a: Multivector, b: Multivector) -> Multivector:
+    """Graded-commutative product; repeated indices kill a term."""
+    a._check(b)
+    return Multivector(a.n, wedge_terms(a._terms, b._terms))
 
 
 def wedge_table(left, right) -> tuple[list[int], list[tuple[int, int, int, int]]]:
@@ -281,15 +286,7 @@ def wedge_table(left, right) -> tuple[list[int], list[tuple[int, int, int, int]]
 
 def top_pairing(a: Multivector, b: Multivector):
     """Coefficient of e{1,...,n} in a ^ b."""
-    a._check(b)
-    full = (1 << a.n) - 1
-    total = Fraction(0)
-    for ma, ca in a._terms.items():
-        mb = full ^ ma
-        cb = b._terms.get(mb)
-        if cb is not None:
-            total += ca * cb * _merge_sign(ma, mb)
-    return total
+    return wedge(a, b).coefficient((1 << a.n) - 1)
 
 
 def graded_dimension(n: int, k: int) -> int:

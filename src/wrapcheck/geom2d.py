@@ -369,7 +369,7 @@ class LatticeLoop:
     @classmethod
     def from_word(cls, word: str) -> "LatticeLoop":
         """Parse a step word like "EENNWWSS" (whitespace ignored)."""
-        return cls(tuple(word.upper().split() if " " in word else word.upper()))
+        return cls(tuple("".join(word.upper().split())))
 
     def word(self) -> str:
         return "".join(self.steps)

@@ -355,7 +355,6 @@ class DegreeReport:
     fd_step: float = FD_STEP
     lipschitz: float | None = None
     jacobian_floor: float | None = None
-    qr_ratio: float | None = None
     samples: int | None = None
     masked: int | None = None
 
@@ -382,8 +381,6 @@ class DegreeReport:
             lines.append(f"# lipschitz\t{self.lipschitz:.12g}")
         if self.jacobian_floor is not None:
             lines.append(f"# jacobian_floor\t{self.jacobian_floor:.12g}")
-        if self.qr_ratio is not None:
-            lines.append(f"# qr_ratio\t{self.qr_ratio:.12g}")
         lines.append("R\tnormalized_integral")
         for r, v in zip(self.radii, self.normalized):
             lines.append(f"{r:.6g}\t{v:.12g}")

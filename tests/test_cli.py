@@ -405,6 +405,55 @@ class TestCLI:
         assert main(["check", str(bad), "--budget", "200"]) == EXIT_EXCLUDED
         assert "cup form on degree 2: degenerate, rank 3" in capsys.readouterr().out
 
+    S1 = "name: s1\nn: 1\n[cohomology]\ngenerators: x:1\nfundamental_class: x\n"
+
+    def test_circle_descriptor(self, tmp_path, capsys):
+        path = tmp_path / "s1.descriptor"
+        path.write_text(self.S1 + "[pi1]\ntype: Z\n")
+        assert main(["check", str(path)]) == EXIT_OK
+        assert "verdict: no-obstruction-found" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["false", "true"])
+    def test_truncation_key_is_unknown(self, tmp_path, capsys, value):
+        # everything above degree n is zero; there is no switch for it
+        path = tmp_path / "s1.descriptor"
+        path.write_text(self.S1 + f"truncate_above_n: {value}\n[pi1]\ntype: Z\n")
+        assert main(["check", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 6, ")
+        assert "unknown key 'truncate_above_n' in [cohomology]" in err
+
+    @pytest.mark.parametrize(
+        "ring,code",
+        [
+            ("t2", EXIT_OK),
+            ("cp2_4_0", EXIT_EXCLUDED),
+            ("heisenberg3", EXIT_EXCLUDED),
+            ("s2xs2", EXIT_OK),
+        ],
+    )
+    def test_check_structured_matches_golden_entry(self, tmp_path, ring, code):
+        out = tmp_path / "report.json"
+        args = ["check", corpus_file(ring), "--budget", "4000", "--format", "structured"]
+        assert main(args + ["--out", str(out)]) == code
+        golden = {r["name"]: r for r in json.loads(GOLDEN.read_text())["reports"]}
+        assert json.loads(out.read_text()) == golden[ring]
+
+    def test_embed_text_output(self, capsys):
+        assert main(["embed", corpus_file("t2")]) == EXIT_OK
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.endswith("found-certified")
+
+    def test_corpus_text_matches_golden_verdicts(self, capsys):
+        assert main(["corpus", "--budget", "4000"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        golden = json.loads(GOLDEN.read_text())["reports"]
+        want = [
+            [r["name"], r["verdict"], "embedding:", (r["embedding"] or {}).get("status", "-")]
+            for r in golden
+        ]
+        assert [line.split() for line in lines] == want
+
     def test_surface_subcommand(self, tmp_path):
         out = tmp_path / "surface.txt"
         code = main(

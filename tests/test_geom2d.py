@@ -146,6 +146,10 @@ class TestRevolutionVolume:
 
 
 class TestLoops:
+    @pytest.mark.parametrize("word", ["EN WS", " ENWS", "enws", "E\tN\nW S "])
+    def test_from_word_ignores_whitespace_and_case(self, word):
+        assert LatticeLoop.from_word(word).steps == ("E", "N", "W", "S")
+
     def test_square_is_reduced(self):
         sq = square_loop()
         assert reduce_loop(sq) == sq
@@ -273,3 +277,12 @@ class TestSpliceAcrossSquare:
         big = square_loop(6, 6)
         spliced = splice_across_square(big, (-3, -3), (-1, -1, 2))
         assert turning_number(reduce_loop(spliced)) == 1
+
+    def test_run_through_interior_becomes_staircase(self):
+        # (1, 1) is the one vertex strictly inside the square (0, 0, 2);
+        # the run is replaced by the staircase (1, 0) -> (2, 0) -> (2, 1)
+        loop = LatticeLoop.from_word("ENENWWSS")
+        spliced = splice_across_square(loop, (0, 0), (0, 0, 2))
+        assert spliced.word() == "EENNWWSS"
+        assert all(not (0 < x < 2 and 0 < y < 2) for x, y in spliced.vertices((0, 0)))
+        assert turning_number(reduce_loop(spliced)) == turning_number(reduce_loop(loop))
