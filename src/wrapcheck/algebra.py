@@ -124,11 +124,6 @@ class GradedPolynomial:
     def __sub__(self, other: "GradedPolynomial") -> "GradedPolynomial":
         return self + (-other)
 
-    def scale(self, c) -> "GradedPolynomial":
-        return GradedPolynomial(
-            self.generators, tuple((coeff * Fraction(c), e) for coeff, e in self.monomials)
-        )
-
     def __mul__(self, other: "GradedPolynomial") -> "GradedPolynomial":
         if self.generators != other.generators:
             raise ValueError("polynomials over different generator tables")
@@ -290,8 +285,11 @@ def _ideal_span(
 
 
 class GradedBasis:
-    """Per-degree monomial bases of the quotient algebra, with reducers.
+    """Per-degree monomial bases of the quotient algebra, with one reducer.
 
+    :meth:`coords` reads an element given by its monomial terms on the
+    standard-monomial basis; callers multiply monomials with
+    :func:`_monomial_mul`, so no polynomial is built after parsing.
     ``basis_and_dims`` also stores the truncation probe's result on it
     as ``excess_degrees``.
     """
@@ -321,25 +319,12 @@ class GradedBasis:
         return list(self._monomials[k])
 
     # -- reduction ---------------------------------------------------------
-    def vector_of(self, p: GradedPolynomial) -> tuple[int, linalg.Vector]:
-        k = p.degree()
-        if k is None:
-            raise ValueError("zero polynomial has no degree")
-        vec = linalg.zero_vector(len(self._monomials[k]))
-        for c, e in p.monomials:
-            vec[self._mono_index[k][e]] = c
-        return k, vec
-
-    def coords(self, p: GradedPolynomial) -> tuple[Fraction, ...]:
-        """Coordinates in the quotient, on the standard-monomial basis."""
-        k, vec = self.vector_of(p)
-        return self._ideal[k].coords_modulo(vec)
-
-    def is_in_ideal(self, p: GradedPolynomial) -> bool:
-        if p.is_zero:
-            return True
-        k, vec = self.vector_of(p)
-        return self._ideal[k].contains(vec)
+    def coords(self, k: int, terms) -> tuple[Fraction, ...]:
+        """Quotient coordinates, on the standard monomials, of the degree-k
+        element with (coefficient, exponent vector) ``terms``, the shape of
+        ``GradedPolynomial.monomials`` (exponent vectors distinct)."""
+        index = self._mono_index[k]
+        return self._ideal[k].coords_modulo({index[e]: c for c, e in terms})
 
 
 @lru_cache(maxsize=256)
@@ -352,8 +337,7 @@ def basis_and_dims(presentation: AlgebraPresentation) -> GradedBasis:
     presentation should not need.
     """
     gb = GradedBasis(presentation)
-    fc = presentation.fundamental_class
-    if gb.is_in_ideal(fc):
+    if not any(gb.coords(presentation.n, presentation.fundamental_class.monomials)):
         raise DegeneratePresentation("fundamental class lies in the relation ideal")
     gb.excess_degrees = _excess_degrees(gb)
     if gb.excess_degrees:
@@ -445,10 +429,7 @@ def check_poincare_duality(presentation: AlgebraPresentation) -> PDReport:
     n = presentation.n
     if gb.rank(n) != 1:
         return PDReport(False, n, f"top degree has rank {gb.rank(n)}, expected 1")
-    fc_entry = next(c for c in gb.coords(presentation.fundamental_class) if c != 0)
-    return _duality_report(
-        n, gb.representatives, lambda a, b: _product_coefficient(gb, a, b, fc_entry)
-    )
+    return _duality_report(n, gb.representatives, _pairing(gb, n))
 
 
 def _duality_report(top: int, basis, pair) -> PDReport:
@@ -482,23 +463,28 @@ def cup_square_form(presentation: AlgebraPresentation, k: int):
     if gb.rank(2 * k) != 1:
         raise ValueError(f"degree {2 * k} has rank {gb.rank(2 * k)}, expected 1")
     reps = gb.representatives(k)
-    unit = Fraction(1)
-    if 2 * k == presentation.n:
-        unit = next(c for c in gb.coords(presentation.fundamental_class) if c != 0)
-    return [[_product_coefficient(gb, a, b, unit) for b in reps] for a in reps], reps
+    pair = _pairing(gb, 2 * k)
+    return [[pair(a, b) for b in reps] for a in reps], reps
 
 
-def _product_coefficient(gb: GradedBasis, ma, mb, unit: Fraction) -> Fraction:
-    """Product of two monomials in a degree of rank one, as a number.
+def _pairing(gb: GradedBasis, target: int):
+    """Product of a pair of monomials in the rank-one degree ``target``, as a number.
 
-    The product is read off its one quotient coordinate and divided by
-    ``unit``; a product that vanishes reads zero.
+    The product's one quotient coordinate, divided by the fundamental
+    class's coordinate when ``target`` is the formal dimension; a product
+    in which an odd generator squares reads zero.
     """
-    gens = gb.presentation.generators
-    prod = GradedPolynomial.monomial(gens, 1, ma) * GradedPolynomial.monomial(gens, 1, mb)
-    if prod.is_zero:
-        return Fraction(0)
-    return next((c for c in gb.coords(prod) if c != 0), Fraction(0)) / unit
+    presentation = gb.presentation
+    degrees = [d for _, d in presentation.generators]
+    unit = Fraction(1)
+    if target == presentation.n:
+        (unit,) = gb.coords(target, presentation.fundamental_class.monomials)
+
+    def pair(a, b) -> Fraction:
+        prod = _monomial_mul(degrees, a, b)
+        return Fraction(0) if prod is None else gb.coords(target, (prod,))[0] / unit
+
+    return pair
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ class BatteryOptions:
     embed_budget: int = 20000
     embed_float_restarts: int = 0
     seed: int = 0
-    embed_tolerance: float = 1e-9
 
 
 @dataclass
@@ -287,7 +286,6 @@ def run_battery(d: ManifoldDescriptor, options: BatteryOptions | None = None) ->
             budget=options.embed_budget,
             seed=options.seed,
             float_restarts=options.embed_float_restarts,
-            tol=options.embed_tolerance,
         )
 
     failing = tuple(c.check_id for c in checks if c.verdict == "fail")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from importlib import resources
 
@@ -26,6 +27,7 @@ from .algebra import DegeneratePresentation
 from .battery import BatteryOptions, run_battery
 from .descriptor import ParseError, parse_descriptor_file
 from .embed import search_embedding
+from .exterior import MAX_DIMENSION
 
 EXIT_OK = 0
 EXIT_EXCLUDED = 1
@@ -41,6 +43,20 @@ def _write(text: str, out: str | None):
         sys.stdout.write(text)
 
 
+def _ambient_dimension(text: str) -> int:
+    n = int(text)
+    if not 0 <= n <= MAX_DIMENSION:
+        raise argparse.ArgumentTypeError(f"must be in 0..{MAX_DIMENSION}, got {n}")
+    return n
+
+
+def _finite_positive(text: str) -> float:
+    x = float(text)
+    if not (math.isfinite(x) and x > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return x
+
+
 def _common_flags(p: argparse.ArgumentParser, embed_flags=False):
     p.add_argument("--format", choices=("text", "structured"), default="text")
     p.add_argument("--out", default=None, help="write the report to this file")
@@ -48,7 +64,6 @@ def _common_flags(p: argparse.ArgumentParser, embed_flags=False):
         p.add_argument("--budget", type=int, default=20000, help="exact-search node budget")
         p.add_argument("--float-restarts", type=int, default=0)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tolerance", type=float, default=1e-9)
 
 
 def _cmd_check(args) -> int:
@@ -58,7 +73,6 @@ def _cmd_check(args) -> int:
         embed_budget=args.budget,
         embed_float_restarts=args.float_restarts,
         seed=args.seed,
-        embed_tolerance=args.tolerance,
     )
     try:
         report = run_battery(d, options)
@@ -78,7 +92,6 @@ def _cmd_embed(args) -> int:
             budget=args.budget,
             seed=args.seed,
             float_restarts=args.float_restarts,
-            tol=args.tolerance,
         )
     except DegeneratePresentation as exc:
         raise ParseError(str(exc), d.fundamental_class_line) from None
@@ -165,14 +178,15 @@ def _load_profile(args) -> geom2d.RadialProfile:
                 rows.append((float(parts[0]), float(parts[1])))
         rows.sort()
         return geom2d.RadialProfile.tabulated([r for r, _ in rows], [v for _, v in rows])
+    rmax = {} if args.rmax is None else {"rmax": args.rmax}
     if args.family == "euclidean":
-        return geom2d.RadialProfile.euclidean(args.rmax or 1e6)
+        return geom2d.RadialProfile.euclidean(**rmax)
     if args.family == "hyperbolic":
-        return geom2d.RadialProfile.hyperbolic(args.rmax or 512.0)
+        return geom2d.RadialProfile.hyperbolic(**rmax)
     if args.family == "power-log":
         if args.epsilon is None:
             raise ParseError("power-log needs --epsilon", 1)
-        return geom2d.RadialProfile.power_log(args.epsilon, args.rmax or 2.0**18)
+        return geom2d.RadialProfile.power_log(args.epsilon, **rmax)
     raise ParseError("need --family or --profile", 1)
 
 
@@ -254,7 +268,6 @@ def _cmd_corpus(args) -> int:
         embed_budget=args.budget,
         embed_float_restarts=args.float_restarts,
         seed=args.seed,
-        embed_tolerance=args.tolerance,
     )
     table = []
     for path in corpus_paths():
@@ -298,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("embed", help="search for an exterior-algebra embedding")
     p.add_argument("descriptor")
-    p.add_argument("--n", type=int, default=None, help="target ambient dimension")
+    p.add_argument("--n", type=_ambient_dimension, default=None, help="target ambient dimension")
     _common_flags(p, embed_flags=True)
     p.set_defaults(func=_cmd_embed)
 
@@ -310,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("surface", help="conformal type of a rotationally symmetric plane")
     p.add_argument("--family", choices=("euclidean", "hyperbolic", "power-log"))
     p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--rmax", type=float, default=None)
+    p.add_argument("--rmax", type=_finite_positive, default=None)
     p.add_argument("--profile", default=None, help="file of 'r L(r)' samples")
     _common_flags(p)
     p.set_defaults(func=_cmd_surface)

@@ -204,7 +204,10 @@ def torus_subalgebra_check(A: AlgebraPresentation) -> CheckResult:
 
     Fails when b_1 > n, when b_1 = n-1 (pairing contradiction), or when
     the subalgebra generated by degree one is not free exterior (some
-    product rank drops below C(b_1, j)).
+    product rank drops below C(b_1, j)).  Distinct degree-one monomials
+    multiply to plus or minus the monomial of their summed exponents, and
+    a row's sign leaves the rank alone, so each row is that monomial's
+    quotient coordinates.
     """
     gb = basis_and_dims(A)
     n = A.n
@@ -216,17 +219,12 @@ def torus_subalgebra_check(A: AlgebraPresentation) -> CheckResult:
         reasons.append({"reason": "rank-n-minus-1-pairing"})
     if k <= n:
         reps1 = gb.representatives(1)
-        gens = A.generators
         for j in range(2, k + 1):
             target = math.comb(k, j)
-            rows = []
-            for combo in itertools.combinations(reps1, j):
-                prod = GradedPolynomial.monomial(gens, 1, combo[0])
-                for m in combo[1:]:
-                    prod = prod * GradedPolynomial.monomial(gens, 1, m)
-                if prod.is_zero:
-                    continue
-                rows.append(list(gb.coords(prod)))
+            rows = [
+                gb.coords(j, ((1, tuple(map(sum, zip(*combo)))),))
+                for combo in itertools.combinations(reps1, j)
+            ]
             got = linalg.rank(rows)
             if got < target:
                 reasons.append(
@@ -582,9 +580,7 @@ def _image_program(polys, n: int, gen_masks, offsets):
     return images
 
 
-def _float_stage(
-    A: AlgebraPresentation, n: int, restarts: int, seed: int, tol: float
-) -> SearchOutcome:
+def _float_stage(A: AlgebraPresentation, n: int, restarts: int, seed: int) -> SearchOutcome:
     """Random-restart least squares on relation residuals.
 
     Minimizes the stacked relation coefficients plus (|FC|^2 - 1); the
@@ -637,7 +633,7 @@ def _float_stage(
         fc_norm = math.sqrt(sum(float(c) ** 2 for c in coords[nrel:]))
         if best_res is None or rel_resid < best_res:
             best_res = rel_resid
-        if rel_resid <= tol and fc_norm >= FC_NORM_MIN:
+        if rel_resid <= RESIDUAL_TOL and fc_norm >= FC_NORM_MIN:
             # lift along a ladder of denominators, exact re-verification only
             for bound in (1, 2, 4, 8, 16, LIFT_DENOMINATOR_BOUND):
                 try:
@@ -657,7 +653,6 @@ def search_embedding(
     budget: int = 20000,
     seed: int = 0,
     float_restarts: int = 0,
-    tol: float = RESIDUAL_TOL,
 ) -> SearchOutcome:
     """Look for an injective graded ring map into Lambda*(Q^n).
 
@@ -683,5 +678,5 @@ def search_embedding(
             nodes_used=nodes,
         )
     if float_restarts > 0:
-        return replace(_float_stage(A, n, float_restarts, seed, tol), nodes_used=nodes)
+        return replace(_float_stage(A, n, float_restarts, seed), nodes_used=nodes)
     return SearchOutcome("not-found", nodes_used=nodes)

@@ -151,7 +151,10 @@ def ahlfors_classify(profile: RadialProfile, samples_per_window: int = 256) -> C
     the last MIN_WINDOWS consecutive window-sum ratios are all below
     HYPERBOLIC_RATIO, Parabolic when they all stay within a factor
     PARABOLIC_WINDOW_FACTOR of each other, Inconclusive otherwise.
+    A non-finite ``profile.rmax`` raises ValueError.
     """
+    if not math.isfinite(profile.rmax):
+        raise ValueError(f"rmax must be finite, got {profile.rmax}")
     windows = _dyadic_windows(profile.rmin(), profile.rmax)
     trace = []
     for a, b in windows:

@@ -1,4 +1,8 @@
 import contextlib
+import functools
+import itertools
+import math
+import operator
 import random
 import warnings
 from fractions import Fraction
@@ -21,6 +25,7 @@ from wrapcheck.algebra import (
 )
 from wrapcheck.cli import corpus_paths
 from wrapcheck.descriptor import parse_descriptor_file
+from wrapcheck.embed import torus_subalgebra_check
 from wrapcheck.exterior import Multivector
 
 import presentations as P
@@ -93,6 +98,46 @@ class TestEvaluatePolynomial:
             evaluate_polynomial(mono(gens, 1, 1), {"w": Multivector.blade(3, (1,))}, 3)
 
 
+def random_small_presentations(count=20, seed=808):
+    """Random non-degenerate presentations on 1-4 generators, n in 2..6.
+
+    Their bases are built (and cached) with warnings silenced, since
+    nothing forces the relations to vanish above degree n.
+    """
+    rng = random.Random(seed)
+    produced = 0
+    while produced < count:
+        ngens = rng.randint(1, 4)
+        n = rng.randint(2, 6)
+        gens = tuple((f"g{i}", rng.randint(1, min(3, n))) for i in range(ngens))
+        relations = []
+        for _ in range(rng.randint(0, 3)):
+            deg = rng.randint(2, n)
+            monos = algebra._monomials_of_degree(gens, deg)
+            if not monos:
+                continue
+            terms = tuple(
+                (Fraction(rng.randint(-2, 2)), rng.choice(monos))
+                for _ in range(rng.randint(1, 2))
+            )
+            poly = GradedPolynomial(gens, terms)
+            if not poly.is_zero:
+                relations.append(poly)
+        fc_monos = algebra._monomials_of_degree(gens, n)
+        if not fc_monos:
+            continue
+        fc = GradedPolynomial.monomial(gens, 1, rng.choice(fc_monos))
+        pres = AlgebraPresentation(gens, tuple(relations), n, fc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                basis_and_dims(pres)
+            except DegeneratePresentation:
+                continue
+        yield pres
+        produced += 1
+
+
 class TestBasisAndDims:
     @pytest.mark.parametrize(
         "presentation,want",
@@ -126,40 +171,8 @@ class TestBasisAndDims:
         assert basis_and_dims(presentation).ranks == oracle_quotient_ranks(presentation)
 
     def test_random_small_presentations_match_oracle(self):
-        rng = random.Random(808)
-        produced = 0
-        while produced < 20:
-            ngens = rng.randint(1, 4)
-            n = rng.randint(2, 6)
-            gens = tuple((f"g{i}", rng.randint(1, min(3, n))) for i in range(ngens))
-            from wrapcheck.algebra import _monomials_of_degree
-
-            relations = []
-            for _ in range(rng.randint(0, 3)):
-                deg = rng.randint(2, n)
-                monos = _monomials_of_degree(gens, deg)
-                if not monos:
-                    continue
-                terms = tuple(
-                    (Fraction(rng.randint(-2, 2)), rng.choice(monos))
-                    for _ in range(rng.randint(1, 2))
-                )
-                poly = GradedPolynomial(gens, terms)
-                if not poly.is_zero:
-                    relations.append(poly)
-            fc_monos = _monomials_of_degree(gens, n)
-            if not fc_monos:
-                continue
-            fc = GradedPolynomial.monomial(gens, 1, rng.choice(fc_monos))
-            pres = AlgebraPresentation(gens, tuple(relations), n, fc)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                try:
-                    ranks = basis_and_dims(pres).ranks
-                except DegeneratePresentation:
-                    continue
-            assert ranks == oracle_quotient_ranks(pres)
-            produced += 1
+        for pres in random_small_presentations():
+            assert basis_and_dims(pres).ranks == oracle_quotient_ranks(pres)
 
     def test_degenerate_presentation(self):
         gens = (("w", 2),)
@@ -337,6 +350,61 @@ def reference_ideal(presentation, max_degree):
     return out
 
 
+def reference_products(presentation):
+    """Duality report, degree-2 cup form and degree-one product ranks,
+    from products of GradedPolynomials reduced through reference_ideal's
+    spans (the round trip the monomial-coordinate reader must reproduce).
+
+    Returns ((holds, failing_degree), (gram, reps) or None when degree 4
+    does not have rank one, {j: rank of the degree-j products of distinct
+    degree-one classes}).
+    """
+    gens, n = presentation.generators, presentation.n
+    ref = reference_ideal(presentation, n)
+
+    def reps(k):
+        if k > n:
+            return []
+        monos, span = ref[k]
+        return [m for i, m in enumerate(monos) if i not in span.pivot_rows]
+
+    def coords(p):
+        monos, span = ref[p.degree()]
+        return span.coords_modulo({monos.index(e): c for c, e in p.monomials})
+
+    def product(combo):
+        return functools.reduce(
+            operator.mul, (GradedPolynomial.monomial(gens, 1, m) for m in combo)
+        )
+
+    def gram(left, right, unit):
+        prods = [[product((a, b)) for b in right] for a in left]
+        return [[Fraction(0) if p.is_zero else coords(p)[0] / unit for p in row] for row in prods]
+
+    duality = (False, n)
+    if len(reps(n)) == 1:
+        fc = coords(presentation.fundamental_class)[0]
+        duality = (True, None)
+        for k in range(n // 2 + 1):
+            left, right = reps(k), reps(n - k)
+            if len(left) != len(right) or (
+                left and linalg.rank(gram(left, right, fc)) != len(left)
+            ):
+                duality = (False, k)
+                break
+    cup = None
+    if len(reps(4)) == 1:
+        unit = coords(presentation.fundamental_class)[0] if n == 4 else Fraction(1)
+        cup = (gram(reps(2), reps(2), unit), reps(2))
+    ones = reps(1)
+    ranks = {}
+    if len(ones) <= n:
+        for j in range(2, len(ones) + 1):
+            prods = [product(c) for c in itertools.combinations(ones, j)]
+            ranks[j] = linalg.rank([coords(p) for p in prods if not p.is_zero])
+    return duality, cup, ranks
+
+
 def _unforced():
     # nothing kills x w or w^2 above degree 2: excess degrees 3 and 4
     gens = (("x", 1), ("w", 2))
@@ -396,3 +464,39 @@ class TestIdealRows:
         with pytest.warns(UserWarning, match="truncation") if want else contextlib.nullcontext():
             stored = basis_and_dims.__wrapped__(A)
         assert stored.excess_degrees == want
+
+
+class TestProductsMatchReference:
+    """Pairings, cup forms and degree-one ranks against reference_products."""
+
+    PATHS = {p.name.removesuffix(".descriptor"): p for p in corpus_paths()}
+
+    @pytest.mark.parametrize("name", [*PATHS, "random"])
+    def test_matches_polynomial_round_trip(self, name):
+        if name == "random":
+            rings = [A for A in random_small_presentations() if basis_and_dims(A).rank(A.n) == 1]
+            assert len(rings) == 7
+        else:
+            rings = [parse_descriptor_file(self.PATHS[name]).cohomology]
+        for A in rings:
+            duality, cup, ranks = reference_products(A)
+            pd = check_poincare_duality(A)
+            assert (pd.holds, pd.failing_degree) == duality
+            if cup is None:
+                with pytest.raises(ValueError):
+                    cup_square_form(A, 2)
+            else:
+                gram, reps = cup_square_form(A, 2)
+                assert (gram, reps) == cup
+                assert all(type(c) is Fraction for row in gram for c in row)
+            res = torus_subalgebra_check(A)
+            b1 = basis_and_dims(A).rank(1)
+            drop = next(
+                ((j, r, math.comb(b1, j)) for j, r in ranks.items() if r < math.comb(b1, j)),
+                None,
+            )
+            reasons = [res.witness["reason"], *res.witness.get("also", [])] if res.failed else []
+            assert ("not-free-exterior" in reasons) == (drop is not None)
+            if reasons and reasons[0] == "not-free-exterior":
+                w = res.witness
+                assert (w["degree"], w["rank"], w["expected"]) == drop

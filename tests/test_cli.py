@@ -511,6 +511,47 @@ class TestCLI:
         assert "growth degree: 7" in text
         assert "degree-2 kernel of the abelianization pullback: 1" in text
 
+    @pytest.mark.parametrize("n", ["33", "40", "-1"])
+    def test_embed_n_out_of_range_exit(self, capsys, n):
+        assert main(["embed", corpus_file("t2"), "--n", n]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert f"argument --n: must be in 0..32, got {n}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("n, code", [("0", EXIT_EXCLUDED), ("32", EXIT_OK)])
+    def test_embed_n_range_ends_accepted(self, capsys, n, code):
+        assert main(["embed", corpus_file("t2"), "--n", n, "--budget", "100"]) == code
+        assert capsys.readouterr().out.startswith(f"t2 -> exterior algebra on {n} generators")
+
+    @pytest.mark.parametrize(
+        "family, rmax",
+        [
+            (["hyperbolic"], "1e400"),
+            (["euclidean"], "inf"),
+            (["hyperbolic"], "nan"),
+            (["power-log", "--epsilon", "0.5"], "-1"),
+            (["euclidean"], "0"),
+        ],
+    )
+    def test_surface_bad_rmax_exit(self, capsys, family, rmax):
+        assert main(["surface", "--family", *family, "--rmax", rmax]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert f"argument --rmax: must be finite and positive, got {rmax}" in captured.err
+        assert captured.out == ""
+
+    def test_surface_rmax_sets_the_last_window(self, tmp_path):
+        out = tmp_path / "surface.txt"
+        assert main(["surface", "--family", "euclidean", "--rmax", "64", "--out", str(out)]) == EXIT_OK
+        text = out.read_text()
+        assert "length criterion: Parabolic" in text
+        assert text.splitlines()[-1].split("\t")[:2] == ["32", "64"]
+
+    @pytest.mark.parametrize("command", ["check", "embed", "corpus"])
+    def test_tolerance_flag_is_unknown(self, capsys, command):
+        args = [] if command == "corpus" else [corpus_file("t2")]
+        assert main([command, *args, "--tolerance", "1e-9"]) == EXIT_USAGE
+        assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
+
     def test_map_subcommand(self, tmp_path):
         out = tmp_path / "map.tsv"
         code = main(

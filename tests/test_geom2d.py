@@ -62,6 +62,12 @@ class TestAhlfors:
         with pytest.raises(ValueError):
             RadialProfile.tabulated([1.0, 2.0], [1.0, -1.0])
 
+    @pytest.mark.parametrize("rmax", [math.inf, math.nan])
+    def test_nonfinite_rmax_rejected(self, rmax):
+        # an infinite rmax used to double the dyadic window forever
+        with pytest.raises(ValueError, match="rmax must be finite"):
+            ahlfors_classify(RadialProfile.hyperbolic(rmax))
+
 
 class TestMilnor:
     def test_flat(self):
