@@ -22,7 +22,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import linalg
 from .exterior import Multivector, wedge
@@ -223,23 +223,33 @@ class AlgebraPresentation:
 
 
 def _monomials_of_degree(gens: GeneratorTable, k: int) -> list[tuple[int, ...]]:
-    """Exponent vectors of graded degree k, odd generators capped at 1."""
-    out: list[tuple[int, ...]] = []
+    """Exponent vectors of graded degree k, odd generators capped at 1,
+    in ascending order."""
+    if k < 0:
+        return []
+    if not gens:
+        return [()] if k == 0 else []
+    return _suffixes(tuple(d for _, d in gens), 0, k, {})
 
-    def rec(i: int, remaining: int, acc: list[int]):
-        if i == len(gens):
-            if remaining == 0:
-                out.append(tuple(acc))
-            return
-        _, d = gens[i]
-        top = 1 if d % 2 == 1 else remaining // d
-        for x in range(min(top, remaining // d) + 1):
-            acc.append(x)
-            rec(i + 1, remaining - d * x, acc)
-            acc.pop()
 
-    rec(0, k, [])
-    return sorted(out)
+def _suffixes(degrees: tuple[int, ...], i: int, remaining: int, memo: dict) -> list:
+    """Exponent vectors on the generators from i on of degree ``remaining``,
+    ascending, memoized per (i, remaining).  The last exponent is what the
+    remaining degree leaves, if the last generator's degree divides it."""
+    out = memo.get((i, remaining))
+    if out is not None:
+        return out
+    d = degrees[i]
+    if i == len(degrees) - 1:
+        x, r = divmod(remaining, d)
+        out = [(x,)] if r == 0 and (x <= 1 or d % 2 == 0) else []
+    else:
+        top = remaining // d if d % 2 == 0 else min(1, remaining // d)
+        out = [
+            (x, *s) for x in range(top + 1) for s in _suffixes(degrees, i + 1, remaining - d * x, memo)
+        ]
+    memo[i, remaining] = out
+    return out
 
 
 def _ideal_rows(
@@ -249,30 +259,45 @@ def _ideal_rows(
     column -> Fraction on the monomials of degree k.
 
     ``monomials[d]`` lists the monomials of degree d for every d <= k.
-    Each row is a relation times a monomial, merged exponent tuple by
-    exponent tuple; adding a fixed exponent vector keeps the relation's
-    ascending monomial order, so every row is keyed in ascending order.
-    A relation term with no odd generator commutes with everything, so
-    its merge is a plain tuple sum with sign +1.
+    Each row is a relation times a monomial.  Exponent vectors are read
+    as mixed-radix numbers whose digit for generator i runs up to
+    k // deg_i, which no vector of degree at most k exceeds, so the code
+    of a product is the sum of its factors' codes and code order is the
+    ascending order of the vectors: each monomial's code is computed
+    once per degree, and every row is keyed in ascending order.  A
+    relation term with no odd generator commutes with everything, so
+    its merge has sign +1; the others take theirs from
+    :func:`_monomial_mul`.
     """
     degrees = [d for _, d in presentation.generators]
     odd = [i for i, d in enumerate(degrees) if d % 2]
-    index = {m: i for i, m in enumerate(monomials[k])}
+    weights = [0] * len(degrees)
+    w = 1
+    for i in reversed(range(len(degrees))):
+        weights[i] = w
+        w *= k // degrees[i] + 1
+
+    def code(e) -> int:
+        return sum(map(operator.mul, e, weights))
+
+    index = {code(m): i for i, m in enumerate(monomials[k])}
+    codes: dict[int, list[int]] = {}
     for rel in presentation.relations:
         b = rel.degree()
         if b > k:
             continue
-        terms = [(c, e, any(e[i] for i in odd)) for c, e in rel.monomials]
-        for m in monomials[k - b]:
+        if k - b not in codes:
+            codes[k - b] = [code(m) for m in monomials[k - b]]
+        terms = [(c, e, code(e), any(e[i] for i in odd)) for c, e in rel.monomials]
+        for m, mc in zip(monomials[k - b], codes[k - b]):
             row = {}
-            for c, e, has_odd in terms:
+            for c, e, ec, has_odd in terms:
                 if not has_odd:
-                    row[index[tuple(map(operator.add, m, e))]] = c
+                    row[index[mc + ec]] = c
                     continue
                 merged = _monomial_mul(degrees, m, e)
                 if merged is not None:
-                    sign, exps = merged
-                    row[index[exps]] = c if sign > 0 else -c
+                    row[index[mc + ec]] = c if merged[0] > 0 else -c
             if row:
                 yield row
 
@@ -366,7 +391,7 @@ def _excess_degrees(gb: GradedBasis) -> list[int]:
     excess = []
     for k in range(n + 1, n + max((d for _, d in gens), default=0) + 1):
         monomials.append(_monomials_of_degree(gens, k))
-        if _fills_mod_p(_ideal_rows(presentation, monomials, k), len(monomials[k])):
+        if _fills_mod_p(lambda: _ideal_rows(presentation, monomials, k), len(monomials[k])):
             continue
         if _ideal_span(presentation, monomials, k).codim > 0:
             excess.append(k)
@@ -376,18 +401,33 @@ def _excess_degrees(gb: GradedBasis) -> list[int]:
 _PRIME = (1 << 61) - 1
 
 
-def _fills_mod_p(rows: Iterable[dict[int, Fraction]], dim: int) -> bool:
+def _fills_mod_p(rows: Callable[[], Iterable[dict[int, Fraction]]], dim: int) -> bool:
     """True when the rows span all ``dim`` columns mod the prime 2^61 - 1.
 
-    Echelon form in Python ints, each pivot at its row's first column,
-    stopping as soon as the rank is full.  False means inconclusive.
+    ``rows()`` streams the rows; they are read twice and never stored.
+    The first pass collects the columns that a one-entry row with a unit
+    value mod p spans on its own.  The second drops those columns from
+    every other row (subtracting multiples of the one-entry rows, which
+    leaves the span alone) and eliminates the rest in Python ints, in
+    echelon form with each pivot at its row's first column, stopping as
+    soon as the rank is full.  False means inconclusive.
     """
+    covered: set[int] = set()
+    for row in rows():
+        if len(covered) == dim:
+            return True
+        if len(row) == 1:
+            ((c, v),) = row.items()
+            if v.numerator % _PRIME and v.denominator % _PRIME:
+                covered.add(c)
     pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
-        if len(pivots) == dim:
+    for row in rows():
+        if len(covered) + len(pivots) == dim:
             break
         red = {}
         for c, v in row.items():
+            if c in covered:
+                continue
             den = v.denominator % _PRIME
             if den == 0:
                 return False
@@ -408,7 +448,7 @@ def _fills_mod_p(rows: Iterable[dict[int, Fraction]], dim: int) -> bool:
                     red[j] = y
                 else:
                     red.pop(j, None)
-    return len(pivots) == dim
+    return len(covered) + len(pivots) == dim
 
 
 def euler_characteristic(presentation: AlgebraPresentation) -> int:

@@ -242,7 +242,7 @@ def _cmd_map(args) -> int:
             radii = [float(x) for x in args.radii.split(",")]
         except ValueError:
             raise ValueError(f"--radii must be comma-separated numbers: {args.radii!r}") from None
-        wrapmaps.check_quadrature(radii, args.step)
+        wrapmaps.check_quadrature(radii, args.step, m.domain_dim)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

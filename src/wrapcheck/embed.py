@@ -427,18 +427,47 @@ def _exact_stage(
     Nodes are pruned in integer arithmetic; each leaf becomes a
     :class:`RingMorphism` over the rationals, returned only if it passes
     :func:`verify_morphism` and keeps the fundamental class nonzero.
+
+    A relation is checked at the level of its last generator.  Each of
+    its terms lists its factors in ascending generator order, so the
+    product of the factors below that level is a prefix, fixed for all
+    of the level's candidates: it is computed once on entering the
+    level, and each candidate only wedges in its own power.  Powers are
+    computed once per search, keyed by the candidate's index in its
+    level's list (levels of one degree share that list, and so the
+    powers).  The exterior product is associative, so every product,
+    hence every prune, node count and witness, equals that of the
+    factor-by-factor loop.
     """
     gens = A.generators
     candidates = [_disjoint_blade_candidates(n, deg, CANDIDATE_CAP) for _, deg in gens]
     if any(not c for c in candidates):
         return None, 0
-    # relations become checkable once all their generators are assigned
+    # relations become checkable once all their generators are assigned;
+    # at level L each term is (coefficient, factors below L, power of L)
     rels_by_level: list[list] = [[] for _ in range(len(gens) + 1)]
     for rel in A.relations:
         terms = _int_terms(rel)
-        rels_by_level[max((g + 1 for _, f in terms for g in f), default=0)].append(terms)
+        last = max((g for _, f in terms for g in f), default=-1)
+        split = []
+        for coeff, factors in terms:
+            e = factors.count(last)
+            split.append((coeff, factors[: len(factors) - e], e))
+        rels_by_level[last + 1].append(split)
     fc = A.fundamental_class
     fc_exps = fc.monomials[0][1] if len(fc.monomials) == 1 else None
+    # the highest power of its image that each level wedges in
+    top = [
+        max(
+            [e for split in rels_by_level[level + 1] for _, _, e in split]
+            + [fc_exps[level] if fc_exps is not None else 0]
+        )
+        for level in range(len(gens))
+    ]
+    # powers[d][i]: [None, c, c^2, ...] for the i-th degree-d candidate c,
+    # extended as far as a level asks; a level that needs no square reads
+    # the candidate itself
+    powers = {deg: [None] * len(c) for (_, deg), c in zip(gens, candidates)}
 
     images: list[dict[int, int]] = [{} for _ in gens]
     # prefixes[i]: images of the single-monomial fundamental class's
@@ -446,15 +475,17 @@ def _exact_stage(
     prefixes: list[dict[int, int]] = [{0: 1}] * (len(gens) + 1)
     nodes = 0
 
-    def vanishes(terms) -> bool:
-        total: dict[int, int] = {}
-        for coeff, factors in terms:
-            term = {0: coeff}
-            for g in factors:
-                term = wedge_terms(term, images[g])
-            for m, c in term.items():
-                total[m] = total.get(m, 0) + c
-        return not any(total.values())
+    def power_list(level: int, i: int):
+        cand = candidates[level][i]
+        if top[level] < 2:
+            return (None, cand)
+        cached = powers[gens[level][1]]
+        pw = cached[i]
+        if pw is None:
+            pw = cached[i] = [None, cand]
+        while len(pw) <= top[level]:
+            pw.append(wedge_terms(pw[-1], cand))
+        return pw
 
     def backtrack(level: int) -> RingMorphism | None:
         nonlocal nodes
@@ -464,17 +495,36 @@ def _exact_stage(
             if verify_morphism(m) and not m.evaluate(fc).is_zero:
                 return m
             return None
-        for cand in candidates[level]:
+        # per relation: the sum of its terms free of this level's
+        # generator, and the (prefix, power) pairs of the others
+        checks = []
+        for split in rels_by_level[level + 1]:
+            fixed: dict[int, int] = {}
+            varying = []
+            for coeff, below, e in split:
+                prefix = {0: coeff}
+                for g in below:
+                    prefix = wedge_terms(prefix, images[g])
+                if not prefix:
+                    continue
+                if e:
+                    varying.append((prefix, e))
+                else:
+                    for m, c in prefix.items():
+                        fixed[m] = fixed.get(m, 0) + c
+            checks.append((fixed, varying))
+        for i, cand in enumerate(candidates[level]):
             if nodes >= node_budget:
                 return None
             nodes += 1
             images[level] = cand
-            if not all(vanishes(terms) for terms in rels_by_level[level + 1]):
+            pw = power_list(level, i)
+            if not all(_vanishes(fixed, varying, pw) for fixed, varying in checks):
                 continue
             if fc_exps is not None:
                 prefix = prefixes[level]
-                for _ in range(fc_exps[level]):
-                    prefix = wedge_terms(prefix, cand)
+                if fc_exps[level]:
+                    prefix = wedge_terms(prefix, pw[fc_exps[level]])
                 if not prefix:
                     continue
                 prefixes[level + 1] = prefix
@@ -484,7 +534,25 @@ def _exact_stage(
         return None
 
     found = backtrack(0)
+    # backtrack reaches itself through its closure; unbinding it frees the
+    # search's state, the cached powers among it, now and not at the next
+    # full collection
+    del backtrack
     return found, nodes
+
+
+def _vanishes(fixed: dict[int, int], varying, pw) -> bool:
+    """Whether ``fixed`` plus each prefix times ``pw[e]`` is zero, ``pw``
+    listing the powers of a candidate by exponent."""
+    if not fixed and len(varying) == 1:
+        # wedge_terms drops cancelled terms, so a zero product is empty
+        prefix, e = varying[0]
+        return not wedge_terms(prefix, pw[e])
+    total = dict(fixed)
+    for prefix, e in varying:
+        for m, c in wedge_terms(prefix, pw[e]).items():
+            total[m] = total.get(m, 0) + c
+    return not any(total.values())
 
 
 class _Chain(NamedTuple):

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -333,10 +334,22 @@ def _chunk_walk(chunk: Callable[[int, int], object], count: int, size: int):
     """chunk(start, stop) over consecutive ranges covering range(count),
     at most size long, run on WORKERS threads; yields the results in
     range order, so a fold over them does not depend on the threads.
-    An exception raised in a chunk reaches the caller unchanged."""
-    spans = [(start, min(start + size, count)) for start in range(0, count, size)]
+    The ranges are submitted as the results are taken, at most
+    2 * WORKERS ahead, so no list of them is built whatever the count.
+    An exception raised in a chunk reaches the caller unchanged, and the
+    ranges not yet started are then cancelled."""
     with ThreadPoolExecutor(max_workers=WORKERS) as pool:
-        yield from pool.map(lambda span: chunk(*span), spans)
+        pending: deque = deque()
+        try:
+            for start in range(0, count, size):
+                if len(pending) == 2 * WORKERS:
+                    yield pending.popleft().result()
+                pending.append(pool.submit(chunk, start, min(start + size, count)))
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 @dataclass(frozen=True)
@@ -387,9 +400,11 @@ class DegreeReport:
         return "\n".join(lines) + "\n"
 
 
-def check_quadrature(radii: Sequence[float], quadrature_step: float) -> list[float]:
+def check_quadrature(radii: Sequence[float], quadrature_step: float, dim: int) -> list[float]:
     """The radii as floats, or ValueError unless they are finite, positive
-    and increasing and the step is finite, positive and at most R_max / 4."""
+    and increasing, the step is finite, positive and at most R_max / 4,
+    and the midpoint grid of [-R_max, R_max]^dim has few enough points
+    for a numpy index (``np.unravel_index`` addresses it in ``intp``)."""
     radii = [float(r) for r in radii]
     if not radii or any(radii[i] >= radii[i + 1] for i in range(len(radii) - 1)):
         raise ValueError("radii must be increasing and nonempty")
@@ -399,6 +414,11 @@ def check_quadrature(radii: Sequence[float], quadrature_step: float) -> list[flo
         raise ValueError("quadrature step must be finite and positive")
     if quadrature_step > radii[-1] / 4:
         raise ValueError("quadrature step too coarse relative to the largest radius")
+    rmax, h = radii[-1], quadrature_step
+    side = math.ceil((rmax - (-rmax + h / 2)) / h)  # len(np.arange(-rmax + h / 2, rmax, h))
+    # the logarithm settles a huge dim before the power is formed
+    if dim * math.log2(side) >= 64 or side**dim > np.iinfo(np.intp).max:
+        raise ValueError(f"quadrature grid of {side}^{dim} points is too large to index")
     return radii
 
 
@@ -416,7 +436,7 @@ def asymptotic_degree(
     are dropped and counted; with quadrature_step >> fd_step the
     omitted mass vanishes under refinement.
     """
-    radii = check_quadrature(radii, quadrature_step)
+    radii = check_quadrature(radii, quadrature_step, m.domain_dim)
     rmax = radii[-1]
     h = quadrature_step
     axis = np.arange(-rmax + h / 2, rmax, h)

@@ -5,14 +5,23 @@ tests: spheres, tori, projective spaces, surfaces, connected sums of
 4-manifolds, nilmanifolds of the Heisenberg and filiform algebras, and
 two boundary-of-thickening examples (the 2-skeleton of the 3-torus,
 and the 9-manifold built from a rational Poincare duality space whose
-cup form has square class -2).
+cup form has square class -2).  Also seeded random presentations, and
+any presentation with its generator table reversed.
 """
 
 from __future__ import annotations
 
+import random
+import warnings
 from fractions import Fraction
 
-from wrapcheck.algebra import AlgebraPresentation, GradedPolynomial
+from wrapcheck import algebra
+from wrapcheck.algebra import (
+    AlgebraPresentation,
+    DegeneratePresentation,
+    GradedPolynomial,
+    basis_and_dims,
+)
 
 
 def _mono(gens, coeff, **exps) -> GradedPolynomial:
@@ -255,3 +264,68 @@ def nine_manifold_disc2() -> AlgebraPresentation:
         )
     fc = _mono(gens, 1, u2=2, t=1)
     return AlgebraPresentation(gens, tuple(rels), 9, fc)
+
+
+def random_small_presentations(count=20, seed=808):
+    """Random non-degenerate presentations on 1-4 generators, n in 2..6.
+
+    Their bases are built (and cached) with warnings silenced, since
+    nothing forces the relations to vanish above degree n.
+    """
+    rng = random.Random(seed)
+    produced = 0
+    while produced < count:
+        ngens = rng.randint(1, 4)
+        n = rng.randint(2, 6)
+        gens = tuple((f"g{i}", rng.randint(1, min(3, n))) for i in range(ngens))
+        relations = []
+        for _ in range(rng.randint(0, 3)):
+            deg = rng.randint(2, n)
+            monos = algebra._monomials_of_degree(gens, deg)
+            if not monos:
+                continue
+            terms = tuple(
+                (Fraction(rng.randint(-2, 2)), rng.choice(monos))
+                for _ in range(rng.randint(1, 2))
+            )
+            poly = GradedPolynomial(gens, terms)
+            if not poly.is_zero:
+                relations.append(poly)
+        fc_monos = algebra._monomials_of_degree(gens, n)
+        if not fc_monos:
+            continue
+        fc = GradedPolynomial.monomial(gens, 1, rng.choice(fc_monos))
+        pres = AlgebraPresentation(gens, tuple(relations), n, fc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                basis_and_dims(pres)
+            except DegeneratePresentation:
+                continue
+        yield pres
+        produced += 1
+
+
+def reverse_generators(A: AlgebraPresentation, names=None) -> AlgebraPresentation:
+    """The same algebra with its generator table reversed, and renamed to
+    ``names`` (in the new order) when given.
+
+    A monomial written in the reversed order multiplies its r odd factors
+    in reversed order, (-1)^(r(r-1)/2) times the original monomial, so
+    each coefficient takes that sign.
+    """
+    gens = tuple(reversed(A.generators))
+    if names is not None:
+        gens = tuple(zip(names, (d for _, d in gens)))
+    odd = [d % 2 == 1 for _, d in A.generators]
+
+    def reverse(p: GradedPolynomial) -> GradedPolynomial:
+        terms = []
+        for c, e in p.monomials:
+            r = sum(x for x, o in zip(e, odd) if o)
+            terms.append((-c if r * (r - 1) // 2 % 2 else c, tuple(reversed(e))))
+        return GradedPolynomial(gens, tuple(terms))
+
+    return AlgebraPresentation(
+        gens, tuple(reverse(p) for p in A.relations), A.n, reverse(A.fundamental_class)
+    )

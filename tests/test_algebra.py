@@ -4,7 +4,6 @@ import itertools
 import math
 import operator
 import random
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -29,6 +28,7 @@ from wrapcheck.embed import torus_subalgebra_check
 from wrapcheck.exterior import Multivector
 
 import presentations as P
+from presentations import random_small_presentations
 from corpusgen import random_pd_subalgebra
 from oracles import oracle_quotient_ranks
 
@@ -96,46 +96,6 @@ class TestEvaluatePolynomial:
         gens = (("w", 2),)
         with pytest.raises(ValueError):
             evaluate_polynomial(mono(gens, 1, 1), {"w": Multivector.blade(3, (1,))}, 3)
-
-
-def random_small_presentations(count=20, seed=808):
-    """Random non-degenerate presentations on 1-4 generators, n in 2..6.
-
-    Their bases are built (and cached) with warnings silenced, since
-    nothing forces the relations to vanish above degree n.
-    """
-    rng = random.Random(seed)
-    produced = 0
-    while produced < count:
-        ngens = rng.randint(1, 4)
-        n = rng.randint(2, 6)
-        gens = tuple((f"g{i}", rng.randint(1, min(3, n))) for i in range(ngens))
-        relations = []
-        for _ in range(rng.randint(0, 3)):
-            deg = rng.randint(2, n)
-            monos = algebra._monomials_of_degree(gens, deg)
-            if not monos:
-                continue
-            terms = tuple(
-                (Fraction(rng.randint(-2, 2)), rng.choice(monos))
-                for _ in range(rng.randint(1, 2))
-            )
-            poly = GradedPolynomial(gens, terms)
-            if not poly.is_zero:
-                relations.append(poly)
-        fc_monos = algebra._monomials_of_degree(gens, n)
-        if not fc_monos:
-            continue
-        fc = GradedPolynomial.monomial(gens, 1, rng.choice(fc_monos))
-        pres = AlgebraPresentation(gens, tuple(relations), n, fc)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            try:
-                basis_and_dims(pres)
-            except DegeneratePresentation:
-                continue
-        yield pres
-        produced += 1
 
 
 class TestBasisAndDims:
@@ -464,6 +424,97 @@ class TestIdealRows:
         with pytest.warns(UserWarning, match="truncation") if want else contextlib.nullcontext():
             stored = basis_and_dims.__wrapped__(A)
         assert stored.excess_degrees == want
+
+
+def leaf_monomials(gens, k):
+    """The enumeration _monomials_of_degree replaced: every exponent of
+    every generator looped over, the remaining degree checked at the leaf."""
+    out = []
+
+    def rec(i, remaining, acc):
+        if i == len(gens):
+            if remaining == 0:
+                out.append(tuple(acc))
+            return
+        _, d = gens[i]
+        top = 1 if d % 2 == 1 else remaining // d
+        for x in range(min(top, remaining // d) + 1):
+            acc.append(x)
+            rec(i + 1, remaining - d * x, acc)
+            acc.pop()
+
+    rec(0, k, [])
+    return sorted(out)
+
+
+def _probe_cases(A):
+    """(monomials of degree 0..k, k) for each probe degree k of A."""
+    gb = basis_and_dims(A)
+    monomials = [gb.monomials(j) for j in range(A.n + 1)]
+    for k in range(A.n + 1, A.n + max(d for _, d in A.generators) + 1):
+        monomials.append(algebra._monomials_of_degree(A.generators, k))
+        yield monomials, k
+
+
+class TestTruncationProbe:
+    """The covered-column certificate and the monomial enumeration."""
+
+    PATHS = {p.name.removesuffix(".descriptor"): p for p in corpus_paths()}
+
+    @pytest.mark.parametrize("name", [*PATHS, "random"])
+    def test_fills_mod_p_iff_exact_codim_zero(self, name):
+        if name == "random":
+            rings = list(random_small_presentations())
+        else:
+            rings = [parse_descriptor_file(self.PATHS[name]).cohomology]
+        for A in rings:
+            for monomials, k in _probe_cases(A):
+                fills = algebra._fills_mod_p(
+                    lambda: algebra._ideal_rows(A, monomials, k), len(monomials[k])
+                )
+                assert fills == (algebra._ideal_span(A, monomials, k).codim == 0), (A, k)
+
+    @pytest.mark.parametrize(
+        "coeff", [Fraction(algebra._PRIME), Fraction(1, algebra._PRIME)], ids=["p", "1/p"]
+    )
+    def test_non_unit_one_entry_row_spans_nothing(self, coeff):
+        one = Fraction(1)
+        assert not algebra._fills_mod_p(lambda: iter([{0: coeff}]), 1)
+        assert not algebra._fills_mod_p(lambda: iter([{0: coeff}, {1: one}]), 2)
+        # other rows settle column 0 before the non-unit row is reached
+        rows = [{0: one, 1: one}, {1: Fraction(3)}, {0: coeff}]
+        assert algebra._fills_mod_p(lambda: iter(rows), 2)
+
+    def test_covered_columns_leave_the_rank(self):
+        one = Fraction(1)
+        # column 1 is covered by the last row; the first then pivots on column 0
+        assert algebra._fills_mod_p(lambda: iter([{0: one, 1: one}, {1: Fraction(-2)}]), 2)
+        assert not algebra._fills_mod_p(
+            lambda: iter([{0: one, 1: one}, {0: Fraction(2), 1: Fraction(2)}]), 2
+        )
+        assert algebra._fills_mod_p(lambda: iter([]), 0)
+
+    def test_rows_are_streamed_not_stored(self):
+        calls = []
+
+        def rows():
+            calls.append(1)
+            return iter([{0: Fraction(1), 1: Fraction(1)}, {0: Fraction(1), 1: Fraction(-1)}])
+
+        assert algebra._fills_mod_p(rows, 2)
+        assert len(calls) == 2
+
+    def test_monomials_match_leaf_enumeration(self):
+        rng = random.Random(4242)
+        tables = [(), (("x", 1),), (("w", 2),), (("x", 1), ("y", 1), ("w", 2), ("t", 5))]
+        tables += [
+            tuple((f"g{i}", rng.randint(1, 5)) for i in range(rng.randint(1, 6)))
+            for _ in range(60)
+        ]
+        assert sum(any(d % 2 for _, d in gens) for gens in tables) > 40
+        for gens in tables:
+            for k in (-3, -1, 0, 1, 2, rng.randint(3, 16)):
+                assert algebra._monomials_of_degree(gens, k) == leaf_monomials(gens, k), (gens, k)
 
 
 class TestProductsMatchReference:

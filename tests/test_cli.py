@@ -569,6 +569,11 @@ class TestCLI:
             (["--map", "identity", "--radii", "10,abc"], "--radii must be comma-separated numbers"),
             (["--map", "join", "--n", "1"], "join construction needs n >= 3"),
             (["--map", "sphere-wrap", "--samples", "-1"], "--samples must be at least 1"),
+            # 8^40 points: past what a numpy index addresses
+            (
+                ["--map", "identity", "--n", "40", "--radii", "4", "--step", "1"],
+                "quadrature grid of 8^40 points is too large to index",
+            ),
         ],
     )
     def test_map_bad_input_exit(self, capsys, flags, message):

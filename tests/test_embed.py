@@ -16,6 +16,7 @@ from wrapcheck.embed import (
     euler_obstruction,
     fourmanifold_battery,
     pad_morphism,
+    ring_checks,
     search_embedding,
     torus_subalgebra_check,
     verify_morphism,
@@ -23,6 +24,7 @@ from wrapcheck.embed import (
 from wrapcheck.exterior import Multivector, blade_masks, wedge
 
 import presentations as P
+from presentations import random_small_presentations, reverse_generators
 
 
 def blade(n, *idx):
@@ -406,6 +408,88 @@ class TestExactStage:
         assert (m is not None) == found
         if found:
             assert certify_injective(m)
+
+
+def _level_shapes(A):
+    """Which term shapes the per-level products meet in A's relations: a
+    term with factors both below and at its relation's last generator, a
+    power of at least 2 of that generator, and a term without it."""
+    split = power = fixed = False
+    for rel in A.relations:
+        last = max(i for _, e in rel.monomials for i, x in enumerate(e) if x)
+        for _, e in rel.monomials:
+            split |= bool(e[last] and any(e[:last]))
+            power |= e[last] >= 2
+            fixed |= not e[last]
+    return split, power, fixed
+
+
+class TestPerLevelProducts:
+    """The per-level relation prefixes and cached powers against the
+    factor-by-factor Fraction oracle, node for node."""
+
+    @pytest.mark.parametrize("setting", ["random", "reversed-corpus"])
+    def test_matches_fraction_oracle(self, setting):
+        if setting == "random":
+            cases = [(A, A.n) for A in random_small_presentations()]
+        else:
+            cases = [
+                (reverse_generators(d.cohomology), d.n)
+                for d in map(parse_descriptor_file, corpus_paths())
+            ]
+        for A, n in cases:
+            m, nodes = embed._exact_stage(A, n, 600)
+            ref, ref_nodes = fraction_exact_stage(A, n, 600)
+            assert (nodes, _witness(m)) == (ref_nodes, _witness(ref)), A
+        shapes = [_level_shapes(A) for A, _ in cases]
+        assert all(any(flags) for flags in zip(*shapes)), shapes
+
+
+def _polynomial_text(p) -> str:
+    """``p`` in descriptor syntax, every term signed."""
+    return " ".join(
+        f"{'-' if c < 0 else '+'} {abs(c)} "
+        + " ".join(nm + (f"^{x}" if x > 1 else "") for (nm, _), x in zip(p.generators, e) if x)
+        for c, e in p.monomials
+    )
+
+
+def _reversed_descriptor_text(path) -> str:
+    """The descriptor with its generators listed in reverse order and
+    renamed, the relations and fundamental class rewritten to match."""
+    d = parse_descriptor_file(path)
+    A = reverse_generators(d.cohomology, [f"z{i}" for i in range(len(d.cohomology.generators))])
+    lines = []
+    for line in path.read_text().splitlines():
+        if line.split(":", 1)[0].strip() in ("generators", "relation", "fundamental_class"):
+            continue
+        lines.append(line)
+        if line.strip() == "[cohomology]":
+            lines.append("generators: " + " ".join(f"{nm}:{deg}" for nm, deg in A.generators))
+            lines += [f"relation: {_polynomial_text(rel)}" for rel in A.relations]
+            lines.append(f"fundamental_class: {_polynomial_text(A.fundamental_class)}")
+    return "\n".join(lines) + "\n"
+
+
+class TestPresentationOrder:
+    """Reversing and renaming the generators changes no ring-level answer."""
+
+    @pytest.mark.parametrize("path", corpus_paths(), ids=lambda p: p.name)
+    def test_reversed_generators_same_checks_and_verdict(self, path):
+        d = parse_descriptor_file(path)
+        r = parse_descriptor(_reversed_descriptor_text(path))
+        assert [nm for nm, _ in r.cohomology.generators][0] == "z0"
+        assert [deg for _, deg in r.cohomology.generators] == [
+            deg for _, deg in reversed(d.cohomology.generators)
+        ]
+        assert ring_checks(r.cohomology) == ring_checks(d.cohomology)
+        options = BatteryOptions(embed=False)
+        want, got = run_battery(d, options), run_battery(r, options)
+        assert (got.betti, got.euler_characteristic, got.verdict) == (
+            want.betti, want.euler_characteristic, want.verdict
+        )
+        failing = [[c.check_id for c in rep.checks if c.failed] for rep in (want, got)]
+        assert failing[0] == failing[1]
 
 
 class TestCompiledResiduals:

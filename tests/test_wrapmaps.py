@@ -454,6 +454,29 @@ class TestParallelWalks:
         assert runs[0] == runs[1]
         assert runs[0][0].samples > 0 and runs[0][0].masked > 0
 
+    def test_spans_are_submitted_lazily(self, monkeypatch):
+        # 10^15 one-point spans: the first result comes back without the
+        # walk listing, or submitting, the rest
+        monkeypatch.setattr(wrapmaps, "WORKERS", 2)
+        started = []
+
+        def chunk(start, stop):
+            started.append(start)
+            return (start, stop)
+
+        walk = wrapmaps._chunk_walk(chunk, 10**15, 1)
+        assert next(walk) == (0, 1)
+        assert next(walk) == (1, 2)
+        walk.close()
+        assert len(started) <= 2 * 2 + 1
+
+    def test_rejects_grids_past_the_index_range(self):
+        with pytest.raises(ValueError, match="too large to index"):
+            asymptotic_degree(identity_map(21), [4], 1)
+        with pytest.raises(ValueError, match="too large to index"):
+            wrapmaps.check_quadrature([4], 1, 10**9)
+        assert wrapmaps.check_quadrature([4], 1, 20) == [4.0]
+
     def test_chunk_exception_reaches_caller(self, monkeypatch):
         # every ball about the origin leaves the strip map's domain
         monkeypatch.setattr(wrapmaps, "CHUNK_POINTS", 100)
