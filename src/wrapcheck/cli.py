@@ -50,6 +50,13 @@ def _ambient_dimension(text: str) -> int:
     return n
 
 
+def _nonnegative(text: str) -> int:
+    k = int(text)
+    if k < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {k}")
+    return k
+
+
 def _finite_positive(text: str) -> float:
     x = float(text)
     if not (math.isfinite(x) and x > 0):
@@ -61,9 +68,9 @@ def _common_flags(p: argparse.ArgumentParser, embed_flags=False):
     p.add_argument("--format", choices=("text", "structured"), default="text")
     p.add_argument("--out", default=None, help="write the report to this file")
     if embed_flags:
-        p.add_argument("--budget", type=int, default=20000, help="exact-search node budget")
-        p.add_argument("--float-restarts", type=int, default=0)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--budget", type=_nonnegative, default=20000, help="exact-search node budget")
+        p.add_argument("--float-restarts", type=_nonnegative, default=0)
+        p.add_argument("--seed", type=_nonnegative, default=0)
 
 
 def _cmd_check(args) -> int:
@@ -334,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radii", default="10,20,30,40,50")
     p.add_argument("--step", type=float, default=0.2)
     p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_map)
 

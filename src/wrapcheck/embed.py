@@ -438,6 +438,20 @@ def _exact_stage(
     powers).  The exterior product is associative, so every product,
     hence every prune, node count and witness, equals that of the
     factor-by-factor loop.
+
+    Subtrees that mirror an explored sibling are skipped (isomorph
+    rejection).  At level L let U be the union of the blades assigned
+    above it.  The signed permutations of the basis vectors outside U
+    (the group G_L) are automorphisms of Lambda*(Q^n) that fix every
+    assigned image, so they preserve every prune and the leaf
+    certificate; when every deeper candidate list is uncapped, each of
+    those lists is G_L-invariant, and a candidate's subtree is the G_L
+    image of any orbit sibling's.  :func:`_orbit_key` names a
+    candidate's orbit.  Once one candidate of an orbit has been explored
+    to the end without a witness, its siblings are not visited: each is
+    charged that subtree's node count, capped at the budget.  This is
+    exactly what visiting it would cost and return, so ``node_budget``
+    and the returned count still measure the unpruned search.
     """
     gens = A.generators
     candidates = [_disjoint_blade_candidates(n, deg, CANDIDATE_CAP) for _, deg in gens]
@@ -464,6 +478,11 @@ def _exact_stage(
         )
         for level in range(len(gens))
     ]
+    # orbit rejection at a level needs uncapped, hence G_L-invariant,
+    # lists below it
+    symmetric = [
+        all(len(c) < CANDIDATE_CAP for c in candidates[level + 1:]) for level in range(len(gens))
+    ]
     # powers[d][i]: [None, c, c^2, ...] for the i-th degree-d candidate c,
     # extended as far as a level asks; a level that needs no square reads
     # the candidate itself
@@ -487,7 +506,9 @@ def _exact_stage(
             pw.append(wedge_terms(pw[-1], cand))
         return pw
 
-    def backtrack(level: int) -> RingMorphism | None:
+    def backtrack(level: int, used: int) -> RingMorphism | None:
+        """Search below the images of levels < ``level``, whose blades
+        cover the basis vectors in the mask ``used``."""
         nonlocal nodes
         if level == len(gens):
             assignment = {nm: Multivector(n, img) for (nm, _), img in zip(gens, images)}
@@ -513,10 +534,20 @@ def _exact_stage(
                     for m, c in prefix.items():
                         fixed[m] = fixed.get(m, 0) + c
             checks.append((fixed, varying))
+        # orbit key -> nodes below the orbit's explored candidate
+        explored: dict[tuple, int] | None = {} if symmetric[level] else None
         for i, cand in enumerate(candidates[level]):
             if nodes >= node_budget:
                 return None
             nodes += 1
+            if explored is not None:
+                key = _orbit_key(cand, used)
+                below = explored.get(key)
+                if below is not None:
+                    nodes = min(nodes + below, node_budget)
+                    continue
+                # a pruned candidate has no nodes below it
+                explored[key] = 0
             images[level] = cand
             pw = power_list(level, i)
             if not all(_vanishes(fixed, varying, pw) for fixed, varying in checks):
@@ -528,17 +559,43 @@ def _exact_stage(
                 if not prefix:
                     continue
                 prefixes[level + 1] = prefix
-            found = backtrack(level + 1)
+            start = nodes
+            # the blades of a candidate are disjoint: their sum is their union
+            found = backtrack(level + 1, used | sum(cand))
             if found is not None:
                 return found
+            # a subtree cut by the budget is not complete; the next
+            # candidate returns before any sibling could be charged for it
+            if explored is not None and nodes < node_budget:
+                explored[key] = nodes - start
         return None
 
-    found = backtrack(0)
+    found = backtrack(0, 0)
     # backtrack reaches itself through its closure; unbinding it frees the
     # search's state, the cached powers among it, now and not at the next
     # full collection
     del backtrack
     return found, nodes
+
+
+def _orbit_key(cand: dict[int, int], used: int) -> tuple:
+    """A name for the orbit of the candidate ``cand`` under the signed
+    permutations of the basis vectors outside the mask ``used``.
+
+    Per blade ``m`` with sign ``s``: the part of ``m`` in ``used``,
+    which those permutations fix, the size of the rest, which they can
+    move onto any other set of that size, and ``s`` if ``m`` lies in
+    ``used`` (a blade that leaves ``used`` takes either sign by flipping
+    one of its outside vectors).  The blades of a candidate are
+    disjoint, so one permutation moves all of them at once: candidates
+    with equal keys lie in one orbit.
+    """
+    return tuple(
+        sorted(
+            (m & used, (m & ~used).bit_count(), 0 if m & ~used else s)
+            for m, s in cand.items()
+        )
+    )
 
 
 def _vanishes(fixed: dict[int, int], varying, pw) -> bool:

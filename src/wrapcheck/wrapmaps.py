@@ -42,6 +42,8 @@ import numpy as np
 FD_STEP = 1e-5
 SEAM_MASK_FACTOR = 10.0
 CHUNK_POINTS = 50_000  # points per chunk of every streamed grid walk
+# points per quadrature grid axis, which is built whole (80 MB of float64)
+MAX_AXIS_POINTS = 10**7
 # threads per walk: the CPUs this process may run on, at most MAX_WORKERS.
 # Each thread holds one chunk (about 7.5 MB of numpy arrays for the 3-d
 # identity, 12 MB for the 3-d join), so the cap, not the CPU count,
@@ -403,8 +405,9 @@ class DegreeReport:
 def check_quadrature(radii: Sequence[float], quadrature_step: float, dim: int) -> list[float]:
     """The radii as floats, or ValueError unless they are finite, positive
     and increasing, the step is finite, positive and at most R_max / 4,
-    and the midpoint grid of [-R_max, R_max]^dim has few enough points
-    for a numpy index (``np.unravel_index`` addresses it in ``intp``)."""
+    and the midpoint grid of [-R_max, R_max]^dim has at most
+    MAX_AXIS_POINTS points per axis and few enough points for a numpy
+    index (``np.unravel_index`` addresses it in ``intp``)."""
     radii = [float(r) for r in radii]
     if not radii or any(radii[i] >= radii[i + 1] for i in range(len(radii) - 1)):
         raise ValueError("radii must be increasing and nonempty")
@@ -416,6 +419,8 @@ def check_quadrature(radii: Sequence[float], quadrature_step: float, dim: int) -
         raise ValueError("quadrature step too coarse relative to the largest radius")
     rmax, h = radii[-1], quadrature_step
     side = math.ceil((rmax - (-rmax + h / 2)) / h)  # len(np.arange(-rmax + h / 2, rmax, h))
+    if side > MAX_AXIS_POINTS:
+        raise ValueError(f"quadrature grid axis of {side} points exceeds {MAX_AXIS_POINTS}")
     # the logarithm settles a huge dim before the power is formed
     if dim * math.log2(side) >= 64 or side**dim > np.iinfo(np.intp).max:
         raise ValueError(f"quadrature grid of {side}^{dim} points is too large to index")

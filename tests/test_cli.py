@@ -524,6 +524,29 @@ class TestCLI:
         assert capsys.readouterr().out.startswith(f"t2 -> exterior algebra on {n} generators")
 
     @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["check", corpus_file("t2"), "--budget", "-1"], "--budget"),
+            (["check", corpus_file("t2"), "--float-restarts", "-1"], "--float-restarts"),
+            (
+                [
+                    "embed", corpus_file("t2"), "--n", "2",
+                    "--budget", "0", "--float-restarts", "1", "--seed", "-1",
+                ],
+                "--seed",
+            ),
+            (["corpus", "--budget", "-5"], "--budget"),
+            (["map", "--map", "sphere-wrap", "--seed", "-1"], "--seed"),
+        ],
+    )
+    def test_negative_count_exit(self, capsys, args, flag):
+        assert main(args) == EXIT_USAGE
+        captured = capsys.readouterr()
+        value = args[args.index(flag) + 1]
+        assert f"argument {flag}: must be a non-negative integer, got {value}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
         "family, rmax",
         [
             (["hyperbolic"], "1e400"),
@@ -573,6 +596,15 @@ class TestCLI:
             (
                 ["--map", "identity", "--n", "40", "--radii", "4", "--step", "1"],
                 "quadrature grid of 8^40 points is too large to index",
+            ),
+            # one axis of 2e15 and of 3e9 points, built whole before the walk
+            (
+                ["--map", "identity", "--n", "1", "--radii", "1e15", "--step", "1"],
+                "quadrature grid axis of 2000000000000000 points exceeds 10000000",
+            ),
+            (
+                ["--map", "identity", "--n", "2", "--radii", "1.5e9", "--step", "1"],
+                "quadrature grid axis of 3000000000 points exceeds 10000000",
             ),
         ],
     )

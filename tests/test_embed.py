@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import json
 import pathlib
 
@@ -21,7 +22,7 @@ from wrapcheck.embed import (
     torus_subalgebra_check,
     verify_morphism,
 )
-from wrapcheck.exterior import Multivector, blade_masks, wedge
+from wrapcheck.exterior import Multivector, blade_masks, wedge, wedge_terms
 
 import presentations as P
 from presentations import random_small_presentations, reverse_generators
@@ -424,25 +425,111 @@ def _level_shapes(A):
     return split, power, fixed
 
 
-class TestPerLevelProducts:
-    """The per-level relation prefixes and cached powers against the
-    factor-by-factor Fraction oracle, node for node."""
+class TestAgainstFractionOracle:
+    """The exact stage against the unpruned factor-by-factor Fraction
+    oracle, node for node: per-level relation prefixes, cached powers and
+    orbit rejection change no outcome and no node count at any budget."""
+
+    BUDGETS = (1, 7, 50, 333, 600)
+
+    @staticmethod
+    def _assert_matches_oracle(A, n, budget):
+        m, nodes = embed._exact_stage(A, n, budget)
+        ref, ref_nodes = fraction_exact_stage(A, n, budget)
+        assert (nodes, _witness(m)) == (ref_nodes, _witness(ref)), (A, n, budget)
+        return m, nodes
 
     @pytest.mark.parametrize("setting", ["random", "reversed-corpus"])
     def test_matches_fraction_oracle(self, setting):
         if setting == "random":
-            cases = [(A, A.n) for A in random_small_presentations()]
+            # above the ring's own dimension too, where more symmetry is free
+            cases = [(A, A.n + k) for A in random_small_presentations() for k in (0, 1, 2)]
         else:
             cases = [
                 (reverse_generators(d.cohomology), d.n)
                 for d in map(parse_descriptor_file, corpus_paths())
             ]
         for A, n in cases:
-            m, nodes = embed._exact_stage(A, n, 600)
-            ref, ref_nodes = fraction_exact_stage(A, n, 600)
-            assert (nodes, _witness(m)) == (ref_nodes, _witness(ref)), A
+            for budget in self.BUDGETS:
+                self._assert_matches_oracle(A, n, budget)
         shapes = [_level_shapes(A) for A, _ in cases]
         assert all(any(flags) for flags in zip(*shapes)), shapes
+
+    def test_capped_list_below_turns_the_rule_off(self):
+        # In Lambda*(Q^7) the degree-2 list is capped partway through the
+        # triples, so it is not invariant under permutations of e1..e7;
+        # orbit rejection at the degree-3 level above it would charge
+        # wrong counts and miss the witness at node 2540.
+        text = (
+            "name: capped\nn: 6\n[cohomology]\ngenerators: a:3 b:2\nrelation: a b\n"
+            "fundamental_class: b^3\n[pi1]\ntype: finite\n"
+        )
+        A = parse_descriptor(text).cohomology
+        for budget in self.BUDGETS + (3000,):
+            m, nodes = self._assert_matches_oracle(A, 7, budget)
+        assert m is not None and nodes == 2540
+
+    @pytest.mark.parametrize(
+        "ring, nodes, most_calls", [("cp2_4_0", 3768, 1000), ("cp3", 211, 10)]
+    )
+    def test_mirrored_subtrees_are_skipped(self, monkeypatch, ring, nodes, most_calls):
+        # without orbit rejection: 8856 and 211 relation checks
+        calls = 0
+        vanishes = embed._vanishes
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return vanishes(*args)
+
+        monkeypatch.setattr(embed, "_vanishes", counted)
+        d = parse_descriptor_file(next(p for p in corpus_paths() if p.name == f"{ring}.descriptor"))
+        assert embed._exact_stage(d.cohomology, d.n, 4000)[1] == nodes
+        assert calls <= most_calls
+
+
+def _signed_permutation_image(cand, perm, signs):
+    """The image of a ``{mask: coefficient}`` candidate under
+    e_i -> signs[i] e_perm[i]."""
+    out = {}
+    for m, c in cand.items():
+        term = {0: c}
+        for i in range(len(perm)):
+            if m >> i & 1:
+                term = wedge_terms(term, {1 << perm[i]: signs[i]})
+        for k, v in term.items():
+            out[k] = out.get(k, 0) + v
+    return frozenset(out.items())
+
+
+class TestOrbitKey:
+    """``_orbit_key`` names exactly the orbits of the signed permutations
+    of the basis vectors outside ``used``, found by brute force."""
+
+    @pytest.mark.parametrize(
+        "n, degree, used",
+        [(4, 1, 0), (4, 2, 0), (4, 2, 0b0011), (4, 2, 0b0101), (4, 1, 0b0110), (5, 2, 0b00110)],
+    )
+    def test_keys_are_orbits(self, n, degree, used):
+        cands = embed._disjoint_blade_candidates(n, degree, embed.CANDIDATE_CAP)
+        outside = [i for i in range(n) if not used >> i & 1]
+        orbit = {}
+        for images in itertools.permutations(outside):
+            perm = list(range(n))
+            for i, j in zip(outside, images):
+                perm[i] = j
+            for flips in itertools.product((1, -1), repeat=len(outside)):
+                signs = [1] * n
+                for i, s in zip(outside, flips):
+                    signs[i] = s
+                for c in cands:
+                    orbit.setdefault(frozenset(c.items()), set()).add(
+                        _signed_permutation_image(c, perm, signs)
+                    )
+        for a in cands:
+            for b in cands:
+                same_orbit = frozenset(b.items()) in orbit[frozenset(a.items())]
+                assert same_orbit == (embed._orbit_key(a, used) == embed._orbit_key(b, used))
 
 
 def _polynomial_text(p) -> str:

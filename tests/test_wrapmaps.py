@@ -477,6 +477,17 @@ class TestParallelWalks:
             wrapmaps.check_quadrature([4], 1, 10**9)
         assert wrapmaps.check_quadrature([4], 1, 20) == [4.0]
 
+    def test_rejects_axes_past_the_axis_bound(self):
+        # the axis is built whole: 2e15 points in 1-d would be 14.2 PiB
+        with pytest.raises(ValueError, match="axis of 2000000000000000 points exceeds"):
+            wrapmaps.check_quadrature([1e15], 1, 1)
+        with pytest.raises(ValueError, match="axis of 3000000000 points exceeds"):
+            wrapmaps.check_quadrature([1.5e9], 1, 2)
+        bound = wrapmaps.MAX_AXIS_POINTS
+        assert wrapmaps.check_quadrature([bound / 2], 1, 1) == [bound / 2]
+        with pytest.raises(ValueError, match=f"axis of {bound + 2} points exceeds"):
+            wrapmaps.check_quadrature([bound / 2 + 1], 1, 1)
+
     def test_chunk_exception_reaches_caller(self, monkeypatch):
         # every ball about the origin leaves the strip map's domain
         monkeypatch.setattr(wrapmaps, "CHUNK_POINTS", 100)
