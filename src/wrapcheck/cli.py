@@ -64,6 +64,13 @@ def _finite_positive(text: str) -> float:
     return x
 
 
+def _finite(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return x
+
+
 def _common_flags(p: argparse.ArgumentParser, embed_flags=False):
     p.add_argument("--format", choices=("text", "structured"), default="text")
     p.add_argument("--out", default=None, help="write the report to this file")
@@ -173,18 +180,30 @@ def _cmd_lie(args) -> int:
 
 def _load_profile(args) -> geom2d.RadialProfile:
     if args.profile:
-        rows = []
+        samples = {}  # radius -> (line number, circumference)
         with open(args.profile, "r", encoding="utf-8") as fh:
-            for raw in fh:
+            for lineno, raw in enumerate(fh, 1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
                 parts = line.split()
                 if len(parts) != 2:
-                    raise ParseError(f"expected 'r L' pairs, got {line!r}", 1)
-                rows.append((float(parts[0]), float(parts[1])))
-        rows.sort()
-        return geom2d.RadialProfile.tabulated([r for r, _ in rows], [v for _, v in rows])
+                    raise ParseError(f"expected 'r L' pairs, got {line!r}", lineno)
+                try:
+                    r, value = float(parts[0]), float(parts[1])
+                except ValueError:
+                    raise ParseError(f"expected numbers, got {line!r}", lineno) from None
+                if not (math.isfinite(r) and math.isfinite(value)):
+                    raise ParseError(f"samples must be finite, got {line!r}", lineno)
+                if value <= 0:
+                    raise ParseError(f"circumference samples must be positive, got {line!r}", lineno)
+                if r in samples:
+                    raise ParseError(f"radius {parts[0]} repeats line {samples[r][0]}", lineno)
+                samples[r] = (lineno, value)
+        if len(samples) < 2:
+            raise ParseError("need at least two 'r L' samples", 1)
+        radii = sorted(samples)
+        return geom2d.RadialProfile.tabulated(radii, [samples[r][1] for r in radii])
     rmax = {} if args.rmax is None else {"rmax": args.rmax}
     if args.family == "euclidean":
         return geom2d.RadialProfile.euclidean(**rmax)
@@ -242,8 +261,8 @@ def _cmd_map(args) -> int:
     try:
         if args.n is not None and args.n < 1:
             raise ValueError("--n must be at least 1")
-        if args.samples < 1:
-            raise ValueError("--samples must be at least 1")
+        if not 1 <= args.samples <= wrapmaps.MAX_SAMPLES:
+            raise ValueError(f"--samples must be at least 1 and at most {wrapmaps.MAX_SAMPLES}")
         m = _MAPS[args.map](args)
         try:
             radii = [float(x) for x in args.radii.split(",")]
@@ -329,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("surface", help="conformal type of a rotationally symmetric plane")
     p.add_argument("--family", choices=("euclidean", "hyperbolic", "power-log"))
-    p.add_argument("--epsilon", type=float, default=None)
+    p.add_argument("--epsilon", type=_finite, default=None)
     p.add_argument("--rmax", type=_finite_positive, default=None)
     p.add_argument("--profile", default=None, help="file of 'r L(r)' samples")
     _common_flags(p)

@@ -70,6 +70,8 @@ class RadialProfile:
     @classmethod
     def power_log(cls, epsilon: float, rmax: float = 2.0**18) -> "RadialProfile":
         """Profile r (log r)^(1+eps): curvature ~ -(1+eps)/(r^2 log r)."""
+        if not math.isfinite(epsilon):
+            raise ValueError(f"epsilon must be finite, got {epsilon}")
         return cls("power-log", epsilon=epsilon, rmax=rmax)
 
     @classmethod

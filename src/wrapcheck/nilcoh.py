@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from . import linalg
-from .exterior import Multivector, blade_masks, wedge
+from .exterior import Blade, Multivector, blade_masks, wedge
 
 
 class NotNilpotent(ValueError):
@@ -79,32 +79,15 @@ class NilLieAlgebra:
         return cls(a.dim + b.dim, table)
 
     # -- bracket ------------------------------------------------------------
-    def bracket_basis(self, i: int, j: int) -> linalg.Vector:
-        """[X_i, X_j] as a coefficient vector."""
-        out = linalg.zero_vector(self.dim)
-        if i == j:
-            return out
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -1
-        for k, c in self._brackets.get((i, j), {}).items():
-            out[k - 1] = sign * c
-        return out
-
     def bracket(self, u: Sequence, v: Sequence) -> linalg.Vector:
+        """[u, v] = sum over i < j of (u_i v_j - u_j v_i) [X_i, X_j]."""
+        u, v = linalg.as_fraction_row(u), linalg.as_fraction_row(v)
         out = linalg.zero_vector(self.dim)
-        for i in range(self.dim):
-            ui = Fraction(u[i])
-            if ui == 0:
-                continue
-            for j in range(self.dim):
-                vj = Fraction(v[j])
-                if vj == 0 or i == j:
-                    continue
-                w = self.bracket_basis(i + 1, j + 1)
-                for k in range(self.dim):
-                    if w[k]:
-                        out[k] += ui * vj * w[k]
+        for (i, j), comps in self._brackets.items():
+            coeff = u[i - 1] * v[j - 1] - u[j - 1] * v[i - 1]
+            if coeff:
+                for k, c in comps.items():
+                    out[k - 1] += coeff * c
         return out
 
     @property
@@ -215,14 +198,13 @@ class CEComplex:
 
 def _d_of_one_form(g: NilLieAlgebra, k: int) -> Multivector:
     """d(xi_k) = - sum_{i<j} c^k_{ij} xi_i ^ xi_j, in Lambda*(dual)."""
-    m = g.dim
     terms = {}
     for (i, j), comps in g._brackets.items():
         c = comps.get(k)
         if c:
-            mask = (1 << (i - 1)) | (1 << (j - 1))
+            mask = Blade((i, j)).mask
             terms[mask] = terms.get(mask, Fraction(0)) - c
-    return Multivector(m, terms)
+    return Multivector(g.dim, terms)
 
 
 def ce_differential(g: NilLieAlgebra) -> CEComplex:
@@ -231,30 +213,16 @@ def ce_differential(g: NilLieAlgebra) -> CEComplex:
     m = g.dim
     d_one = [_d_of_one_form(g, k) for k in range(1, m + 1)]
     diffs = []
-    images: list[list[Multivector]] = []
     for k in range(m + 1):
-        masks_k = blade_masks(m, k)
-        masks_k1 = blade_masks(m, k + 1) if k < m else []
-        index = {mask: i for i, mask in enumerate(masks_k1)}
         cols = []
-        col_images = []
-        for mask in masks_k:
+        for mask in blade_masks(m, k):
+            bits = Blade.from_mask(mask).indices
             img = Multivector.zero(m)
-            bits = [i + 1 for i in range(m) if mask >> i & 1]
             for t, b in enumerate(bits):
-                rest = Multivector.blade(m, [x for x in bits if x != b])
-                term = wedge(d_one[b - 1], rest)
+                term = wedge(d_one[b - 1], Multivector.blade(m, bits[:t] + bits[t + 1 :]))
                 img = img + (term if t % 2 == 0 else -term)
-            col_images.append(img)
-            col = linalg.zero_vector(len(masks_k1))
-            for mk, c in img.items():
-                col[index[mk]] = c
-            cols.append(col)
-        images.append(col_images)
-        rows = tuple(
-            tuple(cols[j][i] for j in range(len(masks_k))) for i in range(len(masks_k1))
-        )
-        diffs.append(rows)
+            cols.append(img.coords(k + 1))
+        diffs.append(tuple(zip(*cols)))
     complex_ = CEComplex(m, tuple(diffs))
     # d^2 = 0 exactly; failure signals corrupted (non-Jacobi) input
     for k in range(m - 1):
@@ -349,26 +317,16 @@ def nomizu_kernel(g: NilLieAlgebra) -> NomizuKernel:
     phi = [[row[j] for j in range(g.dim) if j not in pivots3] for row in proj1]
     r = q1.dim
     m2 = q2.dim
-    # pullback of 2-forms along phi on blade bases
-    masks1 = blade_masks(r, 2)
-    masks2 = blade_masks(m2, 2)
-    index2 = {mask: i for i, mask in enumerate(masks2)}
+    # pullback of 2-forms along phi: xi_a ^ xi_b -> phi*xi_a ^ phi*xi_b
+    pulled = [Multivector.from_coords(m2, 1, row) for row in phi]
     pullback_cols = []
-    for mask in masks1:
-        a, b = [i for i in range(r) if mask >> i & 1]
-        col = linalg.zero_vector(len(masks2))
-        for ci in range(m2):
-            for di in range(ci + 1, m2):
-                val = phi[a][ci] * phi[b][di] - phi[a][di] * phi[b][ci]
-                if val != 0:
-                    col[index2[(1 << ci) | (1 << di)]] = val
-        pullback_cols.append(col)
-    cx2 = ce_differential(q2)
-    d1 = cx2.differentials[1]  # maps 1-forms of q2 into 2-forms
-    d1_cols = [ [row[j] for row in d1] for j in range(m2) ] if d1 else []
+    for mask in blade_masks(r, 2):
+        a, b = Blade.from_mask(mask).indices
+        pullback_cols.append(wedge(pulled[a - 1], pulled[b - 1]).coords(2))
+    # columns of d: 1-forms of q2 -> 2-forms, spanning the exact 2-forms
+    d1_cols = list(zip(*ce_differential(q2).differentials[1]))
     rank_d1 = linalg.rank(d1_cols)
-    stacked = pullback_cols + d1_cols
-    kernel_dim = len(masks1) - (linalg.rank(stacked) - rank_d1)
+    kernel_dim = len(pullback_cols) - (linalg.rank(pullback_cols + d1_cols) - rank_d1)
     expected = m2 - r
     if kernel_dim != expected:
         raise ArithmeticError(

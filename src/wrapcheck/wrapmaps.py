@@ -44,6 +44,9 @@ SEAM_MASK_FACTOR = 10.0
 CHUNK_POINTS = 50_000  # points per chunk of every streamed grid walk
 # points per quadrature grid axis, which is built whole (80 MB of float64)
 MAX_AXIS_POINTS = 10**7
+# Jacobian-floor samples per run, which the sampler draws whole (10^7 of
+# them peak near 550 MB)
+MAX_SAMPLES = 10**7
 # threads per walk: the CPUs this process may run on, at most MAX_WORKERS.
 # Each thread holds one chunk (about 7.5 MB of numpy arrays for the 3-d
 # identity, 12 MB for the 3-d join), so the cap, not the CPU count,

@@ -2,14 +2,21 @@
 
 Each oracle takes a different route from the implementation it checks:
 wedge signs come from an explicit bubble sort, quotient ranks from a
-sorted-word monomial model with sympy rank computations, and local
-solvability from a Hensel-style lifting search.
+sorted-word monomial model with sympy rank computations, local
+solvability from a Hensel-style lifting search, and the invariant-form
+complex of a nilpotent Lie algebra from dense bracket vectors and
+dense differential columns.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import sympy
+
+from wrapcheck import linalg
+from wrapcheck.exterior import blade_masks
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +124,160 @@ def oracle_quotient_ranks(presentation):
             rank = 0
         ranks.append(len(basis) - rank)
     return tuple(ranks)
+
+
+# ---------------------------------------------------------------------------
+# Dense reference for nilpotent Lie algebras and their invariant forms
+# ---------------------------------------------------------------------------
+
+
+def dense_bracket_basis(g, i, j):
+    """[X_i, X_j] as a dense coefficient vector."""
+    out = [Fraction(0)] * g.dim
+    if i == j:
+        return out
+    sign = 1
+    if i > j:
+        i, j, sign = j, i, -1
+    for k, c in g._brackets.get((i, j), {}).items():
+        out[k - 1] = sign * c
+    return out
+
+
+def dense_bracket(g, u, v):
+    """[u, v] summed over every ordered pair of basis vectors."""
+    out = [Fraction(0)] * g.dim
+    for i in range(g.dim):
+        ui = Fraction(u[i])
+        if ui == 0:
+            continue
+        for j in range(g.dim):
+            vj = Fraction(v[j])
+            if vj == 0 or i == j:
+                continue
+            w = dense_bracket_basis(g, i + 1, j + 1)
+            for k in range(g.dim):
+                if w[k]:
+                    out[k] += ui * vj * w[k]
+    return out
+
+
+def dense_central_series(g):
+    """Reduced echelon bases of g, [g, g], ... down to 0."""
+    basis = linalg.identity(g.dim)
+    spans = [basis]
+    while spans[-1]:
+        brackets = (dense_bracket(g, v, b) for v in spans[-1] for b in basis)
+        nxt = linalg.SparseSubspace(g.dim, brackets).rows
+        if len(nxt) == len(spans[-1]):
+            raise ValueError("lower central series stabilizes above zero")
+        spans.append([list(v) for v in nxt])
+    return spans
+
+
+def dense_change_basis(g, t):
+    """Structure constants in the basis Y_j = sum_i T[i][j] X_i."""
+    m = g.dim
+    tinv_cols = [linalg.solve(t, e, m) for e in linalg.identity(m)]
+    cols = [[Fraction(t[i][j]) for i in range(m)] for j in range(m)]
+    table = {}
+    for i in range(m):
+        for j in range(i + 1, m):
+            w = dense_bracket(g, cols[i], cols[j])
+            comps = {}
+            for k in range(m):
+                coeff = sum(tinv_cols[a][k] * w[a] for a in range(m))
+                if coeff != 0:
+                    comps[k + 1] = coeff
+            if comps:
+                table[(i + 1, j + 1)] = comps
+    return table
+
+
+def dense_quotient(g, ideal_rows):
+    """(dim, structure constants, projection rows) of g / ideal."""
+    m = g.dim
+    span = linalg.SparseSubspace(m, ideal_rows)
+    basis = linalg.identity(m)
+    complement = [i for i in range(m) if i not in set(span.pivots)]
+
+    def project(v):
+        red = span.reduce(v)
+        return [red[i] for i in complement]
+
+    table = {}
+    for a in range(len(complement)):
+        for b in range(a + 1, len(complement)):
+            w = project(dense_bracket(g, basis[complement[a]], basis[complement[b]]))
+            comps = {k + 1: c for k, c in enumerate(w) if c != 0}
+            if comps:
+                table[(a + 1, b + 1)] = comps
+    images = [project(e) for e in basis]
+    proj = [[image[idx] for image in images] for idx in range(len(complement))]
+    return len(complement), table, proj
+
+
+def dense_ce_differentials(dim, brackets):
+    """Matrices of d on blade coordinates, assembled column by column:
+    d(xi_k) = -sum_{i<j} c^k_ij xi_i ^ xi_j, extended as a derivation,
+    with wedge signs from :func:`brute_force_wedge`."""
+    diffs = []
+    for k in range(dim + 1):
+        masks_k = blade_masks(dim, k)
+        masks_k1 = blade_masks(dim, k + 1)
+        index = {mask: i for i, mask in enumerate(masks_k1)}
+        cols = []
+        for mask in masks_k:
+            bits = [i + 1 for i in range(dim) if mask >> i & 1]
+            col = [Fraction(0)] * len(masks_k1)
+            for t, b in enumerate(bits):
+                rest = bits[:t] + bits[t + 1 :]
+                for (i, j), comps in brackets.items():
+                    sign, word = brute_force_wedge((i, j), rest)
+                    if sign and comps.get(b):
+                        col[index[sum(1 << (x - 1) for x in word)]] -= (-1) ** t * sign * comps[b]
+            cols.append(col)
+        diffs.append(
+            tuple(tuple(cols[j][i] for j in range(len(masks_k))) for i in range(len(masks_k1)))
+        )
+    return tuple(diffs)
+
+
+def dense_betti(dim, brackets):
+    diffs = dense_ce_differentials(dim, brackets)
+    ranks = [linalg.rank(d) for d in diffs] + [0]
+    return tuple(len(blade_masks(dim, k)) - ranks[k] - ranks[k - 1] for k in range(dim + 1))
+
+
+def dense_nomizu_kernel(g):
+    """(kernel_dim, expected, abelian, q1_dim, q2_dim) of the pullback
+    H^2(g/[g,g]) -> H^2(g/[[g,g],g]), with the pullback of 2-forms
+    written out as 2 x 2 minors of the factor map."""
+    if not g._brackets:
+        return 0, 0, True, g.dim, g.dim
+    spans = dense_central_series(g)
+    gamma3 = spans[2] if len(spans) > 2 else []
+    r, _, proj1 = dense_quotient(g, spans[1])
+    m2, table2, _ = dense_quotient(g, gamma3)
+    pivots3 = set(linalg.SparseSubspace(g.dim, gamma3).pivots)
+    phi = [[row[j] for j in range(g.dim) if j not in pivots3] for row in proj1]
+    masks2 = blade_masks(m2, 2)
+    index2 = {mask: i for i, mask in enumerate(masks2)}
+    pullback_cols = []
+    for mask in blade_masks(r, 2):
+        a, b = [i for i in range(r) if mask >> i & 1]
+        col = [Fraction(0)] * len(masks2)
+        for ci in range(m2):
+            for di in range(ci + 1, m2):
+                val = phi[a][ci] * phi[b][di] - phi[a][di] * phi[b][ci]
+                if val != 0:
+                    col[index2[(1 << ci) | (1 << di)]] = val
+        pullback_cols.append(col)
+    d1 = dense_ce_differentials(m2, table2)[1]
+    d1_cols = [[row[j] for row in d1] for j in range(m2)] if d1 else []
+    rank_d1 = linalg.rank(d1_cols)
+    kernel_dim = len(pullback_cols) - (linalg.rank(pullback_cols + d1_cols) - rank_d1)
+    return kernel_dim, m2 - r, False, r, m2
 
 
 # ---------------------------------------------------------------------------

@@ -562,6 +562,47 @@ class TestCLI:
         assert f"argument --rmax: must be finite and positive, got {rmax}" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf"])
+    def test_surface_nonfinite_epsilon_exit(self, capsys, epsilon):
+        assert main(["surface", "--family", "power-log", f"--epsilon={epsilon}"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert f"argument --epsilon: must be finite, got {epsilon}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("2 3\nabc 3\n", 2, "expected numbers, got 'abc 3'"),
+            ("2 3\n4 5\n2 7\n", 3, "radius 2 repeats line 1"),
+            ("2 3\n4 0\n", 2, "circumference samples must be positive"),
+            ("# r L\n2 3\n4 -1\n", 3, "circumference samples must be positive"),
+            ("2 3\n", 1, "need at least two 'r L' samples"),
+            ("2 3\nnan 4\n", 2, "samples must be finite, got 'nan 4'"),
+            ("2 3\n4 inf\n", 2, "samples must be finite, got '4 inf'"),
+            ("2 3\n4 5 6\n", 2, "expected 'r L' pairs, got '4 5 6'"),
+        ],
+    )
+    def test_surface_bad_profile_exit(self, tmp_path, capsys, text, line, message):
+        prof = tmp_path / "prof.txt"
+        prof.write_text(text)
+        assert main(["surface", "--profile", str(prof)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: line {line}, col 1: ") and message in captured.err
+        assert captured.out == ""
+
+    def test_surface_profile_order_is_free(self, tmp_path):
+        import numpy as np
+
+        r = np.geomspace(2.0, 2.0**12, 200)
+        lines = [f"{a} {3.0 * a * np.log(a)}" for a in r]
+        reports = []
+        for name, order in (("sorted", lines), ("reversed", lines[::-1])):
+            prof, out = tmp_path / f"{name}.txt", tmp_path / f"{name}.out"
+            prof.write_text("\n".join(order))
+            assert main(["surface", "--profile", str(prof), "--out", str(out)]) == EXIT_OK
+            reports.append(out.read_text())
+        assert reports[0] == reports[1]
+
     def test_surface_rmax_sets_the_last_window(self, tmp_path):
         out = tmp_path / "surface.txt"
         assert main(["surface", "--family", "euclidean", "--rmax", "64", "--out", str(out)]) == EXIT_OK
@@ -605,6 +646,11 @@ class TestCLI:
             (
                 ["--map", "identity", "--n", "2", "--radii", "1.5e9", "--step", "1"],
                 "quadrature grid axis of 3000000000 points exceeds 10000000",
+            ),
+            # the sampler draws every floor sample at once (75 GB here)
+            (
+                ["--map", "sphere-wrap", "--radii", "4", "--step", "1", "--samples", "10000000000"],
+                "--samples must be at least 1 and at most 10000000",
             ),
         ],
     )

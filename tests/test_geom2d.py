@@ -68,6 +68,12 @@ class TestAhlfors:
         with pytest.raises(ValueError, match="rmax must be finite"):
             ahlfors_classify(RadialProfile.hyperbolic(rmax))
 
+    @pytest.mark.parametrize("eps", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_epsilon_rejected(self, eps):
+        # nan read as parabolic and inf as hyperbolic with eps = inf
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            RadialProfile.power_log(eps)
+
 
 class TestMilnor:
     def test_flat(self):

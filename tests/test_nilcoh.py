@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -14,12 +15,14 @@ from wrapcheck.nilcoh import (
     jacobi_check,
     lie_cohomology_dims,
     lower_central_series,
+    lower_central_series_subspaces,
     nomizu_kernel,
     pi1_verdict,
 )
 
+import oracles
 import presentations as P
-from corpusgen import nilpotent_corpus
+from corpusgen import _random_invertible, nilpotent_corpus
 
 H3 = NilLieAlgebra.heisenberg()
 FILIFORM4 = NilLieAlgebra.filiform(4)
@@ -164,6 +167,53 @@ class TestPi1Verdict:
         v = pi1_verdict(NilLieAlgebra.abelian(5), 4)
         assert not v.passed
         assert v.growth_degree == 5
+
+
+class TestDenseReference:
+    """The structure-constant bracket and the exterior-kernel complex
+    equal the dense reference in :mod:`oracles` on the four seeded
+    corpora the other tests draw from (120 algebras)."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return [
+            g
+            for seed, count, nonabelian in ((17, 15, False), (23, 25, False), (31, 30, True), (2024, 50, True))
+            for g in nilpotent_corpus(seed, count, max_dim=6, nonabelian=nonabelian)
+        ]
+
+    def test_differentials_and_betti(self, corpus):
+        for g in corpus:
+            assert ce_differential(g).differentials == oracles.dense_ce_differentials(g.dim, g._brackets)
+            assert lie_cohomology_dims(g) == oracles.dense_betti(g.dim, g._brackets)
+
+    def test_nomizu_kernel(self, corpus):
+        for g in corpus:
+            assert dataclasses.astuple(nomizu_kernel(g)) == oracles.dense_nomizu_kernel(g)
+
+    def test_lower_central_series(self, corpus):
+        for g in corpus:
+            spans = oracles.dense_central_series(g)
+            assert lower_central_series_subspaces(g) == spans
+            assert lower_central_series(g) == [len(span) for span in spans]
+
+    def test_brackets(self, corpus):
+        rng = random.Random(7)
+        for g in corpus:
+            basis = linalg.identity(g.dim)
+            for i in range(1, g.dim + 1):
+                for j in range(1, g.dim + 1):
+                    assert g.bracket(basis[i - 1], basis[j - 1]) == oracles.dense_bracket_basis(g, i, j)
+            for _ in range(5):
+                u = [rng.randint(-3, 3) for _ in range(g.dim)]
+                v = [rng.randint(-3, 3) for _ in range(g.dim)]
+                assert g.bracket(u, v) == oracles.dense_bracket(g, u, v)
+
+    def test_change_basis(self, corpus):
+        rng = random.Random(7)
+        for g in corpus:
+            t = _random_invertible(rng, g.dim)
+            assert g.change_basis(t)._brackets == oracles.dense_change_basis(g, t)
 
 
 class TestRingLevelAgreement:
