@@ -195,6 +195,8 @@ def _load_profile(args) -> geom2d.RadialProfile:
                     raise ParseError(f"expected numbers, got {line!r}", lineno) from None
                 if not (math.isfinite(r) and math.isfinite(value)):
                     raise ParseError(f"samples must be finite, got {line!r}", lineno)
+                if r <= 0:
+                    raise ParseError(f"radii must be positive, got {line!r}", lineno)
                 if value <= 0:
                     raise ParseError(f"circumference samples must be positive, got {line!r}", lineno)
                 if r in samples:
@@ -212,7 +214,10 @@ def _load_profile(args) -> geom2d.RadialProfile:
     if args.family == "power-log":
         if args.epsilon is None:
             raise ParseError("power-log needs --epsilon", 1)
-        return geom2d.RadialProfile.power_log(args.epsilon, **rmax)
+        try:
+            return geom2d.RadialProfile.power_log(args.epsilon, **rmax)
+        except ValueError as exc:
+            raise ParseError(f"--epsilon {args.epsilon:g}: {exc}", 1) from None
     raise ParseError("need --family or --profile", 1)
 
 

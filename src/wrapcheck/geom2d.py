@@ -72,7 +72,14 @@ class RadialProfile:
         """Profile r (log r)^(1+eps): curvature ~ -(1+eps)/(r^2 log r)."""
         if not math.isfinite(epsilon):
             raise ValueError(f"epsilon must be finite, got {epsilon}")
-        return cls("power-log", epsilon=epsilon, rmax=rmax)
+        profile = cls("power-log", epsilon=epsilon, rmax=rmax)
+        with np.errstate(all="ignore"):
+            peak = float(profile.circumference(rmax))
+        if not math.isfinite(peak):
+            raise ValueError(
+                f"circumference 2 pi r (log r)^(1 + epsilon) at rmax = {rmax:g} is not a finite float"
+            )
+        return profile
 
     @classmethod
     def tabulated(cls, r: Sequence[float], values: Sequence[float]) -> "RadialProfile":
@@ -82,6 +89,8 @@ class RadialProfile:
             raise ValueError("need matching r and L(r) samples, at least two")
         if any(r[i] >= r[i + 1] for i in range(len(r) - 1)):
             raise ValueError("radii must be strictly increasing")
+        if r[0] <= 0:
+            raise ValueError("radii must be positive")
         if any(v <= 0 for v in values):
             raise ValueError("circumference samples must be positive")
         return cls("tabulated", r=r, values=values, rmax=r[-1])

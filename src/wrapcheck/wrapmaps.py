@@ -21,15 +21,16 @@ Grids are never held whole: the quadrature, the Lipschitz scan and the
 Jacobian floor walk their samples in chunks of about CHUNK_POINTS
 points.  The chunks run on a thread pool of WORKERS threads, one per
 CPU this process may run on up to MAX_WORKERS (numpy releases the
-interpreter lock inside the map evaluations and the batched
-determinants), and the calling thread folds their results into a
-running sum, max or min in span order, so every result is the serial
-walk's bit for bit and memory is bounded by WORKERS * CHUNK_POINTS
-points whatever R / h is.
+interpreter lock inside the map evaluations and the elementwise array
+arithmetic of the differences and signed volumes), and the calling
+thread folds their results into a running sum, max or min in span
+order, so every result is the serial walk's bit for bit and memory is
+bounded by WORKERS * CHUNK_POINTS points whatever R / h is.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from collections import deque
@@ -302,32 +303,74 @@ def join_map(n: int) -> EvaluableMap:
 # ---------------------------------------------------------------------------
 
 
-def partials(m: EvaluableMap, pts: np.ndarray, step: float = FD_STEP) -> np.ndarray:
-    """Central-difference partials, shape (..., ambient, domain_dim)."""
-    pts = np.asarray(pts, dtype=float)
+def _difference_columns(m: EvaluableMap, pts: np.ndarray, step: float) -> list[np.ndarray]:
+    """The domain_dim central-difference partials, each of shape (..., ambient)."""
     cols = []
     for j in range(m.domain_dim):
         e = np.zeros(m.domain_dim)
         e[j] = step
         cols.append((m(pts + e) - m(pts - e)) / (2.0 * step))
-    return np.stack(cols, axis=-1)
+    return cols
+
+
+def partials(m: EvaluableMap, pts: np.ndarray, step: float = FD_STEP) -> np.ndarray:
+    """Central-difference partials, shape (..., ambient, domain_dim)."""
+    return np.stack(_difference_columns(m, np.asarray(pts, dtype=float), step), axis=-1)
+
+
+# largest order whose determinant is expanded by cofactors (see signed_jacobian)
+COFACTOR_MAX_ORDER = 4
+
+
+def _cofactor_det(cols: list[np.ndarray]) -> np.ndarray:
+    """det of the matrix with these columns, each (..., k), by cofactor
+    expansion along the last column.  The minors of the first j + 1
+    columns are built from those of the first j, each once, so the 3x3
+    case is the triple product cols[2] . (cols[0] x cols[1]) and the
+    4x4 case reuses the six 2x2 minors of the first two columns."""
+    k = len(cols)
+    minors = {(i,): cols[0][..., i] for i in range(k)}
+    for j in range(1, k):
+        col = cols[j]
+        grown = {}
+        for rows in itertools.combinations(range(k), j + 1):
+            # the entry in row rows[pos] has the sign (-1)^(pos + j)
+            acc = col[..., rows[j]] * minors[rows[:j]]
+            for pos in range(j - 1, -1, -1):
+                term = col[..., rows[pos]] * minors[rows[:pos] + rows[pos + 1:]]
+                if (j - pos) % 2:
+                    acc -= term
+                else:
+                    acc += term
+            grown[rows] = acc
+        minors = grown
+    return minors[tuple(range(k))]
 
 
 def signed_jacobian(m: EvaluableMap, pts: np.ndarray, step: float = FD_STEP) -> np.ndarray:
     """Pullback density of the target volume form.
 
     Euclidean targets: det of the square differential.  Sphere targets:
-    det of the differential with the outward normal appended as the
-    last column, the signed volume spanned on the tangent space.
+    det of the differential with the outward normal, the value m(pts),
+    appended as the last column, the signed volume spanned on the
+    tangent space.  Up to order COFACTOR_MAX_ORDER the determinant is
+    the closed-form cofactor expansion of _cofactor_det on the columns
+    as they come, with no (..., k, k) matrix stacked; its rounding
+    differs from LAPACK's by a few ulp of the Hadamard bound, the
+    product of the column norms.  Above it the expansion would take
+    k * 2^(k-1) array products and hold C(k, k/2) minors per point, so
+    the columns are stacked for np.linalg.det, whose LU factorization
+    stays polynomial and within the chunk's memory.
     """
-    d = partials(m, pts, step)
-    if m.target.kind == "euclidean":
-        if m.target.ambient != m.domain_dim:
-            raise ValueError("euclidean target dimension must match the domain")
-        return np.linalg.det(d)
-    values = m(pts)
-    mat = np.concatenate([d, values[..., None]], axis=-1)
-    return np.linalg.det(mat)
+    pts = np.asarray(pts, dtype=float)
+    if m.target.kind == "euclidean" and m.target.ambient != m.domain_dim:
+        raise ValueError("euclidean target dimension must match the domain")
+    cols = _difference_columns(m, pts, step)
+    if m.target.kind == "sphere":
+        cols.append(m(pts))
+    if len(cols) <= COFACTOR_MAX_ORDER:
+        return _cofactor_det(cols)
+    return np.linalg.det(np.stack(cols, axis=-1))
 
 
 def operator_norm(m: EvaluableMap, pts: np.ndarray, step: float = FD_STEP) -> np.ndarray:

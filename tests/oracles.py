@@ -5,7 +5,8 @@ wedge signs come from an explicit bubble sort, quotient ranks from a
 sorted-word monomial model with sympy rank computations, local
 solvability from a Hensel-style lifting search, and the invariant-form
 complex of a nilpotent Lie algebra from dense bracket vectors and
-dense differential columns.
+dense differential columns, and the signed volume of a wrapping map
+from a batched LAPACK determinant.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import sympy
 
-from wrapcheck import linalg
+from wrapcheck import linalg, wrapmaps
 from wrapcheck.exterior import blade_masks
 
 
@@ -278,6 +279,21 @@ def dense_nomizu_kernel(g):
     rank_d1 = linalg.rank(d1_cols)
     kernel_dim = len(pullback_cols) - (linalg.rank(pullback_cols + d1_cols) - rank_d1)
     return kernel_dim, m2 - r, False, r, m2
+
+
+# ---------------------------------------------------------------------------
+# LAPACK reference for the signed volume of a wrapping map
+# ---------------------------------------------------------------------------
+
+
+def dense_signed_jacobian(m, pts, step=wrapmaps.FD_STEP):
+    """signed_jacobian as np.linalg.det of the stacked (..., k, k)
+    differential, with the value m(pts) appended as the last column for
+    a sphere target."""
+    d = wrapmaps.partials(m, pts, step)
+    if m.target.kind == "euclidean":
+        return np.linalg.det(d)
+    return np.linalg.det(np.concatenate([d, m(pts)[..., None]], axis=-1))
 
 
 # ---------------------------------------------------------------------------

@@ -569,9 +569,21 @@ class TestCLI:
         assert f"argument --epsilon: must be finite, got {epsilon}" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("epsilon", ["1e308", "400"])
+    def test_surface_overflowing_epsilon_exit(self, capsys, epsilon):
+        # the circumference at the default rmax 2^18 overflows past eps = 275.6
+        assert main(["surface", "--family", "power-log", "--epsilon", epsilon]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: line 1, col 1: --epsilon ")
+        assert "is not a finite float" in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "text, line, message",
         [
+            ("0 1\n2 3\n4 5\n", 1, "radii must be positive, got '0 1'"),
+            ("2 3\n-5 1\n", 2, "radii must be positive, got '-5 1'"),
             ("2 3\nabc 3\n", 2, "expected numbers, got 'abc 3'"),
             ("2 3\n4 5\n2 7\n", 3, "radius 2 repeats line 1"),
             ("2 3\n4 0\n", 2, "circumference samples must be positive"),

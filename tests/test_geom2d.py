@@ -62,6 +62,23 @@ class TestAhlfors:
         with pytest.raises(ValueError):
             RadialProfile.tabulated([1.0, 2.0], [1.0, -1.0])
 
+    @pytest.mark.parametrize("r", [[0.0, 2.0, 4.0], [-5.0, 2.0]])
+    def test_nonpositive_radius_rejected(self, r):
+        # a first radius <= 0 used to open about 30 dyadic windows below r = 1
+        with pytest.raises(ValueError, match="radii must be positive"):
+            RadialProfile.tabulated(r, [1.0] * len(r))
+
+    @pytest.mark.parametrize("eps, rmax", [(1e308, 2.0**18), (400.0, 2.0**18), (5.0, 1e300)])
+    def test_overflowing_circumference_rejected(self, eps, rmax):
+        with pytest.raises(ValueError, match="is not a finite float"):
+            RadialProfile.power_log(eps, rmax)
+
+    def test_largest_finite_circumference_accepted(self):
+        # 2 pi 2^18 (log 2^18)^275.6 is about the largest float
+        profile = RadialProfile.power_log(274.0)
+        assert np.isfinite(profile.circumference(profile.rmax))
+        assert ahlfors_classify(profile).verdict == HYPERBOLIC
+
     @pytest.mark.parametrize("rmax", [math.inf, math.nan])
     def test_nonfinite_rmax_rejected(self, rmax):
         # an infinite rmax used to double the dyadic window forever

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 
 import numpy as np
+import oracles
 import pytest
 
 from wrapcheck import wrapmaps
@@ -322,6 +323,70 @@ class TestOperatorNorm:
         scaled = dataclasses.replace(m, func=lambda p: p * np.array([3.0, 1.0]))
         norms = operator_norm(scaled, np.zeros((4, 2)))
         assert np.allclose(norms, 3.0, atol=1e-6)
+
+
+def _samples(m, count, seed):
+    """Seeded points of m's domain off its seams; the strip map's lie
+    in its strip."""
+    rng = np.random.default_rng(seed)
+    if m.name == "strip-to-disk":
+        pts = np.stack([rng.uniform(-0.9, 0.9, count), rng.uniform(0.0, 6.0, count)], axis=-1)
+    else:
+        pts = rng.uniform(-3.0, 3.0, (count, m.domain_dim))
+    return pts[m.seam_dist(pts) > wrapmaps.SEAM_MASK_FACTOR * wrapmaps.FD_STEP]
+
+
+class TestSignedVolume:
+    """The cofactor expansion against the LAPACK determinant it replaced."""
+
+    COFACTOR_MAPS = [
+        *(lambda n=n: identity_map(n) for n in range(1, 5)),
+        lambda: radial_stretch_map(0.5),
+        f0_map,
+        lambda: constant_map(2),
+        sphere_wrap_map,
+        lambda: torus_collapse_map(2),
+        lambda: join_map(3),
+        lambda: torus_collapse_map(3),
+    ]
+    LAPACK_MAPS = [lambda: join_map(4), lambda: torus_collapse_map(4), lambda: identity_map(5)]
+
+    @staticmethod
+    def _id(make):
+        m = make()
+        return f"{m.name}-{m.domain_dim}"
+
+    @pytest.mark.parametrize("make", COFACTOR_MAPS, ids=_id)
+    def test_within_hadamard_bound_of_lapack(self, make):
+        m = make()
+        pts = _samples(m, 4000, seed=m.domain_dim)
+        cols = [wrapmaps.partials(m, pts)[..., j] for j in range(m.domain_dim)]
+        if m.target.kind == "sphere":
+            cols.append(m(pts))
+        assert len(cols) <= wrapmaps.COFACTOR_MAX_ORDER and len(pts) > 3000
+        hadamard = np.prod([np.linalg.norm(c, axis=-1) for c in cols], axis=0)
+        got = signed_jacobian(m, pts)
+        want = oracles.dense_signed_jacobian(m, pts)
+        assert got.shape == want.shape == (len(pts),)
+        assert np.all(np.abs(got - want) <= 1e-12 * hadamard)
+
+    @pytest.mark.parametrize("make", LAPACK_MAPS, ids=_id)
+    def test_lapack_above_the_cofactor_order(self, make):
+        m = make()
+        assert m.domain_dim + (m.target.kind == "sphere") > wrapmaps.COFACTOR_MAX_ORDER
+        pts = _samples(m, 2000, seed=5)
+        assert np.array_equal(signed_jacobian(m, pts), oracles.dense_signed_jacobian(m, pts))
+
+    @pytest.mark.parametrize("make", COFACTOR_MAPS + LAPACK_MAPS, ids=_id)
+    def test_empty_and_batched_inputs(self, make):
+        m = make()
+        # a chunk whose samples the ball or the seam mask dropped
+        empty = signed_jacobian(m, np.zeros((0, m.domain_dim)))
+        assert empty.shape == (0,)
+        pts = _samples(m, 200, seed=9)[:100]
+        flat = signed_jacobian(m, pts)
+        assert np.array_equal(signed_jacobian(m, pts.reshape(2, 50, -1)), flat.reshape(2, 50))
+        assert np.array_equal(signed_jacobian(m, pts[0][None, :]), flat[:1])
 
 
 def _reference_sphere_wrap(x, y):
