@@ -98,10 +98,6 @@ class GradedPolynomial:
     def _exp_degree(gens: GeneratorTable, exps: tuple[int, ...]) -> int:
         return sum(d * x for (_, d), x in zip(gens, exps))
 
-    @classmethod
-    def monomial(cls, generators, coeff, exps) -> "GradedPolynomial":
-        return cls(tuple(generators), ((Fraction(coeff), tuple(exps)),))
-
     @property
     def is_zero(self) -> bool:
         return not self.monomials
@@ -110,33 +106,6 @@ class GradedPolynomial:
         if not self.monomials:
             return None
         return self._exp_degree(self.generators, self.monomials[0][1])
-
-    def __add__(self, other: "GradedPolynomial") -> "GradedPolynomial":
-        if self.generators != other.generators:
-            raise ValueError("polynomials over different generator tables")
-        return GradedPolynomial(self.generators, self.monomials + other.monomials)
-
-    def __neg__(self) -> "GradedPolynomial":
-        return GradedPolynomial(
-            self.generators, tuple((-c, e) for c, e in self.monomials)
-        )
-
-    def __sub__(self, other: "GradedPolynomial") -> "GradedPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "GradedPolynomial") -> "GradedPolynomial":
-        if self.generators != other.generators:
-            raise ValueError("polynomials over different generator tables")
-        degrees = [d for _, d in self.generators]
-        terms = []
-        for ca, ea in self.monomials:
-            for cb, eb in other.monomials:
-                merged = _monomial_mul(degrees, ea, eb)
-                if merged is None:
-                    continue
-                sign, exps = merged
-                terms.append((ca * cb * sign, exps))
-        return GradedPolynomial(self.generators, tuple(terms))
 
     def __repr__(self):
         if not self.monomials:

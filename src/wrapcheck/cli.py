@@ -221,16 +221,45 @@ def _load_profile(args) -> geom2d.RadialProfile:
     raise ParseError("need --family or --profile", 1)
 
 
+def _classify(args, profile: geom2d.RadialProfile):
+    """Length and curvature verdicts, the one place a profile is evaluated.
+
+    The curvature grid must rise from above r = 2 to rmax.  A float
+    overflow, division by zero or invalid operation, or a circumference
+    that underflows to zero, is a ParseError naming the profile's flags,
+    so no numpy warning reaches stderr.
+    """
+    if args.profile:
+        flags = f"--profile {args.profile}"
+    elif profile.family == "power-log":
+        flags = f"--epsilon {profile.epsilon:.15g}"
+        if args.rmax is not None:
+            flags += f" with --rmax {profile.rmax:.15g}"
+    else:
+        flags = f"--rmax {profile.rmax:.15g}"
+    start = max(profile.rmin(), 1.0 + 1e-6) + 1.0
+    if not profile.rmax > start:
+        raise ParseError(
+            f"{flags}: the profile must reach past r = {start:.15g}, where the curvature grid starts", 1
+        )
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            ahlfors = geom2d.ahlfors_classify(profile)
+            r = np.geomspace(start, profile.rmax, 4096)
+            try:
+                milnor = geom2d.milnor_classify(r, profile.curvature_samples(r))
+            except ValueError as exc:
+                # curvature needs a uniform tabulated grid; the length criterion
+                # still applies, so report the curvature side as undecided
+                milnor = geom2d.Classification(geom2d.INCONCLUSIVE, (), str(exc))
+    except (FloatingPointError, ValueError) as exc:
+        raise ParseError(f"{flags}: out of float range ({exc})", 1) from None
+    return ahlfors, milnor
+
+
 def _cmd_surface(args) -> int:
     profile = _load_profile(args)
-    ahlfors = geom2d.ahlfors_classify(profile)
-    r = np.geomspace(max(profile.rmin(), 1.0 + 1e-6) + 1.0, profile.rmax, 4096)
-    try:
-        milnor = geom2d.milnor_classify(r, profile.curvature_samples(r))
-    except ValueError as exc:
-        # curvature needs a uniform tabulated grid; the length criterion
-        # still applies, so report the curvature side as undecided
-        milnor = geom2d.Classification(geom2d.INCONCLUSIVE, (), str(exc))
+    ahlfors, milnor = _classify(args, profile)
     payload = {
         "family": profile.family,
         "epsilon": profile.epsilon,
@@ -269,6 +298,8 @@ def _cmd_map(args) -> int:
         if not 1 <= args.samples <= wrapmaps.MAX_SAMPLES:
             raise ValueError(f"--samples must be at least 1 and at most {wrapmaps.MAX_SAMPLES}")
         m = _MAPS[args.map](args)
+        if args.n is not None and args.n != m.domain_dim:
+            raise ValueError(f"--n {args.n}: {args.map} has domain dimension {m.domain_dim}")
         try:
             radii = [float(x) for x in args.radii.split(",")]
         except ValueError:

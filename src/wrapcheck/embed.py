@@ -128,18 +128,6 @@ def certify_injective(m: RingMorphism) -> bool:
     return image.max_abs_coeff() >= FC_NORM_MIN
 
 
-def pad_morphism(m: RingMorphism, n: int) -> RingMorphism:
-    """The same assignment viewed inside a larger exterior algebra."""
-    if n < m.n:
-        raise ValueError("padding cannot shrink the ambient dimension")
-    return RingMorphism(
-        m.source,
-        n,
-        {name: mv.with_dimension(n) for name, mv in m.assignment.items()},
-        m.mode,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Necessary-condition checks
 # ---------------------------------------------------------------------------

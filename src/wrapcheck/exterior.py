@@ -179,12 +179,6 @@ class Multivector:
     def max_abs_coeff(self) -> float:
         return max((abs(c) for c in self._terms.values()), default=0.0)
 
-    def with_dimension(self, n: int) -> "Multivector":
-        """The same element viewed in a larger ambient algebra."""
-        if n < self.n:
-            raise ValueError("cannot shrink the ambient dimension")
-        return Multivector(n, dict(self._terms))
-
     # -- arithmetic --------------------------------------------------------
     def _check(self, other: "Multivector"):
         if self.n != other.n:

@@ -5,9 +5,10 @@ cohomology, congruence diagonalization) reduces to row operations on
 rational matrices at desk scale, so plain Gaussian elimination is all
 we need.  Matrices are lists of lists of Fractions; rows are vectors.
 
-:class:`SparseSubspace` is the one echelon-form kernel: ``rank``,
-``solve`` and ``nullspace`` read it.  Determinants are products of
-the congruence diagonal in :mod:`wrapcheck.quadform`.
+:class:`SparseSubspace` is the one echelon-form kernel: ``rank``
+reads it, and callers reduce, test membership or take quotient
+coordinates through it.  Determinants are products of the congruence
+diagonal in :mod:`wrapcheck.quadform`.
 """
 
 from __future__ import annotations
@@ -31,27 +32,8 @@ def rank(rows: Sequence[Sequence]) -> int:
     return SparseSubspace(len(rows[0]) if rows else 0, rows).rank
 
 
-def nullspace(rows: Sequence[Sequence], ncols: int) -> Matrix:
-    """Basis of the kernel of the linear map with the given matrix rows."""
-    span = SparseSubspace(ncols, rows)
-    basis = []
-    for fcol in range(ncols):
-        if fcol in span.pivot_rows:
-            continue
-        v = zero_vector(ncols)
-        v[fcol] = Fraction(1)
-        for p, row in span.pivot_rows.items():
-            v[p] = -row.get(fcol, Fraction(0))
-        basis.append(v)
-    return basis
-
-
 def identity(n: int) -> Matrix:
     return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
-def transpose(matrix: Sequence[Sequence]) -> Matrix:
-    return [as_fraction_row(col) for col in zip(*matrix)] if matrix else []
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
@@ -60,21 +42,6 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
         [sum((Fraction(x) * Fraction(y) for x, y in zip(row, col)), Fraction(0)) for col in bt]
         for row in a
     ]
-
-
-def solve(a: Sequence[Sequence], b: Sequence, ncols: int) -> Vector | None:
-    """One solution of A x = b in ``ncols`` unknowns, or None if inconsistent.
-
-    The augmented system is inconsistent iff a pivot lands in its last
-    column; free variables are set to zero.
-    """
-    span = SparseSubspace(ncols + 1, (list(r) + [x] for r, x in zip(a, b)))
-    if ncols in span.pivot_rows:
-        return None
-    x = zero_vector(ncols)
-    for p, row in span.pivot_rows.items():
-        x[p] = row.get(ncols, Fraction(0))
-    return x
 
 
 class SparseSubspace:

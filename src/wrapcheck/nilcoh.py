@@ -60,24 +60,6 @@ class NilLieAlgebra:
     def abelian(cls, dim: int) -> "NilLieAlgebra":
         return cls(dim, {})
 
-    @classmethod
-    def heisenberg(cls) -> "NilLieAlgebra":
-        return cls(3, {(1, 2): {3: 1}})
-
-    @classmethod
-    def filiform(cls, dim: int) -> "NilLieAlgebra":
-        """[X_1, X_i] = X_{i+1} for 2 <= i < dim."""
-        return cls(dim, {(1, i): {i + 1: 1} for i in range(2, dim)})
-
-    @classmethod
-    def direct_sum(cls, a: "NilLieAlgebra", b: "NilLieAlgebra") -> "NilLieAlgebra":
-        table: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for (i, j), comps in a._brackets.items():
-            table[(i, j)] = dict(comps)
-        for (i, j), comps in b._brackets.items():
-            table[(i + a.dim, j + a.dim)] = {k + a.dim: c for k, c in comps.items()}
-        return cls(a.dim + b.dim, table)
-
     # -- bracket ------------------------------------------------------------
     def bracket(self, u: Sequence, v: Sequence) -> linalg.Vector:
         """[u, v] = sum over i < j of (u_i v_j - u_j v_i) [X_i, X_j]."""
@@ -93,31 +75,6 @@ class NilLieAlgebra:
     @property
     def is_abelian(self) -> bool:
         return not self._brackets
-
-    def change_basis(self, t: Sequence[Sequence]) -> "NilLieAlgebra":
-        """Structure constants in the basis Y_j = sum_i T[i][j] X_i."""
-        m = self.dim
-        tmat = [linalg.as_fraction_row(r) for r in t]
-        tinv_cols = []
-        for e in linalg.identity(m):
-            x = linalg.solve(tmat, e, m)
-            if x is None:
-                raise ValueError("change of basis matrix is singular")
-            tinv_cols.append(x)
-        # tinv_cols[j] = T^{-1} e_j ; component k of v in Y-basis is (T^{-1} v)_k
-        table: dict[tuple[int, int], dict[int, Fraction]] = {}
-        cols = [[tmat[i][j] for i in range(m)] for j in range(m)]
-        for i in range(m):
-            for j in range(i + 1, m):
-                w = self.bracket(cols[i], cols[j])
-                comps = {}
-                for k in range(m):
-                    coeff = sum(tinv_cols[a][k] * w[a] for a in range(m))
-                    if coeff != 0:
-                        comps[k + 1] = coeff
-                if comps:
-                    table[(i + 1, j + 1)] = comps
-        return NilLieAlgebra(m, table)
 
     def __repr__(self):
         items = ", ".join(

@@ -26,6 +26,8 @@ from wrapcheck.nilcoh import (
     quotient_by_central_ideal,
 )
 
+import oracles
+
 
 def _random_invertible(rng: random.Random, n: int) -> list[list[Fraction]]:
     while True:
@@ -103,14 +105,15 @@ def random_nilpotent(rng: random.Random, max_dim: int = 6, nonabelian: bool = Fa
             g = _random_two_step(rng, rng.randint(3, max_dim))
         elif kind == "heisenberg-sum":
             extra = rng.randint(0, max_dim - 3)
-            g = NilLieAlgebra.direct_sum(NilLieAlgebra.heisenberg(), NilLieAlgebra.abelian(extra))
-        elif kind == "filiform":
-            g = NilLieAlgebra.filiform(rng.randint(3, max_dim))
+            g = NilLieAlgebra(3 + extra, {(1, 2): {3: 1}})
         else:
-            base = NilLieAlgebra.filiform(rng.randint(4, max_dim))
-            g = _random_central_quotient(rng, base)
+            # filiform: [X_1, X_i] = X_{i+1} for 2 <= i < dim
+            dim = rng.randint(3 if kind == "filiform" else 4, max_dim)
+            g = NilLieAlgebra(dim, {(1, i): {i + 1: 1} for i in range(2, dim)})
+            if kind == "quotient":
+                g = _random_central_quotient(rng, g)
         if rng.random() < 0.5:
-            g = g.change_basis(_random_invertible(rng, g.dim))
+            g = NilLieAlgebra(g.dim, oracles.dense_change_basis(g, _random_invertible(rng, g.dim)))
         if g.dim > max_dim:
             continue
         if nonabelian and g.is_abelian:

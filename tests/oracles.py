@@ -177,9 +177,10 @@ def dense_central_series(g):
 
 
 def dense_change_basis(g, t):
-    """Structure constants in the basis Y_j = sum_i T[i][j] X_i."""
+    """Structure constants in the basis Y_j = sum_i T[i][j] X_i, with
+    sympy inverting T."""
     m = g.dim
-    tinv_cols = [linalg.solve(t, e, m) for e in linalg.identity(m)]
+    tinv = [[Fraction(int(x.p), int(x.q)) for x in row] for row in sympy.Matrix(t).inv().tolist()]
     cols = [[Fraction(t[i][j]) for i in range(m)] for j in range(m)]
     table = {}
     for i in range(m):
@@ -187,7 +188,7 @@ def dense_change_basis(g, t):
             w = dense_bracket(g, cols[i], cols[j])
             comps = {}
             for k in range(m):
-                coeff = sum(tinv_cols[a][k] * w[a] for a in range(m))
+                coeff = sum(tinv[k][a] * w[a] for a in range(m))
                 if coeff != 0:
                     comps[k + 1] = coeff
             if comps:

@@ -24,33 +24,38 @@ from wrapcheck.algebra import (
 )
 
 
-def _mono(gens, coeff, **exps) -> GradedPolynomial:
+def _poly(gens, *terms) -> GradedPolynomial:
+    """The sum of (coefficient, {generator name: exponent}) terms."""
     names = [nm for nm, _ in gens]
-    vec = [0] * len(gens)
-    for name, e in exps.items():
-        vec[names.index(name)] = e
-    return GradedPolynomial.monomial(gens, coeff, vec)
+    monomials = []
+    for coeff, exps in terms:
+        vec = [0] * len(gens)
+        for name, e in exps.items():
+            vec[names.index(name)] = e
+        monomials.append((coeff, tuple(vec)))
+    return GradedPolynomial(gens, tuple(monomials))
+
+
+def _mono(gens, coeff, **exps) -> GradedPolynomial:
+    return _poly(gens, (coeff, exps))
 
 
 def sphere(n: int) -> AlgebraPresentation:
     gens = (("u", n),)
-    rel = GradedPolynomial.monomial(gens, 1, (2,)) if n % 2 == 0 else None
-    rels = (rel,) if rel is not None else ()
-    return AlgebraPresentation(gens, rels, n, GradedPolynomial.monomial(gens, 1, (1,)))
+    rels = (_mono(gens, 1, u=2),) if n % 2 == 0 else ()
+    return AlgebraPresentation(gens, rels, n, _mono(gens, 1, u=1))
 
 
 def torus(k: int, names: tuple[str, ...] | None = None) -> AlgebraPresentation:
     names = names or tuple(f"x{i}" for i in range(1, k + 1))
     gens = tuple((nm, 1) for nm in names)
-    fc = GradedPolynomial.monomial(gens, 1, (1,) * k)
+    fc = GradedPolynomial(gens, ((1, (1,) * k),))
     return AlgebraPresentation(gens, (), k, fc)
 
 
 def complex_projective(k: int) -> AlgebraPresentation:
     gens = (("w", 2),)
-    rel = GradedPolynomial.monomial(gens, 1, (k + 1,))
-    fc = GradedPolynomial.monomial(gens, 1, (k,))
-    return AlgebraPresentation(gens, (rel,), 2 * k, fc)
+    return AlgebraPresentation(gens, (_mono(gens, 1, w=k + 1),), 2 * k, _mono(gens, 1, w=k))
 
 
 def genus_surface(g: int) -> AlgebraPresentation:
@@ -70,10 +75,7 @@ def genus_surface(g: int) -> AlgebraPresentation:
             if i != j:
                 rels.append(_mono(gens, 1, **{f"x{i}": 1, f"y{j}": 1}))
         if i > 1:
-            rels.append(
-                _mono(gens, 1, **{f"x{i}": 1, f"y{i}": 1})
-                - _mono(gens, 1, **{"x1": 1, "y1": 1})
-            )
+            rels.append(_poly(gens, (1, {f"x{i}": 1, f"y{i}": 1}), (-1, {"x1": 1, "y1": 1})))
     fc = _mono(gens, 1, x1=1, y1=1)
     return AlgebraPresentation(gens, tuple(rels), 2, fc)
 
@@ -98,9 +100,7 @@ def sum_s2xs2(r: int) -> AlgebraPresentation:
             else:
                 rels.append(_mono(gens, 1, **{na: 1, nb: 1}))
     for i in range(2, r + 1):
-        rels.append(
-            _mono(gens, 1, **{f"u{i}": 1, f"v{i}": 1}) - _mono(gens, 1, u1=1, v1=1)
-        )
+        rels.append(_poly(gens, (1, {f"u{i}": 1, f"v{i}": 1}), (-1, {"u1": 1, "v1": 1})))
     fc = _mono(gens, 1, u1=1, v1=1)
     return AlgebraPresentation(gens, tuple(rels), 4, fc)
 
@@ -115,13 +115,11 @@ def sum_cp2(s: int, t: int) -> AlgebraPresentation:
     for a in range(len(names)):
         for b in range(a + 1, len(names)):
             rels.append(_mono(gens, 1, **{names[a]: 1, names[b]: 1}))
-    vol = _mono(gens, 1, **{names[0]: 2})
-    if names[0].startswith("d"):
-        vol = -vol  # volume is -d1^2 when there is no positive class
+    # the volume is -d1^2 when there is no positive class
+    vol = -1 if names[0].startswith("d") else 1
     for nm in names[1:]:
-        square = _mono(gens, 1, **{nm: 2})
-        rels.append(square - vol if nm.startswith("c") else square + vol)
-    return AlgebraPresentation(gens, tuple(rels), 4, vol)
+        rels.append(_poly(gens, (1, {nm: 2}), (-vol if nm.startswith("c") else vol, {names[0]: 2})))
+    return AlgebraPresentation(gens, tuple(rels), 4, _mono(gens, vol, **{names[0]: 2}))
 
 
 def heisenberg_nilmanifold() -> AlgebraPresentation:
@@ -135,7 +133,7 @@ def heisenberg_nilmanifold() -> AlgebraPresentation:
         _mono(gens, 1, a=1, b=1),
         _mono(gens, 1, a=1, A=1),
         _mono(gens, 1, b=1, B=1),
-        _mono(gens, 1, a=1, B=1) + _mono(gens, 1, b=1, A=1),
+        _poly(gens, (1, dict(a=1, B=1)), (1, dict(b=1, A=1))),
         _mono(gens, 1, A=2),
         _mono(gens, 1, B=2),
         _mono(gens, 1, A=1, B=1),
@@ -182,8 +180,8 @@ def filiform4_nilmanifold() -> AlgebraPresentation:
         _mono(gens, 1, B=2),
         _mono(gens, 1, a=1, P=1),
         _mono(gens, 1, b=1, Q=1),
-        _mono(gens, 1, A=1, B=1) - _mono(gens, 1, a=1, Q=1),
-        _mono(gens, 1, a=1, Q=1) + _mono(gens, 1, b=1, P=1),
+        _poly(gens, (1, dict(A=1, B=1)), (-1, dict(a=1, Q=1))),
+        _poly(gens, (1, dict(a=1, Q=1)), (1, dict(b=1, P=1))),
         # implied above the top degree, stated so truncation is not needed
         _mono(gens, 1, A=1, P=1),
         _mono(gens, 1, A=1, Q=1),
@@ -217,9 +215,9 @@ def t3_skeleton_boundary() -> AlgebraPresentation:
         _mono(gens, 1, x2=1, a13=1),
         _mono(gens, 1, x1=1, a23=1),
         # dual-pairing identifications: x2 a12 = x3 a13 (= z1), etc.
-        _mono(gens, 1, x2=1, a12=1) - _mono(gens, 1, x3=1, a13=1),
-        _mono(gens, 1, x1=1, a12=1) + _mono(gens, 1, x3=1, a23=1),
-        _mono(gens, 1, x1=1, a13=1) - _mono(gens, 1, x2=1, a23=1),
+        _poly(gens, (1, dict(x2=1, a12=1)), (-1, dict(x3=1, a13=1))),
+        _poly(gens, (1, dict(x1=1, a12=1)), (1, dict(x3=1, a23=1))),
+        _poly(gens, (1, dict(x1=1, a13=1)), (-1, dict(x2=1, a23=1))),
         # the dual classes multiply to zero among themselves
         _mono(gens, 1, a12=2),
         _mono(gens, 1, a13=2),
@@ -234,8 +232,8 @@ def t3_skeleton_boundary() -> AlgebraPresentation:
         _mono(gens, 1, x1=1, x3=1, a23=1),
         _mono(gens, 1, x2=1, x3=1, a12=1),
         _mono(gens, 1, x2=1, x3=1, a13=1),
-        _mono(gens, 1, x1=1, x2=1, a12=1) - _mono(gens, 1, x1=1, x3=1, a13=1),
-        _mono(gens, 1, x1=1, x2=1, a12=1) - _mono(gens, 1, x2=1, x3=1, a23=1),
+        _poly(gens, (1, dict(x1=1, x2=1, a12=1)), (-1, dict(x1=1, x3=1, a13=1))),
+        _poly(gens, (1, dict(x1=1, x2=1, a12=1)), (-1, dict(x2=1, x3=1, a23=1))),
     ]
     fc = _mono(gens, 1, x1=1, x2=1, a12=1)
     return AlgebraPresentation(gens, tuple(rels), 4, fc)
@@ -258,10 +256,7 @@ def nine_manifold_disc2() -> AlgebraPresentation:
             rels.append(_mono(gens, 1, **{f"u{i}": 1, f"u{j}": 1}))
     squares = {1: 2, 2: 1, 3: 1, 4: -1, 5: -1, 6: -1}
     for i in range(2, 7):
-        rels.append(
-            _mono(gens, Fraction(1, squares[i]), **{f"u{i}": 2})
-            - _mono(gens, Fraction(1, 2), **{"u1": 2})
-        )
+        rels.append(_poly(gens, (Fraction(1, squares[i]), {f"u{i}": 2}), (Fraction(-1, 2), {"u1": 2})))
     fc = _mono(gens, 1, u2=2, t=1)
     return AlgebraPresentation(gens, tuple(rels), 9, fc)
 
@@ -294,7 +289,7 @@ def random_small_presentations(count=20, seed=808):
         fc_monos = algebra._monomials_of_degree(gens, n)
         if not fc_monos:
             continue
-        fc = GradedPolynomial.monomial(gens, 1, rng.choice(fc_monos))
+        fc = GradedPolynomial(gens, ((1, rng.choice(fc_monos)),))
         pres = AlgebraPresentation(gens, tuple(relations), n, fc)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

@@ -20,12 +20,14 @@ from wrapcheck.battery import BatteryOptions, run_battery
 from wrapcheck.cli import EXIT_OK, main
 from wrapcheck.descriptor import parse_descriptor_file
 from wrapcheck.embed import (
+    RingMorphism,
     certify_injective,
     fourmanifold_battery,
     search_embedding,
     torus_subalgebra_check,
     verify_morphism,
 )
+from wrapcheck.exterior import Multivector
 from wrapcheck.geom2d import (
     HYPERBOLIC,
     PARABOLIC,
@@ -90,8 +92,6 @@ def test_criterion_1_square_class_reproduction():
 
 def test_criterion_2_torus_ground_truth():
     with criterion(2, "torus embeddings and rank n-1 rejection", 30.0):
-        from wrapcheck.embed import pad_morphism
-
         for k in range(1, 7):
             A = P.torus(k)
             for n in range(1, 7):
@@ -100,7 +100,9 @@ def test_criterion_2_torus_ground_truth():
                     assert out.status == "found-certified", (k, n)
                     assert verify_morphism(out.morphism)
                     assert certify_injective(out.morphism)
-                    padded = pad_morphism(out.morphism, n + 1)
+                    assignment = out.morphism.assignment
+                    wider = {nm: Multivector(n + 1, dict(mv.items())) for nm, mv in assignment.items()}
+                    padded = RingMorphism(A, n + 1, wider)
                     assert verify_morphism(padded) and certify_injective(padded)
                 else:
                     assert out.status == "not-found", (k, n)
@@ -151,9 +153,11 @@ def test_criterion_5_growth_criterion():
     with criterion(5, "growth degrees and verdicts", 1.0):
         for n in range(1, 7):
             assert bass_growth_degree(NilLieAlgebra.abelian(n)) == n
-        assert bass_growth_degree(NilLieAlgebra.heisenberg()) == 4
-        assert bass_growth_degree(NilLieAlgebra.filiform(4)) == 7
-        assert not pi1_verdict(NilLieAlgebra.heisenberg(), 3).passed
+        heisenberg = NilLieAlgebra(3, {(1, 2): {3: 1}})
+        filiform4 = NilLieAlgebra(4, {(1, 2): {3: 1}, (1, 3): {4: 1}})
+        assert bass_growth_degree(heisenberg) == 4
+        assert bass_growth_degree(filiform4) == 7
+        assert not pi1_verdict(heisenberg, 3).passed
         assert not pi1_verdict(NilLieAlgebra.abelian(5), 4).passed
         assert pi1_verdict(NilLieAlgebra.abelian(4), 4).passed
 

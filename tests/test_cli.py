@@ -622,6 +622,38 @@ class TestCLI:
         assert "length criterion: Parabolic" in text
         assert text.splitlines()[-1].split("\t")[:2] == ["32", "64"]
 
+    MAP_GRID = ["--radii", "2", "--step", "0.5", "--samples", "100"]
+
+    @pytest.mark.parametrize(
+        "args, code, flag",
+        [
+            # L(rmax) is subnormal, so 1/L overflows; past -300 L is 0
+            (["surface", "--family", "power-log", "--epsilon", "-285"], EXIT_USAGE, "--epsilon"),
+            (["surface", "--family", "power-log", "--epsilon", "-300"], EXIT_USAGE, "--epsilon"),
+            (["surface", "--family", "power-log", "--epsilon", "-280"], EXIT_OK, None),
+            # the window (512, 1024) reaches past r = 710, where sinh overflows
+            (["surface", "--family", "hyperbolic", "--rmax", "1024"], EXIT_USAGE, "--rmax"),
+            (["surface", "--family", "hyperbolic", "--rmax", "1023"], EXIT_OK, None),
+            (["surface", "--family", "euclidean", "--rmax", "1e308"], EXIT_USAGE, "--rmax"),
+            # the curvature grid starts at rmin + 1 and would run downward
+            (["surface", "--family", "power-log", "--epsilon", "0.5", "--rmax", "1"], EXIT_USAGE, "--rmax"),
+            (["surface", "--family", "power-log", "--epsilon", "0.5"], EXIT_OK, None),
+            (["surface", "--family", "hyperbolic", "--rmax", "0.5"], EXIT_USAGE, "--rmax"),
+            # sphere-wrap is a map of the plane
+            (["map", "--map", "sphere-wrap", "--n", "3", *MAP_GRID], EXIT_USAGE, "--n"),
+            (["map", "--map", "sphere-wrap", "--n", "2", *MAP_GRID], EXIT_OK, None),
+        ],
+    )
+    def test_numeric_domain_exit(self, capsys, args, code, flag):
+        assert main(args) == code
+        captured = capsys.readouterr()
+        if code == EXIT_OK:
+            assert captured.err == "" and captured.out
+        else:
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert f"{flag} {float(args[args.index(flag) + 1]):.15g}" in captured.err
+            assert captured.out == ""
+
     @pytest.mark.parametrize("command", ["check", "embed", "corpus"])
     def test_tolerance_flag_is_unknown(self, capsys, command):
         args = [] if command == "corpus" else [corpus_file("t2")]

@@ -16,7 +16,6 @@ from wrapcheck.embed import (
     certify_injective,
     euler_obstruction,
     fourmanifold_battery,
-    pad_morphism,
     ring_checks,
     search_embedding,
     torus_subalgebra_check,
@@ -194,7 +193,8 @@ class TestSearchEmbedding:
 
     def test_monotone_padding(self):
         out = search_embedding(P.torus(2), 2, budget=1000, seed=0)
-        padded = pad_morphism(out.morphism, 3)
+        wider = {nm: Multivector(3, dict(mv.items())) for nm, mv in out.morphism.assignment.items()}
+        padded = RingMorphism(P.torus(2), 3, wider)
         assert verify_morphism(padded)
         assert certify_injective(padded)
 

@@ -197,9 +197,3 @@ class TestMultivector:
         m = e(3, 1) + e(3, 1, 2)
         with pytest.raises(ValueError):
             m.degree()
-
-    def test_with_dimension(self):
-        m = e(3, 1, 3)
-        assert m.with_dimension(5).coefficient((1, 3)) == 1
-        with pytest.raises(ValueError):
-            m.with_dimension(2)

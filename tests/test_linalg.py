@@ -29,8 +29,8 @@ def _sym(rows, ncols):
     return sympy.Matrix(len(rows), ncols, entries)
 
 
-def _times(rows, x):
-    return [sum((r[j] * x[j] for j in range(len(x))), Fraction(0)) for r in rows]
+def _frac(x):
+    return Fraction(int(x.p), int(x.q))
 
 
 def _cases():
@@ -53,41 +53,25 @@ class TestAgainstSympy:
     def test_rank(self, name, rows, ncols):
         assert linalg.rank(rows) == _sym(rows, ncols).rank()
 
-    def test_nullspace(self, name, rows, ncols):
-        got = linalg.nullspace(rows, ncols)
-        want = _sym(rows, ncols).nullspace()
-        assert len(got) == len(want)
-        for v in got:
-            assert all(x == 0 for x in _sym(rows, ncols) * _sym([v], ncols).T)
-        if got:
-            # same span: both bases have the same reduced echelon form
-            assert _sym(got, ncols).rref()[0] == sympy.Matrix.hstack(*want).T.rref()[0]
+    def test_echelon_rows(self, name, rows, ncols):
+        span = linalg.SparseSubspace(ncols, rows)
+        rref, pivots = _sym(rows, ncols).rref()
+        assert span.pivots == list(pivots)
+        assert span.rows == [[_frac(x) for x in rref.row(i)] for i in range(len(pivots))]
 
-    def test_solve(self, name, rows, ncols):
+    def test_reduce(self, name, rows, ncols):
         rng = random.Random(name)
+        span = linalg.SparseSubspace(ncols, rows)
         a = _sym(rows, ncols)
-        image = _times(rows, [Fraction(rng.randint(-3, 3)) for _ in range(ncols)])
-        for b in ([Fraction(0)] * len(rows), [Fraction(rng.randint(-5, 5)) for _ in rows], image):
-            x = linalg.solve(rows, b, ncols)
-            consistent = a.rank() == a.row_join(_sym([[y] for y in b], 1)).rank()
-            if not consistent:
-                assert x is None
-                continue
-            assert x is not None and len(x) == ncols
-            assert all(isinstance(y, Fraction) for y in x)
-            assert _times(rows, x) == b
-
-
-def test_solve_inconsistent():
-    # x + y = 1 and 2x + 2y = 3 share no solution
-    assert linalg.solve([[1, 1], [2, 2]], [1, 3], 2) is None
-    # a zero row with a nonzero right-hand side
-    assert linalg.solve([[0, 0, 0]], [1], 3) is None
-    assert linalg.solve([[1, 1], [2, 2]], [1, 2], 2) == [Fraction(1), Fraction(0)]
-
-
-def test_nullspace_of_no_rows_is_the_identity():
-    assert linalg.nullspace([], 3) == linalg.identity(3)
+        coeffs = [Fraction(rng.randint(-3, 3)) for _ in rows]
+        combination = [sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0)) for j in range(ncols)]
+        for v in ([Fraction(0)] * ncols, [Fraction(rng.randint(-5, 5)) for _ in range(ncols)], combination):
+            red = span.reduce(v)
+            # zero at every pivot, and v - red in the row space: that fixes red
+            assert all(red[p] == 0 for p in span.pivots)
+            assert a.col_join(_sym([[x - y for x, y in zip(v, red)]], ncols)).rank() == a.rank()
+            assert span.contains(v) == (a.col_join(_sym([v], ncols)).rank() == a.rank())
+        assert span.contains(combination)
 
 
 class TestCoordsInBasis:

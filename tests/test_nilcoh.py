@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from wrapcheck import linalg
 from wrapcheck.exterior import blade_masks
@@ -22,10 +23,10 @@ from wrapcheck.nilcoh import (
 
 import oracles
 import presentations as P
-from corpusgen import _random_invertible, nilpotent_corpus
+from corpusgen import nilpotent_corpus
 
-H3 = NilLieAlgebra.heisenberg()
-FILIFORM4 = NilLieAlgebra.filiform(4)
+H3 = NilLieAlgebra(3, {(1, 2): {3: 1}})
+FILIFORM4 = NilLieAlgebra(4, {(1, 2): {3: 1}, (1, 3): {4: 1}})
 
 
 class TestJacobi:
@@ -64,7 +65,8 @@ class TestLowerCentralSeries:
         t = [[Fraction(rng.randint(-2, 2)) for _ in range(4)] for _ in range(4)]
         while linalg.rank(t) < 4:
             t = [[Fraction(rng.randint(-2, 2)) for _ in range(4)] for _ in range(4)]
-        assert lower_central_series(FILIFORM4.change_basis(t)) == [4, 2, 1, 0]
+        g = NilLieAlgebra(4, oracles.dense_change_basis(FILIFORM4, t))
+        assert lower_central_series(g) == [4, 2, 1, 0]
 
 
 class TestCEDifferential:
@@ -209,12 +211,6 @@ class TestDenseReference:
                 v = [rng.randint(-3, 3) for _ in range(g.dim)]
                 assert g.bracket(u, v) == oracles.dense_bracket(g, u, v)
 
-    def test_change_basis(self, corpus):
-        rng = random.Random(7)
-        for g in corpus:
-            t = _random_invertible(rng, g.dim)
-            assert g.change_basis(t)._brackets == oracles.dense_change_basis(g, t)
-
 
 class TestRingLevelAgreement:
     def test_presented_rings_match_invariant_form_betti(self):
@@ -257,7 +253,11 @@ def _degree_one_subalgebra_is_free(g: NilLieAlgebra) -> bool:
     cx = ce_differential(g)
     m = g.dim
     d1 = [list(r) for r in cx.differentials[1]]
-    kernel_basis = linalg.nullspace(d1, m) if d1 else linalg.identity(m)
+    kernel_basis = (
+        [[Fraction(int(x.p), int(x.q)) for x in v] for v in sympy.Matrix(d1).nullspace()]
+        if d1
+        else linalg.identity(m)
+    )
     b1 = len(kernel_basis)
     one_forms = [
         Multivector(m, {1 << i: v[i] for i in range(m) if v[i] != 0}) for v in kernel_basis

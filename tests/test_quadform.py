@@ -60,7 +60,7 @@ class TestDiagonalize:
             f = QuadraticForm(gram)
             diag, t = diagonalize(f)
             product = linalg.mat_mul(
-                linalg.mat_mul(linalg.transpose(t), [list(r) for r in f.gram]), t
+                linalg.mat_mul(list(zip(*t)), [list(r) for r in f.gram]), t
             )
             n = f.rank
             assert product == [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)], gram
@@ -80,7 +80,7 @@ class TestDiagonalize:
             f = QuadraticForm(tuple(tuple(row) for row in g))
             diag, t = diagonalize(f)
             product = linalg.mat_mul(
-                linalg.mat_mul(linalg.transpose(t), [list(r) for r in f.gram]), t
+                linalg.mat_mul(list(zip(*t)), [list(r) for r in f.gram]), t
             )
             for i in range(n):
                 for j in range(n):
@@ -123,7 +123,7 @@ class TestDiscriminant:
                 t = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
                 if abs(sympy.Matrix(t).det()) == 1:
                     break
-            g = linalg.mat_mul(linalg.mat_mul(linalg.transpose(t), [list(r) for r in base.gram]), t)
+            g = linalg.mat_mul(linalg.mat_mul(list(zip(*t)), [list(r) for r in base.gram]), t)
             moved = QuadraticForm(tuple(tuple(row) for row in g))
             assert discriminant(moved) == discriminant(base)
             assert signature(moved) == signature(base)
