@@ -25,7 +25,6 @@ from .embed import (
     RingMorphism,
     certify_injective,
     euler_obstruction,
-    fourmanifold_battery,
     search_embedding,
     torus_subalgebra_check,
     verify_morphism,
@@ -74,7 +73,7 @@ from .wrapmaps import (
     quasiregularity_ratio,
 )
 from .descriptor import ManifoldDescriptor, ParseError, parse_descriptor
-from .battery import BatteryOptions, BatteryReport, run_battery
+from .battery import BatteryOptions, BatteryReport, fourmanifold_battery, run_battery
 
 __version__ = "0.1.0"
 
@@ -96,7 +95,6 @@ __all__ = [
     "RingMorphism",
     "certify_injective",
     "euler_obstruction",
-    "fourmanifold_battery",
     "search_embedding",
     "torus_subalgebra_check",
     "verify_morphism",
@@ -140,6 +138,7 @@ __all__ = [
     "parse_descriptor",
     "BatteryOptions",
     "BatteryReport",
+    "fourmanifold_battery",
     "run_battery",
     "__version__",
 ]

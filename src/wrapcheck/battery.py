@@ -18,13 +18,17 @@ from fractions import Fraction
 from . import embed, quadform
 from .algebra import basis_and_dims, cup_square_form, euler_characteristic
 from .algebra import check_poincare_duality  # noqa: F401 -- perfbench traces it on this module
-from .descriptor import ManifoldDescriptor, ParseError
+from .descriptor import ManifoldDescriptor, ParseError, Pi1Data
 from .embed import PRINCIPLES, CheckResult, SearchOutcome
 from .exterior import Blade
 from .nilcoh import pi1_verdict
 
-# free-abelian pi1 ranks with a closed 4-manifold model (S^1 x S^3, T^2 x S^2, T^4)
-_FOUR_MANIFOLD_PI1 = {1: "Z", 2: "Z^2", 4: "Z^4"}
+# free-abelian pi1 rank -> (label, the b2 that chi = 0 forces, the covering model)
+FOUR_MANIFOLD_COVERS = {
+    1: ("Z", 0, "S^1 x S^3"),
+    2: ("Z^2", 2, "T^2 x S^2"),
+    4: ("Z^4", 6, "T^4"),
+}
 
 
 @dataclass
@@ -192,34 +196,40 @@ def _pi1_checks(d: ManifoldDescriptor) -> list[CheckResult]:
     ]
 
 
-def _four_manifold_check(d: ManifoldDescriptor) -> CheckResult:
+def fourmanifold_battery(b_plus: int, b_minus: int, pi1: Pi1Data) -> CheckResult:
+    """The closed 4-manifold list: finite pi1 passes iff b+, b- <= 3, so that
+    the form fits in the (3,3) wedge pairing on the middle of Lambda*(R^4),
+    and free abelian pi1 iff b2 is the one its cover in FOUR_MANIFOLD_COVERS
+    forces.  Any other pi1 is inconclusive."""
+    if b_plus < 0 or b_minus < 0:
+        raise ValueError("Betti inputs must be nonnegative")
     principle = PRINCIPLES["four-manifold-intersection"]
-    if d.pi1.kind == "finite":
-        label = "finite"
-    elif d.pi1.kind == "free-abelian":
-        label = _FOUR_MANIFOLD_PI1.get(d.pi1.rank)
-    else:
-        label = None
-    if label is None:
-        return CheckResult(
-            "four-manifold-intersection",
-            "inconclusive",
-            principle,
-            {"pi1": "unsupported for the 4-manifold classification"},
+    cover = FOUR_MANIFOLD_COVERS.get(pi1.rank) if pi1.kind == "free-abelian" else None
+    if pi1.kind != "finite" and cover is None:
+        unsupported = {"pi1": "unsupported for the 4-manifold classification"}
+        return CheckResult("four-manifold-intersection", "inconclusive", principle, unsupported)
+    witness = {"b_plus": b_plus, "b_minus": b_minus, "labels": []}
+    if cover is not None:
+        label, b2, model = cover
+        if b_plus + b_minus == b2:
+            witness["labels"] = [model]
+        else:
+            witness["reason"] = (
+                f"pi1 = {label} forces Euler characteristic zero, i.e. b2 = {b2}, "
+                f"got {b_plus + b_minus}"
+            )
+    elif b_plus > 3 or b_minus > 3:
+        witness["reason"] = (
+            f"intersection form ({b_plus},{b_minus}) does not embed in the (3,3) wedge pairing"
         )
-    b_plus, b_minus = d.betti
-    res = embed.fourmanifold_battery(b_plus, b_minus, label)
-    return CheckResult(
-        "four-manifold-intersection",
-        res.verdict,
-        principle,
-        {
-            "b_plus": b_plus,
-            "b_minus": b_minus,
-            "labels": list(res.labels),
-            **({"reason": res.reason} if res.reason else {}),
-        },
-    )
+    elif b_plus == b_minus == 0:
+        witness["labels"] = ["S^4"]
+    else:
+        if b_plus == b_minus:
+            witness["labels"].append(f"#^{b_plus}(S^2 x S^2)")
+        witness["labels"].append(f"#^{b_plus}CP^2 #^{b_minus}CP^2-bar")
+    verdict = "fail" if "reason" in witness else "pass"
+    return CheckResult("four-manifold-intersection", verdict, principle, witness)
 
 
 def _cup_form_analysis(d: ManifoldDescriptor) -> dict | None:
@@ -276,7 +286,7 @@ def run_battery(d: ManifoldDescriptor, options: BatteryOptions | None = None) ->
     checks.extend(embed.ring_checks(A))
     cup_form = _cup_form_analysis(d)  # before the search: it rejects inconsistent [betti] data
     if d.n == 4 and d.betti is not None:
-        checks.append(_four_manifold_check(d))
+        checks.append(fourmanifold_battery(*d.betti, d.pi1))
 
     embedding = None
     if options.embed:

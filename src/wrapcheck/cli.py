@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 from importlib import resources
 
@@ -213,12 +214,12 @@ def _load_profile(args) -> geom2d.RadialProfile:
         return geom2d.RadialProfile.hyperbolic(**rmax)
     if args.family == "power-log":
         if args.epsilon is None:
-            raise ParseError("power-log needs --epsilon", 1)
+            raise ParseError("power-log needs --epsilon")
         try:
             return geom2d.RadialProfile.power_log(args.epsilon, **rmax)
         except ValueError as exc:
-            raise ParseError(f"--epsilon {args.epsilon:g}: {exc}", 1) from None
-    raise ParseError("need --family or --profile", 1)
+            raise ParseError(f"--epsilon {args.epsilon:g}: {exc}") from None
+    raise ParseError("need --family or --profile")
 
 
 def _classify(args, profile: geom2d.RadialProfile):
@@ -240,7 +241,7 @@ def _classify(args, profile: geom2d.RadialProfile):
     start = max(profile.rmin(), 1.0 + 1e-6) + 1.0
     if not profile.rmax > start:
         raise ParseError(
-            f"{flags}: the profile must reach past r = {start:.15g}, where the curvature grid starts", 1
+            f"{flags}: the profile must reach past r = {start:.15g}, where the curvature grid starts"
         )
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -253,7 +254,7 @@ def _classify(args, profile: geom2d.RadialProfile):
                 # still applies, so report the curvature side as undecided
                 milnor = geom2d.Classification(geom2d.INCONCLUSIVE, (), str(exc))
     except (FloatingPointError, ValueError) as exc:
-        raise ParseError(f"{flags}: out of float range ({exc})", 1) from None
+        raise ParseError(f"{flags}: out of float range ({exc})") from None
     return ahlfors, milnor
 
 
@@ -306,8 +307,7 @@ def _cmd_map(args) -> int:
             raise ValueError(f"--radii must be comma-separated numbers: {args.radii!r}") from None
         wrapmaps.check_quadrature(radii, args.step, m.domain_dim)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ParseError(str(exc)) from None
     report = wrapmaps.asymptotic_degree(m, radii, args.step)
     if args.map == "sphere-wrap":
         floor = wrapmaps.jacobian_floor(
@@ -409,6 +409,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes -0.5 for a flag's value but -1e-300 for an option: attach it
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--epsilon" and re.match(r"-\.?\d", argv[i]):
+            argv[i - 1 : i + 1] = [f"--epsilon={argv[i]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -14,7 +14,9 @@ Polynomials use rational literals ``p/q`` and exponent monomials::
 Anticommutation of odd-degree generators and their vanishing squares
 are built in; descriptors must not restate them (an odd generator with
 exponent > 1 is a parse error).  Structure constants for a nilpotent
-fundamental group are given as bracket lines::
+fundamental group are given as bracket lines, whose right side is a
+degree-one polynomial on the generators ``e1 .. e<dim>`` (``0`` for a
+zero bracket)::
 
     [pi1]
     type: nilpotent
@@ -34,8 +36,10 @@ from .nilcoh import NilLieAlgebra, lower_central_series
 
 
 class ParseError(ValueError):
-    def __init__(self, message: str, line: int, col: int = 1):
-        super().__init__(f"line {line}, col {col}: {message}")
+    """Bad input, located at a line and column when it comes from a file."""
+
+    def __init__(self, message: str, line: int | None = None, col: int = 1):
+        super().__init__(message if line is None else f"line {line}, col {col}: {message}")
         self.line = line
         self.col = col
 
@@ -169,39 +173,8 @@ def parse_polynomial(
 
 
 _BRACKET = re.compile(r"\[\s*(\d+)\s*,\s*(\d+)\s*\]\s*=\s*(.*)")
-
-
-def _parse_bracket_rhs(text: str, dim: int, line_no: int):
-    """Linear combination ``2 e3 + 1/2 e4`` of basis vectors."""
-    tokens = _tokenize(text, line_no, 0)
-    out: dict[int, Fraction] = {}
-    i = 0
-    first = True
-    while i < len(tokens):
-        sign = Fraction(1)
-        tok, col = tokens[i]
-        if tok in "+-":
-            sign = Fraction(-1) if tok == "-" else Fraction(1)
-            i += 1
-        elif not first:
-            raise ParseError(f"expected + or - before {tok!r}", line_no, col)
-        first = False
-        coeff = sign
-        if i < len(tokens) and re.fullmatch(r"\d+(/\d+)?", tokens[i][0]):
-            coeff *= _parse_rational(tokens[i][0], line_no, tokens[i][1])
-            i += 1
-        if i >= len(tokens) or not re.fullmatch(r"e\d+", tokens[i][0]):
-            raise ParseError("expected basis vector e<k>", line_no, tokens[i - 1][1])
-        k = int(tokens[i][0][1:])
-        if not 1 <= k <= dim:
-            raise ParseError(f"basis index {k} out of range 1..{dim}", line_no, tokens[i][1])
-        out[k] = out.get(k, Fraction(0)) + coeff
-        i += 1
-    return {k: c for k, c in out.items() if c != 0}
-
-
 _SECTION = re.compile(r"\[([a-z0-9_]+)\]\s*$")
-_KEYVAL = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)\s*:\s*(.*)$")
+_KEYVAL = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*)\s*:\s*(.*)$")
 
 _TOP_KEYS = {"name", "n"}
 _COH_KEYS = {"generators", "relation", "fundamental_class"}
@@ -211,7 +184,8 @@ _BETTI_KEYS = {"b_plus", "b_minus"}
 
 def parse_descriptor(text: str) -> ManifoldDescriptor:
     top: dict[str, str] = {}
-    sections: dict[str, list[tuple[int, str, str]]] = {}
+    # (line, key, value, where the value starts in the line)
+    sections: dict[str, list[tuple[int, str, str, int]]] = {}
     section_lines: dict[str, int] = {}
     notes_lines: list[str] = []
     current = None
@@ -232,7 +206,7 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
         if current == "notes":
             notes_lines.append(raw.strip())
             continue
-        mkv = _KEYVAL.match(line.strip())
+        mkv = _KEYVAL.match(line)
         if not mkv:
             raise ParseError("expected key: value", line_no)
         key, value = mkv.group(1), mkv.group(2).strip()
@@ -246,7 +220,7 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
             allowed = {"cohomology": _COH_KEYS, "pi1": _PI1_KEYS, "betti": _BETTI_KEYS}[current]
             if key not in allowed:
                 raise ParseError(f"unknown key {key!r} in [{current}]", line_no)
-            sections[current].append((line_no, key, value))
+            sections[current].append((line_no, key, value, mkv.start(2)))
 
     if "name" not in top:
         raise ParseError("missing name", 1)
@@ -270,7 +244,7 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
     fundamental = None
     fundamental_line = 1
     gen_line = None
-    for line_no, key, value in sections["cohomology"]:
+    for line_no, key, value, _ in sections["cohomology"]:
         if key == "generators":
             if generators is not None:
                 raise ParseError("duplicate generators line", line_no)
@@ -323,7 +297,7 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
     kind_line = 1
     dim = None
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for line_no, key, value in sections["pi1"]:
+    for line_no, key, value, value_col in sections["pi1"]:
         if key == "type":
             if kind is not None:
                 raise ParseError("duplicate pi1 type", line_no)
@@ -343,7 +317,16 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
                 raise ParseError(
                     f"bracket indices must satisfy 1 <= i < j <= {dim}", line_no
                 )
-            brackets[(i, j)] = _parse_bracket_rhs(m.group(3), dim, line_no)
+            rhs_col = value_col + m.start(3)
+            basis = [(f"e{k}", 1) for k in range(1, dim + 1)]
+            rhs = parse_polynomial(m.group(3), basis, line_no, offset=rhs_col, max_degree=1)
+            if rhs.degree() == 0:
+                raise ParseError(
+                    f"bracket value is a constant, expected a combination of e1..e{dim}",
+                    line_no,
+                    rhs_col + 1,
+                )
+            brackets[(i, j)] = {exps.index(1) + 1: c for c, exps in rhs.monomials}
     if kind is None:
         raise ParseError("missing pi1 type", 1)
     mz = re.fullmatch(r"Z\^(\d+)", kind)
@@ -373,7 +356,7 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
     betti_line = section_lines.get("betti", 1)
     if "betti" in sections:
         vals = {}
-        for line_no, key, value in sections["betti"]:
+        for line_no, key, value, _ in sections["betti"]:
             if key in vals:
                 raise ParseError(f"duplicate {key}", line_no)
             if not re.fullmatch(r"[0-9]+", value):

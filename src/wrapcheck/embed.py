@@ -256,53 +256,6 @@ def euler_obstruction(A: AlgebraPresentation) -> CheckResult:
     )
 
 
-@dataclass(frozen=True)
-class FourManifoldResult:
-    verdict: str  # "pass" | "fail"
-    labels: tuple[str, ...]
-    reason: str = ""
-
-
-def fourmanifold_battery(b_plus: int, b_minus: int, pi1: str) -> FourManifoldResult:
-    """Classification of (b+, b-, pi1) data for closed 4-manifolds.
-
-    Simply connected (finite pi1): passes iff b+ <= 3 and b- <= 3 (the
-    wedge pairing on the middle of Lambda*(R^4) has signature (3,3), so
-    a (b+, b-) subform fits iff both bounds hold).  Infinite pi1 must
-    be Z, Z^2 or Z^4 with Betti data matching the corresponding cover
-    S^1 x S^3, T^2 x S^2 or T^4.
-    """
-    if b_plus < 0 or b_minus < 0:
-        raise ValueError("Betti inputs must be nonnegative")
-    if pi1 == "finite":
-        if b_plus <= 3 and b_minus <= 3:
-            labels = []
-            if b_plus == b_minus == 0:
-                labels.append("S^4")
-            else:
-                if b_plus == b_minus:
-                    labels.append(f"#^{b_plus}(S^2 x S^2)")
-                labels.append(f"#^{b_plus}CP^2 #^{b_minus}CP^2-bar")
-            return FourManifoldResult("pass", tuple(labels))
-        return FourManifoldResult(
-            "fail",
-            (),
-            f"intersection form ({b_plus},{b_minus}) does not embed in the (3,3) wedge pairing",
-        )
-    expected_b2 = {"Z": 0, "Z^2": 2, "Z^4": 6}
-    labels = {"Z": "S^1 x S^3", "Z^2": "T^2 x S^2", "Z^4": "T^4"}
-    if pi1 not in expected_b2:
-        raise ValueError(f"unsupported pi1 descriptor {pi1!r}")
-    if b_plus + b_minus != expected_b2[pi1]:
-        return FourManifoldResult(
-            "fail",
-            (),
-            f"pi1 = {pi1} forces Euler characteristic zero, i.e. b2 = {expected_b2[pi1]}, "
-            f"got {b_plus + b_minus}",
-        )
-    return FourManifoldResult("pass", (labels[pi1],))
-
-
 @lru_cache(maxsize=256)
 def ring_checks(A: AlgebraPresentation) -> tuple[CheckResult, ...]:
     """Intrinsic checks (relative to A.n), in battery order.

@@ -43,6 +43,11 @@ INCONCLUSIVE = "Inconclusive"
 HYPERBOLIC_RATIO = 0.9
 PARABOLIC_WINDOW_FACTOR = 2.0
 MIN_WINDOWS = 8
+AHLFORS_SAMPLES_PER_WINDOW = 256
+MILNOR_TAIL_FRACTION = 0.5  # the tail is this last fraction of the samples' log r range
+CURVATURE_MAX_STEP = 0.5
+PROFILE_STEP = 1e-3
+NODULE_SAMPLES_PER_UNIT = 512
 
 
 @dataclass(frozen=True)
@@ -154,11 +159,12 @@ def _dyadic_windows(rmin: float, rmax: float) -> list[tuple[float, float]]:
     return out
 
 
-def ahlfors_classify(profile: RadialProfile, samples_per_window: int = 256) -> Classification:
+def ahlfors_classify(profile: RadialProfile) -> Classification:
     """Conformal type from divergence of the integral of dr/L(r).
 
     Closed-form families get the analytic verdict; the dyadic-window
-    trace is computed either way.  For tabulated data: Hyperbolic when
+    trace, a trapezoid rule on AHLFORS_SAMPLES_PER_WINDOW samples per
+    window, is computed either way.  For tabulated data: Hyperbolic when
     the last MIN_WINDOWS consecutive window-sum ratios are all below
     HYPERBOLIC_RATIO, Parabolic when they all stay within a factor
     PARABOLIC_WINDOW_FACTOR of each other, Inconclusive otherwise.
@@ -169,7 +175,7 @@ def ahlfors_classify(profile: RadialProfile, samples_per_window: int = 256) -> C
     windows = _dyadic_windows(profile.rmin(), profile.rmax)
     trace = []
     for a, b in windows:
-        r = np.linspace(a, b, samples_per_window)
+        r = np.linspace(a, b, AHLFORS_SAMPLES_PER_WINDOW)
         L = profile.circumference(r)
         if np.any(L <= 0):
             raise ValueError("profile must be positive")
@@ -205,9 +211,7 @@ MILNOR_MARGIN = 1e-3
 MILNOR_EPS_MIN = 0.05
 
 
-def milnor_classify(
-    r: Sequence[float], K: Sequence[float], tail_fraction: float = 0.5
-) -> Classification:
+def milnor_classify(r: Sequence[float], K: Sequence[float]) -> Classification:
     """Conformal type from the curvature bound -1/(r^2 log r).
 
     Parabolic when K >= -1/(r^2 log r) on the sampled tail, Hyperbolic
@@ -217,7 +221,7 @@ def milnor_classify(
     K = np.asarray(K, dtype=float)
     if r[0] <= 1.0:
         raise ValueError("need r > 1 so that log r is positive")
-    cut = r[0] * (r[-1] / r[0]) ** (1.0 - tail_fraction)
+    cut = r[0] * (r[-1] / r[0]) ** (1.0 - MILNOR_TAIL_FRACTION)
     mask = r >= cut
     q = K[mask] * r[mask] ** 2 * np.log(r[mask])  # compare against -1
     trace = tuple((float(x), float(x), float(v)) for x, v in zip(r[mask][:64], q[:64]))
@@ -231,11 +235,11 @@ def milnor_classify(
     return Classification(INCONCLUSIVE, trace, "curvature straddles the critical decay")
 
 
-def curvature_from_profile(r: Sequence[float], rho: Sequence[float], max_step: float = 0.5) -> np.ndarray:
+def curvature_from_profile(r: Sequence[float], rho: Sequence[float]) -> np.ndarray:
     """K = -rho''/rho for the metric dr^2 + rho(r)^2 dtheta^2.
 
-    Uniform-grid symmetric second differences; returns K at the
-    interior samples r[1:-1].
+    Uniform-grid symmetric second differences, on a step of at most
+    CURVATURE_MAX_STEP; returns K at the interior samples r[1:-1].
     """
     r = np.asarray(r, dtype=float)
     rho = np.asarray(rho, dtype=float)
@@ -243,25 +247,24 @@ def curvature_from_profile(r: Sequence[float], rho: Sequence[float], max_step: f
     h = steps[0]
     if np.max(np.abs(steps - h)) > 1e-9 * max(1.0, abs(h)):
         raise ValueError("curvature_from_profile needs a uniform grid")
-    if h > max_step:
-        raise ValueError(f"grid step {h} too coarse (limit {max_step})")
+    if h > CURVATURE_MAX_STEP:
+        raise ValueError(f"grid step {h} too coarse (limit {CURVATURE_MAX_STEP})")
     second = (rho[2:] - 2 * rho[1:-1] + rho[:-2]) / h**2
     return -second / rho[1:-1]
 
 
-def profile_from_curvature(
-    curvature, r0: float, rmax: float, rho0: float | None = None, drho0: float = 1.0, step: float = 1e-3
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate rho'' = -K rho outward from r0 (classical RK4).
+def profile_from_curvature(curvature, r0: float, rmax: float) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate rho'' = -K rho outward from rho(r0) = r0, rho'(r0) = 1
+    (classical RK4 with step PROFILE_STEP).
 
     The inverse of :func:`curvature_from_profile`; used to turn a
     curvature law into circumference data.
     """
+    step = PROFILE_STEP
     n = int(math.ceil((rmax - r0) / step))
     r = r0 + step * np.arange(n + 1)
     rho = np.empty(n + 1)
-    v = drho0
-    y = rho0 if rho0 is not None else r0
+    y, v = r0, 1.0
     rho[0] = y
     for i in range(n):
         def f(t, state):
@@ -285,9 +288,10 @@ def profile_from_curvature(
 # ---------------------------------------------------------------------------
 
 
-def nodule_profile(n: int, pmax: int, samples_per_unit: int = 512) -> tuple[np.ndarray, np.ndarray]:
+def nodule_profile(n: int, pmax: int) -> tuple[np.ndarray, np.ndarray]:
     """Warping function with local minima 2^(-2p/(n-1)) at integers p and
-    local maxima 2^(-p/(n-1)) at p + 1/2, smoothstep-interpolated.
+    local maxima 2^(-p/(n-1)) at p + 1/2, smoothstep-interpolated on
+    NODULE_SAMPLES_PER_UNIT samples per unit.
 
     The symmetric interpolant makes the average over [p, p+1] equal to
     (max + (min_p + min_{p+1})/2) / 2, i.e. proportional to the local
@@ -306,7 +310,7 @@ def nodule_profile(n: int, pmax: int, samples_per_unit: int = 512) -> tuple[np.n
         return u * u * (3 - 2 * u)
 
     for p in range(pmax + 1):
-        u = np.linspace(0.0, 1.0, samples_per_unit, endpoint=False)
+        u = np.linspace(0.0, 1.0, NODULE_SAMPLES_PER_UNIT, endpoint=False)
         lo, hi = minimum(p), maximum(p)
         up = lo + (hi - lo) * smoothstep(u)
         lo2 = minimum(p + 1)

@@ -209,34 +209,43 @@ class EvaluableMap:
         return self.seam_distance(pts)
 
 
-def _dist_to_odd(x):
-    t = (x - 1.0) / 2.0
-    return 2.0 * np.abs(t - np.round(t))
+def strip_seam(p: np.ndarray) -> np.ndarray:
+    """Distance to the sphere wrap's seams, the x-axis and the lines x = odd."""
+    t = (p[..., 0] - 1.0) / 2.0
+    return np.minimum(np.abs(p[..., 1]), 2.0 * np.abs(t - np.round(t)))
+
+
+def cube_seam(p: np.ndarray) -> np.ndarray:
+    """Distance to the torus collapse's seam, the sphere inscribed in each unit cube."""
+    u = p - np.floor(p) - 0.5
+    s = np.sqrt(np.sum(u * u, axis=-1))
+    return np.abs(s - 0.5)
 
 
 def identity_map(dim: int) -> EvaluableMap:
     return EvaluableMap("identity", dim, TargetSpace("euclidean", dim), lambda p: p.copy())
 
 
-def constant_map(dim: int, point: Sequence[float] | None = None) -> EvaluableMap:
-    pt = np.asarray(point if point is not None else [0.0] * dim + [1.0], dtype=float)
+def constant_map(dim: int) -> EvaluableMap:
+    """R^dim -> S^dim, everything to the north pole (0, ..., 0, 1)."""
+    pt = np.asarray([0.0] * dim + [1.0])
     return EvaluableMap(
         "constant",
         dim,
-        TargetSpace("sphere", dim + 1) if len(pt) == dim + 1 else TargetSpace("euclidean", len(pt)),
-        lambda p, pt=pt: np.broadcast_to(pt, p.shape[:-1] + pt.shape).copy(),
+        TargetSpace("sphere", dim + 1),
+        lambda p: np.broadcast_to(pt, p.shape[:-1] + pt.shape).copy(),
     )
 
 
-def radial_stretch_map(alpha: float, dim: int = 2) -> EvaluableMap:
+def radial_stretch_map(alpha: float) -> EvaluableMap:
     def f(p):
         r = np.linalg.norm(p, axis=-1, keepdims=True)
         return np.where(r > 0, r**alpha * p, 0.0)
 
     return EvaluableMap(
         f"radial-stretch({alpha})",
-        dim,
-        TargetSpace("euclidean", dim),
+        2,
+        TargetSpace("euclidean", 2),
         f,
         seam_distance=lambda p: np.linalg.norm(p, axis=-1),
     )
@@ -262,22 +271,17 @@ def sphere_wrap_map() -> EvaluableMap:
         2,
         TargetSpace("sphere", 3),
         lambda p: eval_sphere_wrap(p[..., 0], p[..., 1]),
-        seam_distance=lambda p: np.minimum(np.abs(p[..., 1]), _dist_to_odd(p[..., 0])),
+        seam_distance=strip_seam,
     )
 
 
 def torus_collapse_map(d: int) -> EvaluableMap:
-    def seam(p):
-        u = p - np.floor(p) - 0.5
-        s = np.sqrt(np.sum(u * u, axis=-1))
-        return np.abs(s - 0.5)
-
     return EvaluableMap(
         f"torus-collapse({d})",
         d,
         TargetSpace("sphere", d + 1),
         lambda p: eval_torus_collapse(p),
-        seam_distance=seam,
+        seam_distance=cube_seam,
     )
 
 
@@ -289,11 +293,7 @@ def join_map(n: int) -> EvaluableMap:
         return eval_fn(p[..., 0], p[..., 1], p[..., 2:], n)
 
     def seam(p):
-        u = p[..., 2:] - np.floor(p[..., 2:]) - 0.5
-        s = np.sqrt(np.sum(u * u, axis=-1))
-        return np.minimum(
-            np.minimum(np.abs(p[..., 1]), _dist_to_odd(p[..., 0])), np.abs(s - 0.5)
-        )
+        return np.minimum(strip_seam(p), cube_seam(p[..., 2:]))
 
     return EvaluableMap(f"join({n})", n, TargetSpace("sphere", n + 1), f, seam_distance=seam)
 
@@ -582,13 +582,17 @@ def jacobian_floor(
     return float(min(mins, default=math.inf))
 
 
-def sphere_wrap_strip_sampler(y_window: tuple[float, float] = (1.0, 20.0), periods: int = 3):
-    """Uniform samples on the strips [2z + 1/2, 2z + 3/2] x (|y| in window)."""
+STRIP_Y_WINDOW = (1.0, 20.0)  # the strip sampler's range of |y|
+STRIP_PERIODS = 3  # and of z, -STRIP_PERIODS <= z < STRIP_PERIODS
+
+
+def sphere_wrap_strip_sampler():
+    """Uniform samples on the strips [2z + 1/2, 2z + 3/2] x (|y| in STRIP_Y_WINDOW)."""
 
     def sample(count: int, rng: np.random.Generator) -> np.ndarray:
-        z = rng.integers(-periods, periods, size=count)
+        z = rng.integers(-STRIP_PERIODS, STRIP_PERIODS, size=count)
         x = 2.0 * z + 0.5 + rng.uniform(0.0, 1.0, size=count)
-        y = rng.uniform(y_window[0], y_window[1], size=count)
+        y = rng.uniform(STRIP_Y_WINDOW[0], STRIP_Y_WINDOW[1], size=count)
         y *= rng.choice([-1.0, 1.0], size=count)
         return np.stack([x, y], axis=-1)
 

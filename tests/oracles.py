@@ -5,18 +5,20 @@ wedge signs come from an explicit bubble sort, quotient ranks from a
 sorted-word monomial model with sympy rank computations, local
 solvability from a Hensel-style lifting search, and the invariant-form
 complex of a nilpotent Lie algebra from dense bracket vectors and
-dense differential columns, and the signed volume of a wrapping map
-from a batched LAPACK determinant.
+dense differential columns, the signed volume of a wrapping map
+from a batched LAPACK determinant, and the right side of a bracket
+line from a term loop of its own.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import numpy as np
 import sympy
 
-from wrapcheck import linalg, wrapmaps
+from wrapcheck import descriptor, linalg, wrapmaps
 from wrapcheck.exterior import blade_masks
 
 
@@ -280,6 +282,43 @@ def dense_nomizu_kernel(g):
     rank_d1 = linalg.rank(d1_cols)
     kernel_dim = len(pullback_cols) - (linalg.rank(pullback_cols + d1_cols) - rank_d1)
     return kernel_dim, m2 - r, False, r, m2
+
+
+# ---------------------------------------------------------------------------
+# Term loop of its own for the right side of a bracket line
+# ---------------------------------------------------------------------------
+
+
+def bracket_rhs_reference(text, dim, line_no):
+    """Linear combination ``2 e3 + 1/2 e4`` of basis vectors, as
+    {k: coefficient} without zero entries; columns are relative to text."""
+    tokens = descriptor._tokenize(text, line_no, 0)
+    out: dict[int, Fraction] = {}
+    i = 0
+    first = True
+    while i < len(tokens):
+        sign = Fraction(1)
+        tok, col = tokens[i]
+        if tok in "+-":
+            sign = Fraction(-1) if tok == "-" else Fraction(1)
+            i += 1
+        elif not first:
+            raise descriptor.ParseError(f"expected + or - before {tok!r}", line_no, col)
+        first = False
+        coeff = sign
+        if i < len(tokens) and re.fullmatch(r"\d+(/\d+)?", tokens[i][0]):
+            coeff *= descriptor._parse_rational(tokens[i][0], line_no, tokens[i][1])
+            i += 1
+        if i >= len(tokens) or not re.fullmatch(r"e\d+", tokens[i][0]):
+            raise descriptor.ParseError("expected basis vector e<k>", line_no, tokens[i - 1][1])
+        k = int(tokens[i][0][1:])
+        if not 1 <= k <= dim:
+            raise descriptor.ParseError(
+                f"basis index {k} out of range 1..{dim}", line_no, tokens[i][1]
+            )
+        out[k] = out.get(k, Fraction(0)) + coeff
+        i += 1
+    return {k: c for k, c in out.items() if c != 0}
 
 
 # ---------------------------------------------------------------------------

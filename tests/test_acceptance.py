@@ -16,13 +16,12 @@ import numpy as np
 import pytest
 
 from wrapcheck.algebra import quotient_by_degree1
-from wrapcheck.battery import BatteryOptions, run_battery
+from wrapcheck.battery import BatteryOptions, fourmanifold_battery, run_battery
 from wrapcheck.cli import EXIT_OK, main
-from wrapcheck.descriptor import parse_descriptor_file
+from wrapcheck.descriptor import Pi1Data, parse_descriptor_file
 from wrapcheck.embed import (
     RingMorphism,
     certify_injective,
-    fourmanifold_battery,
     search_embedding,
     torus_subalgebra_check,
     verify_morphism,
@@ -130,7 +129,7 @@ def test_criterion_3_four_manifold_list():
         golden = {}
         for bp in range(5):
             for bm in range(5):
-                golden[(bp, bm)] = fourmanifold_battery(bp, bm, "finite").verdict
+                golden[(bp, bm)] = fourmanifold_battery(bp, bm, Pi1Data("finite")).verdict
         for (bp, bm), verdict in golden.items():
             expected = "pass" if bp <= 3 and bm <= 3 else "fail"
             assert verdict == expected, (bp, bm)

@@ -2,7 +2,9 @@ import contextlib
 import io
 import json
 import pathlib
+import random
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,8 @@ from hypothesis import strategies as st
 from wrapcheck.battery import BatteryOptions, run_battery
 from wrapcheck.cli import EXIT_EXCLUDED, EXIT_OK, EXIT_USAGE, corpus_paths, main
 from wrapcheck.descriptor import ParseError, parse_descriptor, parse_descriptor_file
+
+import oracles
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "src" / "wrapcheck" / "corpus"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "corpus_verdicts.json"
@@ -169,6 +173,86 @@ bracket: [2,1] = e3
         with pytest.raises(ParseError) as err:
             parse_descriptor(text)
         assert err.value.line == 5
+
+
+def random_bracket_rhs(rng: random.Random, ks: list[int]) -> str:
+    """A right side the term loop of oracles.bracket_rhs_reference accepts:
+    signed terms with optional integer or p/q coefficients on e_k for k in
+    ks, with repeats, and now and then a pair e_k - e_k that cancels."""
+
+    def space():
+        return rng.choice(["", " ", " ", "  "])
+
+    terms = []
+    for t in range(rng.randint(1, 5)):
+        sign = rng.choice(["", "+", "-"]) if t == 0 else rng.choice(["+", "-"])
+        coeff = rng.choice(
+            ["", "", str(rng.randint(0, 12)), f"{rng.randint(0, 12)}/{rng.randint(1, 12)}"]
+        )
+        terms.append(f"{sign}{space()}{coeff}{space()}e{rng.choice(ks)}")
+        if rng.random() < 0.2:
+            k = rng.choice(ks)
+            terms.append(f"+{space()}e{k}{space()}-{space()}e{k}")
+    return space().join(terms)
+
+
+class TestBracketRightSide:
+    """A bracket line's right side is a degree-one polynomial on e1..e_dim."""
+
+    @staticmethod
+    def nilmanifold(dim: int, i: int, j: int, rhs: str, b1: int) -> str:
+        # a torus ring with the first Betti number the bracket leaves
+        ring = " ".join(f"x{k}:1" for k in range(1, b1 + 1))
+        top = " ".join(f"x{k}" for k in range(1, b1 + 1))
+        return (
+            f"name: g\nn: {b1}\n[cohomology]\ngenerators: {ring}\nfundamental_class: {top}\n"
+            f"[pi1]\ntype: nilpotent\ndim: {dim}\nbracket: [{i},{j}] = {rhs}\n"
+        )
+
+    def test_matches_reference_term_loop(self):
+        rng = random.Random(17)
+        cancelled = 0
+        for _ in range(1200):
+            dim = rng.randint(3, 6)
+            i, j = sorted(rng.sample(range(1, dim + 1), 2))
+            # one bracket [X_i, X_j] = Z with Z off X_i, X_j: Jacobi holds and
+            # the algebra is nilpotent, so the line reaches the algebra as written
+            rhs = random_bracket_rhs(rng, [k for k in range(1, dim + 1) if k not in (i, j)])
+            want = oracles.bracket_rhs_reference(rhs, dim, 1)
+            cancelled += not want
+            d = parse_descriptor(self.nilmanifold(dim, i, j, rhs, dim - bool(want)))
+            assert d.pi1.algebra._brackets == ({(i, j): want} if want else {}), rhs
+        assert cancelled > 0
+
+    @pytest.mark.parametrize(
+        "rhs, want",
+        [("2 * e3", {(1, 2): {3: 2}}), ("e3^1 - 1/2 e3", {(1, 2): {3: Fraction(1, 2)}}), ("0", {})],
+    )
+    def test_polynomial_forms_accepted(self, rhs, want):
+        text = self.nilmanifold(3, 1, 2, rhs, 3 - bool(want))
+        assert parse_descriptor(text).pi1.algebra._brackets == want
+
+    @pytest.mark.parametrize(
+        "rhs, col, message",
+        [
+            ("e9", 18, "unknown generator 'e9'"),
+            ("x3", 18, "unknown generator 'x3'"),
+            ("2", 18, "bracket value is a constant, expected a combination of e1..e3"),
+            ("e3 e2", 21, "term degree 2 overflows the allowed maximum 1"),
+            ("e3 +", 21, "dangling sign"),
+            ("- e3 + 2/0 e2", 25, "malformed rational literal '2/0'"),
+            ("", 17, "empty polynomial"),
+        ],
+    )
+    def test_malformed_exit_at_line_and_column(self, tmp_path, capsys, rhs, col, message):
+        text = pathlib.Path(corpus_file("heisenberg3")).read_text()
+        line = text.splitlines().index("bracket: [1,2] = e3") + 1
+        bad = tmp_path / "bad.descriptor"
+        bad.write_text(text.replace("bracket: [1,2] = e3", f"bracket: [1,2] = {rhs}".rstrip()))
+        assert main(["check", str(bad)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"error: line {line}, col {col}: {message}\n"
+        assert captured.out == ""
 
 
 class TestBattery:
@@ -569,12 +653,21 @@ class TestCLI:
         assert f"argument --epsilon: must be finite, got {epsilon}" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("epsilon", ["-1e-300", "-1e-3", "-2.5E-1", "-.5e0", "-285", "-1e3x"])
+    def test_surface_negative_epsilon_spellings_agree(self, capsys, epsilon):
+        runs = []
+        for args in (["--epsilon", epsilon], [f"--epsilon={epsilon}"]):
+            code = main(["surface", "--family", "power-log", *args])
+            runs.append((code, capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == (EXIT_OK if epsilon not in ("-285", "-1e3x") else EXIT_USAGE)
+
     @pytest.mark.parametrize("epsilon", ["1e308", "400"])
     def test_surface_overflowing_epsilon_exit(self, capsys, epsilon):
         # the circumference at the default rmax 2^18 overflows past eps = 275.6
         assert main(["surface", "--family", "power-log", "--epsilon", epsilon]) == EXIT_USAGE
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: line 1, col 1: --epsilon ")
+        assert captured.err.startswith("error: --epsilon ")
         assert "is not a finite float" in captured.err
         assert captured.err.count("\n") == 1
         assert captured.out == ""

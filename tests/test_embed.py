@@ -7,24 +7,27 @@ import numpy as np
 import pytest
 
 from wrapcheck import algebra, battery, embed
-from wrapcheck.battery import BatteryOptions, run_battery
+from wrapcheck.battery import BatteryOptions, fourmanifold_battery, run_battery
 from wrapcheck.cli import corpus_paths
-from wrapcheck.descriptor import parse_descriptor, parse_descriptor_file
+from wrapcheck.descriptor import Pi1Data, parse_descriptor, parse_descriptor_file
 from wrapcheck.embed import (
     PRINCIPLES,
     RingMorphism,
     certify_injective,
     euler_obstruction,
-    fourmanifold_battery,
     ring_checks,
     search_embedding,
     torus_subalgebra_check,
     verify_morphism,
 )
 from wrapcheck.exterior import Multivector, blade_masks, wedge, wedge_terms
+from wrapcheck.nilcoh import NilLieAlgebra
 
 import presentations as P
 from presentations import random_small_presentations, reverse_generators
+
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "corpus_verdicts.json"
 
 
 def blade(n, *idx):
@@ -131,10 +134,17 @@ class TestEulerObstruction:
         assert euler_obstruction(P.sum_s2xs2(1)).verdict == "pass"
 
 
+FINITE = Pi1Data("finite")
+
+
+def free_abelian(rank):
+    return Pi1Data("free-abelian", rank=rank)
+
+
 class TestFourManifoldBattery:
     def test_golden_table(self):
         table = {
-            (bp, bm): fourmanifold_battery(bp, bm, "finite").verdict
+            (bp, bm): fourmanifold_battery(bp, bm, FINITE).verdict
             for bp in range(5)
             for bm in range(5)
         }
@@ -142,23 +152,76 @@ class TestFourManifoldBattery:
             assert verdict == ("pass" if bp <= 3 and bm <= 3 else "fail")
 
     def test_labels(self):
-        res = fourmanifold_battery(3, 3, "finite")
-        assert "#^3(S^2 x S^2)" in res.labels
-        assert fourmanifold_battery(0, 0, "finite").labels == ("S^4",)
+        res = fourmanifold_battery(3, 3, FINITE)
+        assert "#^3(S^2 x S^2)" in res.witness["labels"]
+        assert fourmanifold_battery(0, 0, FINITE).witness["labels"] == ["S^4"]
 
     def test_infinite_pi1_covers(self):
-        assert fourmanifold_battery(1, 1, "Z^2").labels == ("T^2 x S^2",)
-        assert fourmanifold_battery(3, 3, "Z^4").labels == ("T^4",)
-        assert fourmanifold_battery(0, 0, "Z").labels == ("S^1 x S^3",)
-        assert fourmanifold_battery(1, 1, "Z^4").verdict == "fail"
+        assert fourmanifold_battery(1, 1, free_abelian(2)).witness["labels"] == ["T^2 x S^2"]
+        assert fourmanifold_battery(3, 3, free_abelian(4)).witness["labels"] == ["T^4"]
+        assert fourmanifold_battery(0, 0, free_abelian(1)).witness["labels"] == ["S^1 x S^3"]
+        assert fourmanifold_battery(1, 1, free_abelian(4)).verdict == "fail"
 
     def test_unsupported_pi1(self):
-        with pytest.raises(ValueError):
-            fourmanifold_battery(1, 1, "Z^3")
+        # Z^3 has no closed 4-manifold model on the list: the witness the
+        # golden table holds for t3_skeleton_boundary, whose pi1 is Z^3
+        golden = json.loads(GOLDEN.read_text())
+        report = next(r for r in golden["reports"] if r["name"] == "t3_skeleton_boundary")
+        want = next(c for c in report["checks"] if c["id"] == "four-manifold-intersection")
+        res = fourmanifold_battery(3, 3, free_abelian(3))
+        assert (res.check_id, res.verdict, res.principle, res.witness) == (
+            want["id"], want["verdict"], want["principle"], want["witness"]
+        )
 
     def test_negative_betti_rejected(self):
         with pytest.raises(ValueError):
-            fourmanifold_battery(-1, 0, "finite")
+            fourmanifold_battery(-1, 0, FINITE)
+
+    UNSUPPORTED = {"pi1": "unsupported for the 4-manifold classification"}
+    HEISENBERG = Pi1Data("nilpotent", algebra=NilLieAlgebra(3, {(1, 2): {3: 1}}))
+
+    @pytest.mark.parametrize(
+        "pi1, betti, verdict, witness",
+        [
+            (FINITE, (1, 1), "pass", {"labels": ["#^1(S^2 x S^2)", "#^1CP^2 #^1CP^2-bar"]}),
+            (FINITE, (2, 0), "pass", {"labels": ["#^2CP^2 #^0CP^2-bar"]}),
+            (
+                FINITE,
+                (0, 4),
+                "fail",
+                {
+                    "labels": [],
+                    "reason": "intersection form (0,4) does not embed in the (3,3) wedge pairing",
+                },
+            ),
+            (free_abelian(1), (0, 0), "pass", {"labels": ["S^1 x S^3"]}),
+            (free_abelian(2), (1, 1), "pass", {"labels": ["T^2 x S^2"]}),
+            (free_abelian(4), (3, 3), "pass", {"labels": ["T^4"]}),
+            (
+                free_abelian(2),
+                (1, 0),
+                "fail",
+                {
+                    "labels": [],
+                    "reason": "pi1 = Z^2 forces Euler characteristic zero, i.e. b2 = 2, got 1",
+                },
+            ),
+            (free_abelian(3), (3, 3), "inconclusive", UNSUPPORTED),
+            (free_abelian(5), (0, 0), "inconclusive", UNSUPPORTED),
+            (HEISENBERG, (0, 0), "inconclusive", UNSUPPORTED),
+            (Pi1Data("nilpotent", algebra=NilLieAlgebra.abelian(4)), (3, 3), "inconclusive", UNSUPPORTED),
+            (Pi1Data("other"), (1, 1), "inconclusive", UNSUPPORTED),
+        ],
+    )
+    def test_every_pi1_kind(self, pi1, betti, verdict, witness):
+        res = fourmanifold_battery(*betti, pi1)
+        assert res.check_id == "four-manifold-intersection"
+        assert res.principle == PRINCIPLES["four-manifold-intersection"]
+        assert res.verdict == verdict
+        if verdict == "inconclusive":
+            assert res.witness == witness
+        else:
+            assert res.witness == {"b_plus": betti[0], "b_minus": betti[1], **witness}
 
 
 class TestSearchEmbedding:

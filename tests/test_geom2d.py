@@ -147,7 +147,7 @@ class TestCurvature:
             curvature_from_profile(r, r)
 
     def test_round_trip_with_integrator(self):
-        r, rho = profile_from_curvature(lambda t: -1.0 / t**2, 2.0, 6.0, step=1e-3)
+        r, rho = profile_from_curvature(lambda t: -1.0 / t**2, 2.0, 6.0)
         K = curvature_from_profile(r, rho)
         assert np.max(np.abs(K + 1.0 / r[1:-1] ** 2)) < 1e-3
 
