@@ -11,7 +11,6 @@ constructions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,7 +18,7 @@ from . import embed, quadform
 from .algebra import basis_and_dims, cup_square_form, euler_characteristic
 from .algebra import check_poincare_duality  # noqa: F401 -- perfbench traces it on this module
 from .descriptor import ManifoldDescriptor, ParseError, Pi1Data
-from .embed import PRINCIPLES, CheckResult, SearchOutcome
+from .embed import CheckResult, SearchOutcome
 from .exterior import Blade
 from .nilcoh import pi1_verdict
 
@@ -84,9 +83,6 @@ class BatteryReport:
                 "best_residual": _fmt_float(e.best_residual),
             }
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def render_text(self) -> str:
         lines = [f"{self.name} (n = {self.n})"]
@@ -188,7 +184,7 @@ def _pi1_checks(d: ManifoldDescriptor) -> list[CheckResult]:
     else:
         growth = abelian = ("inconclusive", {"pi1": "outside the nilpotent data model"})
     return [
-        CheckResult(check_id, verdict, PRINCIPLES[check_id], witness)
+        CheckResult(check_id, verdict, witness=witness)
         for check_id, (verdict, witness) in (
             ("fundamental-group-growth", growth),
             ("fundamental-group-abelian", abelian),
@@ -203,11 +199,10 @@ def fourmanifold_battery(b_plus: int, b_minus: int, pi1: Pi1Data) -> CheckResult
     forces.  Any other pi1 is inconclusive."""
     if b_plus < 0 or b_minus < 0:
         raise ValueError("Betti inputs must be nonnegative")
-    principle = PRINCIPLES["four-manifold-intersection"]
     cover = FOUR_MANIFOLD_COVERS.get(pi1.rank) if pi1.kind == "free-abelian" else None
     if pi1.kind != "finite" and cover is None:
         unsupported = {"pi1": "unsupported for the 4-manifold classification"}
-        return CheckResult("four-manifold-intersection", "inconclusive", principle, unsupported)
+        return CheckResult("four-manifold-intersection", "inconclusive", witness=unsupported)
     witness = {"b_plus": b_plus, "b_minus": b_minus, "labels": []}
     if cover is not None:
         label, b2, model = cover
@@ -229,7 +224,7 @@ def fourmanifold_battery(b_plus: int, b_minus: int, pi1: Pi1Data) -> CheckResult
             witness["labels"].append(f"#^{b_plus}(S^2 x S^2)")
         witness["labels"].append(f"#^{b_plus}CP^2 #^{b_minus}CP^2-bar")
     verdict = "fail" if "reason" in witness else "pass"
-    return CheckResult("four-manifold-intersection", verdict, principle, witness)
+    return CheckResult("four-manifold-intersection", verdict, witness=witness)
 
 
 def _cup_form_analysis(d: ManifoldDescriptor) -> dict | None:
@@ -287,6 +282,11 @@ def run_battery(d: ManifoldDescriptor, options: BatteryOptions | None = None) ->
     cup_form = _cup_form_analysis(d)  # before the search: it rejects inconsistent [betti] data
     if d.n == 4 and d.betti is not None:
         checks.append(fourmanifold_battery(*d.betti, d.pi1))
+    # the graded-dimension bound is a proof too; its row shows only where it is the only one
+    if not any(c.failed for c in checks):
+        bound = embed.target_feasibility(A, d.n)
+        if bound.failed:
+            checks.append(bound)
 
     embedding = None
     if options.embed:

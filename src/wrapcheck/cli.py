@@ -72,6 +72,18 @@ def _finite(text: str) -> float:
     return x
 
 
+def _report(args, payload: dict, lines: list[str]):
+    """payload as sorted two-space JSON under --format structured, else the lines."""
+    if args.format == "structured":
+        _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+    else:
+        _write("\n".join(lines) + "\n", args.out)
+
+
+def _battery_options(args, embed: bool) -> BatteryOptions:
+    return BatteryOptions(embed, args.budget, args.float_restarts, args.seed)
+
+
 def _common_flags(p: argparse.ArgumentParser, embed_flags=False):
     p.add_argument("--format", choices=("text", "structured"), default="text")
     p.add_argument("--out", default=None, help="write the report to this file")
@@ -83,17 +95,11 @@ def _common_flags(p: argparse.ArgumentParser, embed_flags=False):
 
 def _cmd_check(args) -> int:
     d = parse_descriptor_file(args.descriptor)
-    options = BatteryOptions(
-        embed=not args.no_embed,
-        embed_budget=args.budget,
-        embed_float_restarts=args.float_restarts,
-        seed=args.seed,
-    )
     try:
-        report = run_battery(d, options)
+        report = run_battery(d, _battery_options(args, not args.no_embed))
     except DegeneratePresentation as exc:
         raise ParseError(str(exc), d.fundamental_class_line) from None
-    _write(report.to_json() if args.format == "structured" else report.render_text(), args.out)
+    _report(args, report.to_dict(), report.render_text().splitlines())
     return EXIT_OK if report.verdict == "no-obstruction-found" else EXIT_EXCLUDED
 
 
@@ -124,17 +130,14 @@ def _cmd_embed(args) -> int:
             else None
         ),
     }
-    if args.format == "structured":
-        _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
-    else:
-        lines = [f"{d.name} -> exterior algebra on {n} generators: {outcome.status}"]
-        if outcome.morphism:
-            for nm, mv in sorted(outcome.morphism.assignment.items()):
-                lines.append(f"  {nm} -> {mv}")
-        if outcome.obstruction:
-            lines.append(f"  blocked by: {outcome.obstruction.check_id}")
-            lines.append(f"  principle: {outcome.obstruction.principle}")
-        _write("\n".join(lines) + "\n", args.out)
+    lines = [f"{d.name} -> exterior algebra on {n} generators: {outcome.status}"]
+    if outcome.morphism:
+        for nm, mv in sorted(outcome.morphism.assignment.items()):
+            lines.append(f"  {nm} -> {mv}")
+    if outcome.obstruction:
+        lines.append(f"  blocked by: {outcome.obstruction.check_id}")
+        lines.append(f"  principle: {outcome.obstruction.principle}")
+    _report(args, payload, lines)
     return EXIT_OK if outcome.found else EXIT_EXCLUDED if outcome.obstruction else EXIT_OK
 
 
@@ -163,24 +166,22 @@ def _cmd_lie(args) -> int:
         "open_class_bound": d.n - 1,
         "open_class_heuristic_sqrt_n": round(d.n**0.5, 3),
     }
-    if args.format == "structured":
-        _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
-    else:
-        lines = [f"{d.name}: nilpotent Lie algebra of dimension {g.dim}"]
-        lines.append(f"  lower central series dims: {series} (class {len(series) - 1})")
-        lines.append(f"  nilmanifold betti numbers: {list(betti)}")
-        lines.append(f"  growth degree: {verdict.growth_degree}")
-        lines.append(f"  degree-2 kernel of the abelianization pullback: {kernel.kernel_dim}")
-        lines.append(
-            f"  closed {d.n}-manifold verdict: "
-            + ("pass" if verdict.passed else "fail (" + "; ".join(verdict.reasons) + ")")
-        )
-        _write("\n".join(lines) + "\n", args.out)
+    lines = [f"{d.name}: nilpotent Lie algebra of dimension {g.dim}"]
+    lines.append(f"  lower central series dims: {series} (class {len(series) - 1})")
+    lines.append(f"  nilmanifold betti numbers: {list(betti)}")
+    lines.append(f"  growth degree: {verdict.growth_degree}")
+    lines.append(f"  degree-2 kernel of the abelianization pullback: {kernel.kernel_dim}")
+    lines.append(
+        f"  closed {d.n}-manifold verdict: "
+        + ("pass" if verdict.passed else "fail (" + "; ".join(verdict.reasons) + ")")
+    )
+    _report(args, payload, lines)
     return EXIT_OK if verdict.passed else EXIT_EXCLUDED
 
 
 def _load_profile(args) -> geom2d.RadialProfile:
     if args.profile:
+        # RadialProfile.tabulated checks the samples too, without their lines
         samples = {}  # radius -> (line number, circumference)
         with open(args.profile, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -269,18 +270,15 @@ def _cmd_surface(args) -> int:
         "curvature_criterion": milnor.verdict,
         "curvature_detail": milnor.detail,
     }
-    if args.format == "structured":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    else:
-        text = (
-            f"family: {profile.family}"
-            + (f" (epsilon = {profile.epsilon})" if profile.epsilon is not None else "")
-            + f"\nlength criterion: {ahlfors.verdict} ({ahlfors.detail})"
-            + f"\ncurvature criterion: {milnor.verdict} ({milnor.detail})\n"
-            + "\n"
-            + ahlfors.trace_text()
-        )
-    _write(text, args.out)
+    lines = [
+        f"family: {profile.family}"
+        + (f" (epsilon = {profile.epsilon})" if profile.epsilon is not None else ""),
+        f"length criterion: {ahlfors.verdict} ({ahlfors.detail})",
+        f"curvature criterion: {milnor.verdict} ({milnor.detail})",
+        "",
+        *ahlfors.trace_text().splitlines(),
+    ]
+    _report(args, payload, lines)
     return EXIT_OK
 
 
@@ -325,35 +323,27 @@ def corpus_paths():
 
 
 def _cmd_corpus(args) -> int:
-    options = BatteryOptions(
-        embed=True,
-        embed_budget=args.budget,
-        embed_float_restarts=args.float_restarts,
-        seed=args.seed,
-    )
+    options = _battery_options(args, True)
     table = []
     for path in corpus_paths():
         d = parse_descriptor_file(path)
         report = run_battery(d, options)
         table.append(report)
-    if args.format == "structured":
-        payload = {
-            "options": {
-                "budget": args.budget,
-                "float_restarts": args.float_restarts,
-                "seed": args.seed,
-            },
-            "reports": [r.to_dict() for r in table],
-        }
-        _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
-    else:
-        lines = []
-        for r in table:
-            emb = "-"
-            if r.embedding is not None:
-                emb = r.embedding.status
-            lines.append(f"{r.name:24s} {r.verdict:24s} embedding: {emb}")
-        _write("\n".join(lines) + "\n", args.out)
+    payload = {
+        "options": {
+            "budget": args.budget,
+            "float_restarts": args.float_restarts,
+            "seed": args.seed,
+        },
+        "reports": [r.to_dict() for r in table],
+    }
+    lines = []
+    for r in table:
+        emb = "-"
+        if r.embedding is not None:
+            emb = r.embedding.status
+        lines.append(f"{r.name:24s} {r.verdict:24s} embedding: {emb}")
+    _report(args, payload, lines)
     return EXIT_OK
 
 

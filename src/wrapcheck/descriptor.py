@@ -63,7 +63,8 @@ class ManifoldDescriptor:
     betti_line: int = 1  # where [betti] data that disagrees with the ring is reported
 
 
-_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|\d+/\d+|\d+|\^|\+|-|\*|,)")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_TOKEN = re.compile(rf"\s*({_NAME.pattern}|[0-9]+/[0-9]+|[0-9]+|\^|\+|-|\*|,)")
 
 
 def _tokenize(text: str, line_no: int, offset: int):
@@ -127,7 +128,7 @@ def parse_polynomial(
         seen_factor = False
         tok, col = tokens[i]
         start = col
-        if re.fullmatch(r"\d+(/\d+)?", tok):
+        if re.fullmatch(r"[0-9]+(/[0-9]+)?", tok):
             coeff *= _parse_rational(tok, line_no, col)
             i += 1
             seen_coeff = True
@@ -140,14 +141,14 @@ def parse_polynomial(
             if tok == "*" or tok == ",":
                 i += 1
                 continue
-            if not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", tok):
+            if not _NAME.fullmatch(tok):
                 raise ParseError(f"unexpected token {tok!r} in monomial", line_no, col)
             if tok not in names:
                 raise ParseError(f"unknown generator {tok!r}", line_no, col)
             idx = names[tok]
             e = 1
             if i + 1 < len(tokens) and tokens[i + 1][0] == "^":
-                if i + 2 >= len(tokens) or not tokens[i + 2][0].isdigit():
+                if i + 2 >= len(tokens) or not re.fullmatch(r"[0-9]+", tokens[i + 2][0]):
                     raise ParseError("expected integer exponent after ^", line_no, col)
                 e = int(tokens[i + 2][0])
                 i += 2
@@ -183,7 +184,7 @@ def parse_polynomial(
         raise ParseError(str(exc), line_no, col) from None
 
 
-_BRACKET = re.compile(r"\[\s*(\d+)\s*,\s*(\d+)\s*\]\s*=\s*(.*)")
+_BRACKET = re.compile(r"\[\s*([0-9]+)\s*,\s*([0-9]+)\s*\]\s*=\s*(.*)")
 _SECTION = re.compile(r"\[([a-z0-9_]+)\]\s*$")
 _KEYVAL = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*)\s*:\s*(.*)$")
 
@@ -237,10 +238,9 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
         raise ParseError("missing name", 1)
     if "n" not in top:
         raise ParseError("missing n", 1)
-    try:
-        n = int(top["n"])
-    except ValueError:
-        raise ParseError(f"n must be an integer, got {top['n']!r}", 1) from None
+    if not re.fullmatch(r"[0-9]+", top["n"]):
+        raise ParseError(f"n must be an integer, got {top['n']!r}", 1)
+    n = int(top["n"])
     if n < 1:
         raise ParseError("n must be >= 1", 1)
 
@@ -260,20 +260,24 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
             if generators is not None:
                 raise ParseError("duplicate generators line", line_no)
             generators = []
-            for part in value.replace(",", " ").split():
+            for token in re.finditer(r"[^\s,]+", value):
+                part, col = token.group(), value_col + token.start() + 1
                 if ":" not in part:
-                    raise ParseError(
-                        f"generator {part!r} must be name:degree", line_no
-                    )
+                    raise ParseError(f"generator {part!r} must be name:degree", line_no, col)
                 nm, deg = part.split(":", 1)
+                if not _NAME.fullmatch(nm):
+                    raise ParseError(f"generator name {nm!r} is not an identifier", line_no, col)
+                # AlgebraPresentation refuses a repeat too, but without a column
+                if any(nm == other for other, _ in generators):
+                    raise ParseError(f"duplicate generator {nm!r}", line_no, col)
                 if not re.fullmatch(r"-?[0-9]+", deg):
-                    raise ParseError(f"bad degree {deg!r}", line_no)
+                    raise ParseError(f"bad degree {deg!r}", line_no, col)
                 deg = int(deg)
                 if deg < 1:
-                    raise ParseError(f"generator degree must be >= 1, got {deg}", line_no)
+                    raise ParseError(f"generator degree must be >= 1, got {deg}", line_no, col)
                 if deg > n:
                     raise ParseError(
-                        f"generator degree {deg} overflows the formal dimension {n}", line_no
+                        f"generator degree {deg} overflows the formal dimension {n}", line_no, col
                     )
                 generators.append((nm, deg))
             generators = tuple(generators)
@@ -344,7 +348,7 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
             brackets[(i, j)] = {exps.index(1) + 1: c for c, exps in rhs.monomials}
     if kind is None:
         raise ParseError("missing pi1 type", 1)
-    mz = re.fullmatch(r"Z\^(\d+)", kind)
+    mz = re.fullmatch(r"Z\^([0-9]+)", kind)
     if kind == "Z":
         pi1 = Pi1Data("free-abelian", rank=1)
     elif mz:
@@ -411,7 +415,9 @@ def _first_betti(presentation: AlgebraPresentation) -> int:
     """Degree-one generators minus the rank of the degree-one relations.
 
     Generator degrees are >= 1, so the degree-one part of the relation
-    ideal is spanned by the degree-one relations themselves.
+    ideal is spanned by the degree-one relations themselves.  The parser
+    must not build the graded basis for basis_and_dims(...).rank(1): the
+    build raises DegeneratePresentation, and ``lie`` never needs it.
     """
     ones = [i for i, (_, d) in enumerate(presentation.generators) if d == 1]
     rows = []

@@ -76,6 +76,7 @@ class RingMorphism:
     mode: str = "exact"  # "exact" | "floating"
 
     def __post_init__(self):
+        # evaluate_polynomial repeats the generator checks for plain assignments
         if self.mode not in ("exact", "floating"):
             raise ValueError(f"unknown arithmetic mode {self.mode!r}")
         for name, deg in self.source.generators:
@@ -137,18 +138,6 @@ def certify_injective(m: RingMorphism) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    check_id: str
-    verdict: str  # "pass" | "fail" | "inconclusive"
-    principle: str
-    witness: dict = field(default_factory=dict)
-
-    @property
-    def failed(self) -> bool:
-        return self.verdict == "fail"
-
-
 PRINCIPLES = {
     "fundamental-group-growth": (
         "the fundamental group of a closed elliptic or quasiregularly elliptic "
@@ -191,6 +180,25 @@ PRINCIPLES = {
 }
 
 
+@dataclass(frozen=True)
+class CheckResult:
+    """One check's verdict, the principle it rests on (PRINCIPLES[check_id]
+    unless given) and its witness data."""
+
+    check_id: str
+    verdict: str  # "pass" | "fail" | "inconclusive"
+    principle: str = ""
+    witness: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not self.principle:
+            object.__setattr__(self, "principle", PRINCIPLES[self.check_id])
+
+    @property
+    def failed(self) -> bool:
+        return self.verdict == "fail"
+
+
 def torus_subalgebra_check(A: AlgebraPresentation) -> CheckResult:
     """Degree-one subalgebra obstructions, relative to A's own dimension n.
 
@@ -228,36 +236,22 @@ def torus_subalgebra_check(A: AlgebraPresentation) -> CheckResult:
                     }
                 )
                 break
+    witness = {"b1": k, "n": n}
+    principle = ""
     if reasons:
-        primary = reasons[0]
-        principle = (
-            PRINCIPLES["rank-n-minus-1"]
-            if primary["reason"] == "rank-n-minus-1-pairing"
-            else PRINCIPLES["degree-one-subalgebra"]
-        )
-        witness = {"b1": k, "n": n, **primary}
+        witness.update(reasons[0])
         if len(reasons) > 1:
             witness["also"] = [r["reason"] for r in reasons[1:]]
-        return CheckResult("degree-one-subalgebra", "fail", principle, witness)
-    return CheckResult(
-        "degree-one-subalgebra", "pass", PRINCIPLES["degree-one-subalgebra"], {"b1": k, "n": n}
-    )
+        if reasons[0]["reason"] == "rank-n-minus-1-pairing":
+            principle = PRINCIPLES["rank-n-minus-1"]
+    return CheckResult("degree-one-subalgebra", "fail" if reasons else "pass", principle, witness)
 
 
 def euler_obstruction(A: AlgebraPresentation) -> CheckResult:
-    gb = basis_and_dims(A)
+    b1 = basis_and_dims(A).rank(1)
     chi = euler_characteristic(A)
-    b1 = gb.rank(1)
-    if b1 >= 1 and chi != 0:
-        return CheckResult(
-            "euler-characteristic",
-            "fail",
-            PRINCIPLES["euler-characteristic"],
-            {"chi": chi, "b1": b1},
-        )
-    return CheckResult(
-        "euler-characteristic", "pass", PRINCIPLES["euler-characteristic"], {"chi": chi, "b1": b1}
-    )
+    verdict = "fail" if b1 >= 1 and chi != 0 else "pass"
+    return CheckResult("euler-characteristic", verdict, witness={"chi": chi, "b1": b1})
 
 
 @lru_cache(maxsize=256)
@@ -272,8 +266,7 @@ def ring_checks(A: AlgebraPresentation) -> tuple[CheckResult, ...]:
         CheckResult(
             "poincare-duality",
             "pass" if pd.holds else "fail",
-            PRINCIPLES["poincare-duality"],
-            {} if pd.holds else {"failing_degree": pd.failing_degree, "detail": pd.detail},
+            witness={} if pd.holds else {"failing_degree": pd.failing_degree, "detail": pd.detail},
         ),
         euler_obstruction(A),
         torus_subalgebra_check(A),
@@ -286,15 +279,12 @@ def target_feasibility(A: AlgebraPresentation, n: int) -> CheckResult:
     for k in range(A.n + 1):
         bound = graded_dimension(n, k) if k <= n else 0
         if gb.rank(k) > bound:
-            return CheckResult(
-                "graded-dimension-bound",
-                "fail",
-                PRINCIPLES["graded-dimension-bound"],
-                {"degree": k, "rank": gb.rank(k), "bound": bound, "target_n": n},
-            )
-    return CheckResult(
-        "graded-dimension-bound", "pass", PRINCIPLES["graded-dimension-bound"], {"target_n": n}
-    )
+            witness = {"degree": k, "rank": gb.rank(k), "bound": bound, "target_n": n}
+            verdict = "fail"
+            break
+    else:
+        verdict, witness = "pass", {"target_n": n}
+    return CheckResult("graded-dimension-bound", verdict, witness=witness)
 
 
 # ---------------------------------------------------------------------------

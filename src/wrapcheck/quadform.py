@@ -161,7 +161,8 @@ def hilbert_symbol(a, b, place) -> int:
     """Hilbert symbol (a, b) at a prime p or at infinity.
 
     +1 iff z^2 = a x^2 + b y^2 has a nontrivial solution over R (place
-    = "infinity"/None treated as the real place) or over Q_p.
+    "infinity") or over Q_p (place a prime int p); any other place is a
+    ValueError.
     """
     a = Fraction(a)
     b = Fraction(b)
@@ -169,11 +170,11 @@ def hilbert_symbol(a, b, place) -> int:
         raise ValueError("hilbert symbol requires nonzero arguments")
     ai = _squarefree_part(a)
     bi = _squarefree_part(b)
-    if place in ("infinity", "inf", None, 0):
+    if place == "infinity":
         return -1 if ai < 0 and bi < 0 else 1
-    p = int(place)
-    if p < 2:
-        raise ValueError(f"invalid place {place!r}")
+    if not (isinstance(place, int) and place >= 2 and _factorization(place) == {place: 1}):
+        raise ValueError(f"place must be 'infinity' or a prime, got {place!r}")
+    p = place
     alpha, u = _valuation_and_unit(ai, p)
     beta, v = _valuation_and_unit(bi, p)
     if p == 2:

@@ -105,38 +105,41 @@ def _hemisphere_chart(r, theta, upper):
     return out
 
 
+def _strip_fold(x, y):
+    """The strip map's (r, theta) at the fold of (x, y) onto [-1, 1] x [0, inf):
+    x mod 4 into [-1, 3), the south strips (1, 3) reflected through x = 1,
+    and |y|; then north (not south) and lower (y < 0)."""
+    xx = np.mod(x + 1.0, 4.0) - 1.0
+    north = xx <= 1.0
+    r, theta = eval_f0(np.where(north, xx, 2.0 - xx), np.abs(y))
+    return r, theta, north, y < 0
+
+
+def _cube_offset(p):
+    """p's offset u from the center of its unit cube, and |u|."""
+    u = p - np.floor(p) - 0.5
+    return u, np.sqrt(np.sum(u * u, axis=-1))
+
+
 def eval_sphere_wrap(x, y):
     """Plane -> S^2 c R^3, periodic with period 4 in x and antipodally
     reflected in y; misses both poles."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xx = np.mod(x + 1.0, 4.0) - 1.0  # into [-1, 3)
-    north = xx <= 1.0
-    r, theta = eval_f0(np.where(north, xx, 2.0 - xx), np.abs(y))
+    r, theta, north, lower = _strip_fold(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     out = _hemisphere_chart(r, theta, north)
-    return np.negative(out, out=out, where=(y < 0)[..., None])
+    return np.negative(out, out=out, where=lower[..., None])
 
 
 def eval_torus_collapse(z):
     """R^d -> S^d c R^{d+1}: per unit cube, the inscribed ball maps
     radially over the sphere with degree one, the rest to the basepoint
     (0, ..., 0, -1)."""
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    u = z - np.floor(z) - 0.5
-    s = np.sqrt(np.sum(u * u, axis=-1))
+    u, s = _cube_offset(np.atleast_2d(np.asarray(z, dtype=float)))
     angle = 2.0 * np.pi * np.minimum(s, 0.5)
     with np.errstate(invalid="ignore", divide="ignore"):
         factor = np.where(s > 1e-12, np.sin(angle) / np.where(s > 1e-12, s, 1.0), 2.0 * np.pi)
     head = factor[..., None] * u
     tail = np.cos(angle)[..., None]
-    out = np.concatenate([head, tail], axis=-1)
-    return out
-
-
-def _flip_first(z):
-    zz = np.array(z, dtype=float, copy=True)
-    zz[..., 0] = -zz[..., 0]
-    return zz
+    return np.concatenate([head, tail], axis=-1)
 
 
 def eval_fn(x, y, z, n):
@@ -147,29 +150,19 @@ def eval_fn(x, y, z, n):
     reflect through x -> 2 - x with the first z coordinate flipped, and
     the lower half plane reflects y with the same flip.  The image
     avoids the equatorial S^{n-2} (the locus w = 0) because |w| > 0.
+    The n >= 3 check repeats join_map's, since this is public too.
     """
     if n < 3:
         raise ValueError("join construction needs n >= 3")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     if z.shape[-1] != n - 2:
         raise ValueError(f"z must have {n - 2} coordinates")
-    lower = y < 0
-    yy = np.abs(y)
-    zz = np.where(lower[..., None], _flip_first(z), z)
-    xx = np.mod(x + 1.0, 4.0) - 1.0
-    south = xx > 1.0
-    xb = np.where(south, 2.0 - xx, xx)
-    zz = np.where(south[..., None], _flip_first(zz), zz)
-    r, theta = eval_f0(xb, yy)
-    u = eval_torus_collapse(zz)
-    s = np.sin(np.pi * r / 2.0)
-    c = np.cos(np.pi * r / 2.0)
-    return np.concatenate(
-        [ (s * np.cos(theta))[..., None], (s * np.sin(theta))[..., None], c[..., None] * u ],
-        axis=-1,
-    )
+    r, theta, north, lower = _strip_fold(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    flip = ~north ^ lower
+    z = np.array(np.broadcast_to(z, flip.shape + z.shape[-1:]))  # a copy, one row per point
+    np.negative(z[..., 0], out=z[..., 0], where=flip)
+    w = _hemisphere_chart(r, theta, True)
+    return np.concatenate([w[..., :2], w[..., 2:] * eval_torus_collapse(z)], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +210,7 @@ def strip_seam(p: np.ndarray) -> np.ndarray:
 
 def cube_seam(p: np.ndarray) -> np.ndarray:
     """Distance to the torus collapse's seam, the sphere inscribed in each unit cube."""
-    u = p - np.floor(p) - 0.5
-    s = np.sqrt(np.sum(u * u, axis=-1))
-    return np.abs(s - 0.5)
+    return np.abs(_cube_offset(p)[1] - 0.5)
 
 
 def identity_map(dim: int) -> EvaluableMap:
@@ -473,9 +464,7 @@ def check_quadrature(radii: Sequence[float], quadrature_step: float, dim: int) -
     return radii
 
 
-def asymptotic_degree(
-    m: EvaluableMap, radii: Sequence[float], quadrature_step: float, fd_step: float = FD_STEP
-) -> DegreeReport:
+def asymptotic_degree(m: EvaluableMap, radii: Sequence[float], quadrature_step: float) -> DegreeReport:
     """Midpoint quadrature of the signed Jacobian over concentric balls.
 
     The midpoint grid of the cube [-R, R]^n at the largest radius is
@@ -483,8 +472,8 @@ def asymptotic_degree(
     (C-order) index, WORKERS chunks at a time, so memory is bounded by
     the chunks and not by the grid; each chunk's partial sum over every
     ball B_R is added to a running total in chunk order.  Samples whose
-    difference stencil sits within SEAM_MASK_FACTOR * fd_step of a seam
-    are dropped and counted; with quadrature_step >> fd_step the
+    difference stencil sits within SEAM_MASK_FACTOR * FD_STEP of a seam
+    are dropped and counted; with quadrature_step >> FD_STEP the
     omitted mass vanishes under refinement.
     """
     radii = check_quadrature(radii, quadrature_step, m.domain_dim)
@@ -499,9 +488,9 @@ def asymptotic_degree(
         inside = dist2 <= rmax * rmax
         pts = pts[inside]
         dist2 = dist2[inside]
-        keep = m.seam_dist(pts) > SEAM_MASK_FACTOR * fd_step
+        keep = m.seam_dist(pts) > SEAM_MASK_FACTOR * FD_STEP
         jac = np.zeros(len(pts))
-        jac[keep] = signed_jacobian(m, pts[keep], fd_step)
+        jac[keep] = signed_jacobian(m, pts[keep], FD_STEP)
         sums = [float(jac[dist2 <= r * r].sum()) for r in radii]
         return sums, len(pts), len(pts) - int(np.count_nonzero(keep))
 
@@ -515,8 +504,7 @@ def asymptotic_degree(
     cell = h**m.domain_dim
     normalized = tuple(t * cell / r**m.domain_dim for t, r in zip(totals, radii))
     return DegreeReport(
-        m.name, m.domain_dim, tuple(radii), normalized, h, fd_step,
-        samples=samples, masked=masked,
+        m.name, m.domain_dim, tuple(radii), normalized, h, samples=samples, masked=masked
     )
 
 

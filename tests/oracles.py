@@ -6,8 +6,9 @@ sorted-word monomial model with sympy rank computations, local
 solvability from a Hensel-style lifting search, and the invariant-form
 complex of a nilpotent Lie algebra from dense bracket vectors and
 dense differential columns, the signed volume of a wrapping map
-from a batched LAPACK determinant, and the right side of a bracket
-line from a term loop of its own.
+from a batched LAPACK determinant, the right side of a bracket line
+from a term loop of its own, and the two wrapping maps from their
+bodies before they shared a strip fold.
 """
 
 from __future__ import annotations
@@ -334,6 +335,62 @@ def dense_signed_jacobian(m, pts, step=wrapmaps.FD_STEP):
     if m.target.kind == "euclidean":
         return np.linalg.det(d)
     return np.linalg.det(np.concatenate([d, m(pts)[..., None]], axis=-1))
+
+
+# ---------------------------------------------------------------------------
+# The wrapping maps as written before they shared one strip fold
+# ---------------------------------------------------------------------------
+
+
+def reference_sphere_wrap(x, y):
+    """eval_sphere_wrap with its own strip fold."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    xx = np.mod(x + 1.0, 4.0) - 1.0  # into [-1, 3)
+    north = xx <= 1.0
+    r, theta = wrapmaps.eval_f0(np.where(north, xx, 2.0 - xx), np.abs(y))
+    out = wrapmaps._hemisphere_chart(r, theta, north)
+    return np.negative(out, out=out, where=(y < 0)[..., None])
+
+
+def reference_torus_collapse(z):
+    """eval_torus_collapse with its own cube offset."""
+    z = np.atleast_2d(np.asarray(z, dtype=float))
+    u = z - np.floor(z) - 0.5
+    s = np.sqrt(np.sum(u * u, axis=-1))
+    angle = 2.0 * np.pi * np.minimum(s, 0.5)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        factor = np.where(s > 1e-12, np.sin(angle) / np.where(s > 1e-12, s, 1.0), 2.0 * np.pi)
+    return np.concatenate([factor[..., None] * u, np.cos(angle)[..., None]], axis=-1)
+
+
+def _flip_first(z):
+    zz = np.array(z, dtype=float, copy=True)
+    zz[..., 0] = -zz[..., 0]
+    return zz
+
+
+def reference_fn(x, y, z, n):
+    """eval_fn with its own strip fold and hemisphere chart, flipping z
+    once for the lower half plane and once for the south strips."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    z = np.asarray(z, dtype=float)
+    lower = y < 0
+    yy = np.abs(y)
+    zz = np.where(lower[..., None], _flip_first(z), z)
+    xx = np.mod(x + 1.0, 4.0) - 1.0
+    south = xx > 1.0
+    xb = np.where(south, 2.0 - xx, xx)
+    zz = np.where(south[..., None], _flip_first(zz), zz)
+    r, theta = wrapmaps.eval_f0(xb, yy)
+    u = reference_torus_collapse(zz)
+    s = np.sin(np.pi * r / 2.0)
+    c = np.cos(np.pi * r / 2.0)
+    return np.concatenate(
+        [(s * np.cos(theta))[..., None], (s * np.sin(theta))[..., None], c[..., None] * u],
+        axis=-1,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import contextlib
 import io
+import itertools
 import json
+import math
 import pathlib
 import random
 import tempfile
@@ -295,6 +297,108 @@ class TestLocatedErrors:
         text = pathlib.Path(corpus_file("heisenberg3")).read_text()
         d = parse_descriptor(text.replace("relation: a b", "relation: a - a + a b"))
         assert d.cohomology == parse_descriptor(text).cohomology
+
+
+class TestTokenErrors:
+    """Generator tokens are located at their own column; a repeated or
+    non-identifier generator name is an error on the generators line; every
+    integer is written in ASCII digits.  Top-level values are reported at
+    line 1, col 1."""
+
+    @pytest.mark.parametrize(
+        "ring, line, edited, at, col, message",
+        [
+            ("t2", "generators: x:1 y:1", "generators: x:1 x:1", 6, 17, "duplicate generator 'x'"),
+            (
+                "t2", "generators: x:1 y:1", "generators: 1x:1 y:1", 6, 13,
+                "generator name '1x' is not an identifier",
+            ),
+            (
+                "t2", "generators: x:1 y:1", "generators: x:1 :1", 6, 17,
+                "generator name '' is not an identifier",
+            ),
+            ("t2", "generators: x:1 y:1", "generators: x:1, y", 6, 18, "generator 'y' must be name:degree"),
+            ("t2", "generators: x:1 y:1", "generators: x:1 y:z", 6, 17, "bad degree 'z'"),
+            ("t2", "generators: x:1 y:1", "generators: x:1 y:0", 6, 17, "generator degree must be >= 1, got 0"),
+            (
+                "t2", "generators: x:1 y:1", "generators:  x:1  y:3", 6, 19,
+                "generator degree 3 overflows the formal dimension 2",
+            ),
+            ("t2", "n: 2", "n: 1_0", 1, 1, "n must be an integer, got '1_0'"),
+            ("t2", "n: 2", "n: +2", 1, 1, "n must be an integer, got '+2'"),
+            ("t2", "n: 2", "n: \u0662", 1, 1, "n must be an integer, got '\u0662'"),
+            ("t2", "type: Z^2", "type: Z^\u0662", 10, 1, "unknown pi1 type 'Z^\u0662'"),
+            (
+                "heisenberg3", "bracket: [1,2] = e3", "bracket: [\u0661,\u0662] = e3", 19, 1,
+                "bracket must look like [i,j] = expr",
+            ),
+            ("heisenberg3", "relation: a b", "relation: \u0662 a b", 7, 11, "unexpected character '\u0662'"),
+            ("heisenberg3", "relation: A^2", "relation: A^\u0662", 11, 13, "unexpected character '\u0662'"),
+        ],
+    )
+    def test_exit_at_line_and_column(self, tmp_path, capsys, ring, line, edited, at, col, message):
+        text = pathlib.Path(corpus_file(ring)).read_text()
+        assert text.splitlines().count(line) == 1
+        bad = tmp_path / "bad.descriptor"
+        bad.write_text(text.replace(line, edited), encoding="utf-8")
+        assert main(["check", str(bad)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"error: line {at}, col {col}: {message}\n"
+        assert captured.out == ""
+
+
+def connected_sum(name: str, p: int, q: int, copies: int) -> str:
+    """A descriptor of the connected sum of copies of S^p x S^q, written
+    with every product that vanishes (a_i b_j for i != j, a_i a_j, b_i b_j,
+    even squares), so that the relations force every degree above p + q."""
+    gens = [(f"a{i}", p) for i in range(1, copies + 1)] + [(f"b{i}", q) for i in range(1, copies + 1)]
+    rels = [f"{g}^2" for g, d in gens if d % 2 == 0]
+    rels += [
+        f"{g} {h}"
+        for (g, _), (h, _) in itertools.combinations(gens, 2)
+        if {g[0], h[0]} != {"a", "b"} or g[1:] != h[1:]
+    ]
+    rels += [f"a{i} b{i} - a1 b1" for i in range(2, copies + 1)]
+    return (
+        f"name: {name}\nn: {p + q}\n[cohomology]\n"
+        f"generators: {' '.join(f'{g}:{d}' for g, d in gens)}\n"
+        + "".join(f"relation: {r}\n" for r in rels)
+        + "fundamental_class: a1 b1\n[pi1]\ntype: finite\n"
+    )
+
+
+class TestGradedDimensionBound:
+    """A ring whose Betti numbers exceed C(n, k), with no other failing
+    check, is excluded by the bound, with or without the search."""
+
+    @pytest.mark.parametrize(
+        "p, q, copies, code",
+        [(2, 2, 6, EXIT_EXCLUDED), (2, 3, 11, EXIT_EXCLUDED), (2, 3, 10, EXIT_OK)],
+        ids=["sum6_s2xs2", "sum11_s2xs3", "sum10_s2xs3"],
+    )
+    @pytest.mark.parametrize("flags", [["--no-embed"], ["--budget", "50"]])
+    def test_exit_and_witness(self, tmp_path, capsys, recwarn, p, q, copies, code, flags):
+        path = tmp_path / "sum.descriptor"
+        path.write_text(connected_sum("sum", p, q, copies))
+        assert main(["check", str(path), "--format", "structured", *flags]) == code
+        report = json.loads(capsys.readouterr().out)
+        b2 = 2 * copies if p == q else copies
+        assert report["betti"][2] == b2
+        assert report["witnesses"] == (["graded-dimension-bound"] if code else [])
+        if code:
+            row = report["checks"][-1]
+            assert row["id"] == "graded-dimension-bound" and row["verdict"] == "fail"
+            bound = math.comb(p + q, 2)
+            assert row["witness"] == {"degree": 2, "rank": b2, "bound": bound, "target_n": p + q}
+        assert not recwarn.list  # no truncation warning
+
+    def test_text_report_names_the_bound(self, tmp_path, capsys):
+        path = tmp_path / "sum.descriptor"
+        path.write_text(connected_sum("sum6", 2, 2, 6))
+        assert main(["check", str(path), "--budget", "50"]) == EXIT_EXCLUDED
+        out = capsys.readouterr().out
+        assert "embedding: not-found (blocked by graded-dimension-bound)" in out
+        assert "witnesses: graded-dimension-bound" in out
 
 
 class TestBattery:

@@ -155,6 +155,15 @@ class TestHilbertSymbol:
         for place in ("infinity", 2, 3, 5):
             assert hilbert_symbol(1, 7, place) == 1
 
+    @pytest.mark.parametrize("place", [1, 4, 9, 15, 0, -3, None, "inf", "3", 3.0, True])
+    def test_place_must_be_infinity_or_prime(self, place):
+        with pytest.raises(ValueError, match="place must be 'infinity' or a prime"):
+            hilbert_symbol(3, 5, place)
+
+    def test_three_five_at_three(self):
+        # at 9 the symbol once read as +1, though 9 names no place
+        assert hilbert_oracle(3, 5, 3) == hilbert_symbol(3, 5, 3) == -1
+
     def test_rational_arguments(self):
         assert hilbert_symbol(Fraction(1, 2), Fraction(-3, 5), 2) == hilbert_symbol(2, -15, 2)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -561,3 +562,69 @@ class TestParallelWalks:
             asymptotic_degree(f0_map(), [4, 8], 0.5)
         assert type(err.value) is ValueError
         assert str(err.value) == "f0 domain is [-1,1] x [0,inf)"
+
+
+class TestSharedStripFold:
+    """The sphere wrap and the join map share one strip fold, hemisphere
+    chart and cube offset, and give the bits of their own earlier bodies."""
+
+    @staticmethod
+    def _points(dim, seed):
+        rng = np.random.default_rng(seed)
+        blocks = []
+        for scale in (1.0, 3.0, 10.0, 100.0):
+            pts = rng.uniform(-scale, scale, (4000, dim))
+            pts[:1000, 1] = 0.0  # y = +0.0
+            pts[1000:2000, 1] = -0.0
+            # x on the odd lines, the strip edges, and on the integers
+            pts[2000:3000, 0] = 2.0 * rng.integers(-int(scale), int(scale), 1000) + 1.0
+            pts[3000:3500, 0] = np.round(pts[3000:3500, 0])
+            blocks.append(pts)
+        return np.concatenate(blocks)
+
+    @staticmethod
+    def _same_bits(got, want):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_sphere_wrap_same_bits(self):
+        pts = self._points(2, seed=21)
+        self._same_bits(
+            eval_sphere_wrap(pts[:, 0], pts[:, 1]), oracles.reference_sphere_wrap(pts[:, 0], pts[:, 1])
+        )
+        X, Y = np.meshgrid(np.arange(-5.0, 5.5, 0.5), np.array([-0.0, 0.0, -2.5, 2.5]))
+        self._same_bits(eval_sphere_wrap(X, Y), oracles.reference_sphere_wrap(X, Y))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_join_same_bits(self, n):
+        pts = self._points(n, seed=n)
+        x, y, z = pts[:, 0], pts[:, 1], pts[:, 2:]
+        self._same_bits(eval_fn(x, y, z, n), oracles.reference_fn(x, y, z, n))
+        self._same_bits(
+            eval_torus_collapse(pts[:, 2:]), oracles.reference_torus_collapse(pts[:, 2:])
+        )
+        # one z row for every point
+        self._same_bits(eval_fn(x, y, z[:1], n), oracles.reference_fn(x, y, z[:1], n))
+
+    @pytest.mark.parametrize(
+        "make, reference, radii, step",
+        [
+            (
+                sphere_wrap_map,
+                lambda p: oracles.reference_sphere_wrap(p[..., 0], p[..., 1]),
+                [3, 6.1],
+                0.2,
+            ),
+            (
+                lambda: join_map(3),
+                lambda p: oracles.reference_fn(p[..., 0], p[..., 1], p[..., 2:], 3),
+                [2, 3],
+                0.25,
+            ),
+        ],
+    )
+    def test_degree_tables_equal(self, make, reference, radii, step):
+        m = make()
+        got = asymptotic_degree(m, radii, step)
+        want = asymptotic_degree(dataclasses.replace(m, func=reference), radii, step)
+        assert got == want
