@@ -144,7 +144,7 @@ def _cmd_embed(args) -> int:
 def _cmd_lie(args) -> int:
     d = parse_descriptor_file(args.descriptor)
     if d.pi1.kind != "nilpotent":
-        raise ParseError(f"descriptor {d.name} has no nilpotent structure-constant block", 1)
+        raise ParseError(f"descriptor {d.name} has no nilpotent structure-constant block")
     g = d.pi1.algebra
     series = nilcoh.lower_central_series(g)
     betti = nilcoh.lie_cohomology_dims(g)

@@ -26,6 +26,7 @@ zero bracket)::
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -188,17 +189,33 @@ _BRACKET = re.compile(r"\[\s*([0-9]+)\s*,\s*([0-9]+)\s*\]\s*=\s*(.*)")
 _SECTION = re.compile(r"\[([a-z0-9_]+)\]\s*$")
 _KEYVAL = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*)\s*:\s*(.*)$")
 
-_TOP_KEYS = {"name", "n"}
-_COH_KEYS = {"generators", "relation", "fundamental_class"}
-_PI1_KEYS = {"type", "dim", "bracket"}
-_BETTI_KEYS = {"b_plus", "b_minus"}
+# the keys of each section, None being the top level; of these only
+# relation and bracket lines may repeat
+_KEYS = {
+    None: {"name", "n"},
+    "cohomology": {"generators", "relation", "fundamental_class"},
+    "pi1": {"type", "dim", "bracket"},
+    "betti": {"b_plus", "b_minus"},
+    "notes": set(),
+}
+_REPEATABLE = {"relation", "bracket"}
+
+
+def _integer(entry, message: str, least: int = 0) -> int:
+    """A (line, key, value, col) entry's value in ASCII digits (int() also
+    reads '1_0', '+2' and other scripts' digits), at least ``least``; else
+    ``message``, formatted with the key and value, at the value's column."""
+    line_no, key, value, col = entry
+    if not re.fullmatch(r"[0-9]+", value) or int(value) < least:
+        raise ParseError(message.format(key=key, value=value), line_no, col)
+    return int(value)
 
 
 def parse_descriptor(text: str) -> ManifoldDescriptor:
-    top: dict[str, str] = {}
-    # (line, key, value, where the value starts in the line)
-    sections: dict[str, list[tuple[int, str, str, int]]] = {}
-    section_lines: dict[str, int] = {}
+    # section (None: the top level) -> key -> its (line, key, value, col)
+    # entries, col being where the value starts
+    sections: dict[str | None, dict[str, list[tuple[int, str, str, int]]]] = {None: {}}
+    headers: dict[str, int] = {}  # the line of each section's header
     notes_lines: list[str] = []
     current = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -208,12 +225,12 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
         msec = _SECTION.match(line.strip())
         if msec:
             current = msec.group(1)
-            if current not in ("cohomology", "pi1", "betti", "notes"):
+            if current not in _KEYS:
                 raise ParseError(f"unknown section [{current}]", line_no)
             if current != "notes" and current in sections:
                 raise ParseError(f"duplicate section [{current}]", line_no)
-            sections.setdefault(current, [])
-            section_lines.setdefault(current, line_no)
+            sections.setdefault(current, {})
+            headers.setdefault(current, line_no)
             continue
         if current == "notes":
             notes_lines.append(raw.strip())
@@ -221,47 +238,35 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
         mkv = _KEYVAL.match(line)
         if not mkv:
             raise ParseError("expected key: value", line_no)
-        key, value = mkv.group(1), mkv.group(2).strip()
-        if current is None:
-            if key not in _TOP_KEYS:
-                raise ParseError(f"unknown key {key!r}", line_no)
-            if key in top:
-                raise ParseError(f"duplicate key {key!r}", line_no)
-            top[key] = value
-        else:
-            allowed = {"cohomology": _COH_KEYS, "pi1": _PI1_KEYS, "betti": _BETTI_KEYS}[current]
-            if key not in allowed:
-                raise ParseError(f"unknown key {key!r} in [{current}]", line_no)
-            sections[current].append((line_no, key, value, mkv.start(2)))
+        key, key_col = mkv.group(1), mkv.start(1) + 1
+        where = "" if current is None else f" in [{current}]"
+        if key not in _KEYS[current]:
+            raise ParseError(f"unknown key {key!r}{where}", line_no, key_col)
+        entries = sections[current].setdefault(key, [])
+        if entries and key not in _REPEATABLE:
+            raise ParseError(f"duplicate key {key!r}{where}", line_no, key_col)
+        entries.append((line_no, key, mkv.group(2), mkv.start(2) + 1))
 
-    if "name" not in top:
-        raise ParseError("missing name", 1)
-    if "n" not in top:
-        raise ParseError("missing n", 1)
-    if not re.fullmatch(r"[0-9]+", top["n"]):
-        raise ParseError(f"n must be an integer, got {top['n']!r}", 1)
-    n = int(top["n"])
+    for key in ("name", "n"):
+        if key not in sections[None]:
+            raise ParseError(f"missing {key}", 1)
+    n_entry = sections[None]["n"][0]
+    n = _integer(n_entry, "n must be an integer, got {value!r}")
     if n < 1:
-        raise ParseError("n must be >= 1", 1)
-
-    if "cohomology" not in sections:
-        raise ParseError("missing [cohomology] section", 1)
-    if "pi1" not in sections:
-        raise ParseError("missing [pi1] section", 1)
+        raise ParseError("n must be >= 1", n_entry[0], n_entry[3])
+    for section in ("cohomology", "pi1"):
+        if section not in sections:
+            raise ParseError(f"missing [{section}] section", 1)
 
     # -- cohomology ---------------------------------------------------------
     generators = None
     relations = []
     fundamental = None
-    fundamental_line = 1
-    gen_line = None
-    for line_no, key, value, value_col in sections["cohomology"]:
+    for line_no, key, value, value_col in sorted(itertools.chain(*sections["cohomology"].values())):
         if key == "generators":
-            if generators is not None:
-                raise ParseError("duplicate generators line", line_no)
             generators = []
             for token in re.finditer(r"[^\s,]+", value):
-                part, col = token.group(), value_col + token.start() + 1
+                part, col = token.group(), value_col + token.start()
                 if ":" not in part:
                     raise ParseError(f"generator {part!r} must be name:degree", line_no, col)
                 nm, deg = part.split(":", 1)
@@ -281,107 +286,94 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
                     )
                 generators.append((nm, deg))
             generators = tuple(generators)
-            gen_line = line_no
         else:
             if generators is None:
                 raise ParseError("generators must come before polynomials", line_no)
-            poly = parse_polynomial(value, generators, line_no, offset=value_col, max_degree=2 * n)
+            poly = parse_polynomial(
+                value, generators, line_no, offset=value_col - 1, max_degree=2 * n
+            )
             if key == "relation":
                 if poly.is_zero:
-                    raise ParseError("zero relation", line_no)
+                    raise ParseError("zero relation", line_no, value_col)
                 relations.append(poly)
             else:
-                if fundamental is not None:
-                    raise ParseError("duplicate fundamental_class", line_no)
                 fundamental, fundamental_line = poly, line_no
                 if poly.degree() != n:
                     raise ParseError(
-                        f"fundamental class has degree {poly.degree()}, expected {n}", line_no
+                        f"fundamental class has degree {poly.degree()}, expected {n}",
+                        line_no,
+                        value_col,
                     )
     if generators is None:
-        raise ParseError("missing generators line", gen_line or 1)
+        raise ParseError("missing generators line", headers["cohomology"])
     if fundamental is None:
-        raise ParseError("missing fundamental_class", gen_line or 1)
-    try:
-        presentation = AlgebraPresentation(generators, tuple(relations), n, fundamental)
-    except ValueError as exc:
-        raise ParseError(str(exc), gen_line or 1) from None
+        raise ParseError("missing fundamental_class", headers["cohomology"])
+    # every condition AlgebraPresentation checks has been refused above, with a location
+    presentation = AlgebraPresentation(generators, tuple(relations), n, fundamental)
 
     # -- pi1 ----------------------------------------------------------------
-    kind = None
-    kind_line = 1
+    kind_entry = None
     dim = None
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for line_no, key, value, value_col in sections["pi1"]:
+    for entry in sorted(itertools.chain(*sections["pi1"].values())):
+        line_no, key, value, value_col = entry
         if key == "type":
-            if kind is not None:
-                raise ParseError("duplicate pi1 type", line_no)
-            kind, kind_line = value, line_no
+            kind_entry = entry
         elif key == "dim":
-            if dim is not None:
-                raise ParseError("duplicate pi1 dim", line_no)
-            if not re.fullmatch(r"[0-9]+", value):
-                raise ParseError("pi1 dim must be a positive integer", line_no)
-            dim = int(value)
-        elif key == "bracket":
+            dim = _integer(entry, "pi1 dim must be a positive integer", least=1)
+        else:
             m = _BRACKET.match(value)
             if not m:
-                raise ParseError("bracket must look like [i,j] = expr", line_no)
+                raise ParseError("bracket must look like [i,j] = expr", line_no, value_col)
             if dim is None:
                 raise ParseError("dim must come before bracket lines", line_no)
             i, j = int(m.group(1)), int(m.group(2))
             if not 1 <= i < j <= dim:
                 raise ParseError(
-                    f"bracket indices must satisfy 1 <= i < j <= {dim}", line_no
+                    f"bracket indices must satisfy 1 <= i < j <= {dim}", line_no, value_col
                 )
             if (i, j) in brackets:
-                raise ParseError(f"duplicate bracket [{i},{j}]", line_no)
+                raise ParseError(f"duplicate bracket [{i},{j}]", line_no, value_col)
             rhs_col = value_col + m.start(3)
             basis = [(f"e{k}", 1) for k in range(1, dim + 1)]
-            rhs = parse_polynomial(m.group(3), basis, line_no, offset=rhs_col, max_degree=1)
+            rhs = parse_polynomial(m.group(3), basis, line_no, offset=rhs_col - 1, max_degree=1)
             if rhs.degree() == 0:
                 raise ParseError(
                     f"bracket value is a constant, expected a combination of e1..e{dim}",
                     line_no,
-                    rhs_col + 1,
+                    rhs_col,
                 )
             brackets[(i, j)] = {exps.index(1) + 1: c for c, exps in rhs.monomials}
-    if kind is None:
-        raise ParseError("missing pi1 type", 1)
-    mz = re.fullmatch(r"Z\^([0-9]+)", kind)
-    if kind == "Z":
-        pi1 = Pi1Data("free-abelian", rank=1)
-    elif mz:
-        pi1 = Pi1Data("free-abelian", rank=int(mz.group(1)))
-    elif kind == "finite":
-        pi1 = Pi1Data("finite")
-    elif kind == "other":
-        pi1 = Pi1Data("other")
+    if kind_entry is None:
+        raise ParseError("missing pi1 type", headers["pi1"])
+    kind_line, _, kind, kind_col = kind_entry
+    free_abelian = re.fullmatch(r"Z(?:\^([0-9]+))?", kind)
+    if free_abelian:
+        pi1 = Pi1Data("free-abelian", rank=int(free_abelian.group(1) or 1))
+    elif kind in ("finite", "other"):
+        pi1 = Pi1Data(kind)
     elif kind == "nilpotent":
         if dim is None:
-            raise ParseError("nilpotent pi1 needs a dim line", kind_line)
+            raise ParseError("nilpotent pi1 needs a dim line", headers["pi1"])
         algebra = NilLieAlgebra(dim, brackets)
         try:
             series = lower_central_series(algebra)  # checks the Jacobi identity, then nilpotency
         except ValueError as exc:
-            raise ParseError(f"nilpotent pi1: {exc}", kind_line) from None
+            raise ParseError(f"nilpotent pi1: {exc}", kind_line, kind_col) from None
         pi1 = Pi1Data("nilpotent", algebra=algebra)
     else:
-        raise ParseError(f"unknown pi1 type {kind!r}", kind_line)
+        raise ParseError(f"unknown pi1 type {kind!r}", kind_line, kind_col)
 
     # -- betti ---------------------------------------------------------------
     # agreement with the cup form is checked where the battery computes it
     betti = None
-    betti_line = section_lines.get("betti", 1)
+    betti_line = headers.get("betti", 1)
     if "betti" in sections:
-        vals = {}
-        for line_no, key, value, _ in sections["betti"]:
-            if key in vals:
-                raise ParseError(f"duplicate {key}", line_no)
-            if not re.fullmatch(r"[0-9]+", value):
-                raise ParseError(f"{key} must be a nonnegative integer, got {value!r}", line_no)
-            vals[key] = int(value)
-        if set(vals) != _BETTI_KEYS:
+        vals = {
+            key: _integer(entry, "{key} must be a nonnegative integer, got {value!r}")
+            for key, (entry,) in sections["betti"].items()
+        }
+        if set(vals) != _KEYS["betti"]:
             raise ParseError("betti section needs b_plus and b_minus", betti_line)
         if n != 4:
             raise ParseError(f"[betti] holds 4-manifold data, but n = {n}", betti_line)
@@ -389,7 +381,7 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
 
     # H^1(M;Q) = Hom(pi1, Q), so the pi1 data fixes b1 (dim g/[g,g] if nilpotent)
     if pi1.kind == "nilpotent":
-        expected_b1 = dim - (series[1] if dim else 0)
+        expected_b1 = dim - series[1]
     else:
         expected_b1 = {"finite": 0, "free-abelian": pi1.rank}.get(pi1.kind)
     b1 = _first_betti(presentation)
@@ -397,10 +389,11 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
         raise ParseError(
             f"pi1 type {kind} needs b1 = {expected_b1}, but the cohomology has b1 = {b1}",
             kind_line,
+            kind_col,
         )
 
     return ManifoldDescriptor(
-        name=top["name"],
+        name=sections[None]["name"][0][2],
         n=n,
         cohomology=presentation,
         pi1=pi1,

@@ -354,11 +354,15 @@ def signed_jacobian(m: EvaluableMap, pts: np.ndarray, step: float = FD_STEP) -> 
     stays polynomial and within the chunk's memory.
     """
     pts = np.asarray(pts, dtype=float)
+    return _signed_volume(m, pts, _difference_columns(m, pts, step))
+
+
+def _signed_volume(m: EvaluableMap, pts: np.ndarray, cols: list[np.ndarray]) -> np.ndarray:
+    """signed_jacobian from the difference columns at pts."""
     if m.target.kind == "euclidean" and m.target.ambient != m.domain_dim:
         raise ValueError("euclidean target dimension must match the domain")
-    cols = _difference_columns(m, pts, step)
     if m.target.kind == "sphere":
-        cols.append(m(pts))
+        cols = [*cols, m(pts)]
     if len(cols) <= COFACTOR_MAX_ORDER:
         return _cofactor_det(cols)
     return np.linalg.det(np.stack(cols, axis=-1))
@@ -606,8 +610,9 @@ def quasiregularity_ratio(m: EvaluableMap, pts: np.ndarray, fd_step: float = FD_
     fraction of samples with det <= 0 looks positive-measure.
     """
     pts = np.asarray(pts, dtype=float)
-    jac = signed_jacobian(m, pts, fd_step)
-    op = operator_norm(m, pts, fd_step)
+    cols = _difference_columns(m, pts, fd_step)
+    jac = _signed_volume(m, pts, cols)
+    op = np.linalg.svd(np.stack(cols, axis=-1), compute_uv=False)[..., 0]
     positive = jac > 0
     frac_bad = float(np.mean(~positive))
     if not np.any(positive):

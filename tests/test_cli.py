@@ -273,12 +273,12 @@ class TestLocatedErrors:
             # a - a cancels, so the first term left is a b
             ("relation: a b", "relation: a - a + a b + b", 7, 25, f"{MIXED}: [1, 2]"),
             ("bracket: [1,2] = e3", "bracket: [1,2] = e3 + 2", 19, 23, f"{MIXED}: [0, 1]"),
-            ("dim: 3", "dim: 3\ndim: 3", 19, 1, "duplicate pi1 dim"),
+            ("dim: 3", "dim: 3\ndim: 3", 19, 1, "duplicate key 'dim' in [pi1]"),
             (
                 "bracket: [1,2] = e3",
                 "bracket: [1,2] = e3\nbracket: [1,2] = 5 e3",
                 20,
-                1,
+                10,
                 "duplicate bracket [1,2]",
             ),
         ],
@@ -302,8 +302,7 @@ class TestLocatedErrors:
 class TestTokenErrors:
     """Generator tokens are located at their own column; a repeated or
     non-identifier generator name is an error on the generators line; every
-    integer is written in ASCII digits.  Top-level values are reported at
-    line 1, col 1."""
+    integer is written in ASCII digits."""
 
     @pytest.mark.parametrize(
         "ring, line, edited, at, col, message",
@@ -324,12 +323,12 @@ class TestTokenErrors:
                 "t2", "generators: x:1 y:1", "generators:  x:1  y:3", 6, 19,
                 "generator degree 3 overflows the formal dimension 2",
             ),
-            ("t2", "n: 2", "n: 1_0", 1, 1, "n must be an integer, got '1_0'"),
-            ("t2", "n: 2", "n: +2", 1, 1, "n must be an integer, got '+2'"),
-            ("t2", "n: 2", "n: \u0662", 1, 1, "n must be an integer, got '\u0662'"),
-            ("t2", "type: Z^2", "type: Z^\u0662", 10, 1, "unknown pi1 type 'Z^\u0662'"),
+            ("t2", "n: 2", "n: 1_0", 3, 4, "n must be an integer, got '1_0'"),
+            ("t2", "n: 2", "n: +2", 3, 4, "n must be an integer, got '+2'"),
+            ("t2", "n: 2", "n: \u0662", 3, 4, "n must be an integer, got '\u0662'"),
+            ("t2", "type: Z^2", "type: Z^\u0662", 10, 7, "unknown pi1 type 'Z^\u0662'"),
             (
-                "heisenberg3", "bracket: [1,2] = e3", "bracket: [\u0661,\u0662] = e3", 19, 1,
+                "heisenberg3", "bracket: [1,2] = e3", "bracket: [\u0661,\u0662] = e3", 19, 10,
                 "bracket must look like [i,j] = expr",
             ),
             ("heisenberg3", "relation: a b", "relation: \u0662 a b", 7, 11, "unexpected character '\u0662'"),
@@ -344,6 +343,94 @@ class TestTokenErrors:
         assert main(["check", str(bad)]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.err == f"error: line {at}, col {col}: {message}\n"
+        assert captured.out == ""
+
+
+class TestDescriptorMessages:
+    """One edit of BASE per message that parse_descriptor raises, with the
+    line and column it reports: a bad value at the value's column, a bad or
+    repeated key at the key's column, a missing key at its section header,
+    a misplaced line at its first column, and only a missing name, n or
+    section at line 1, col 1.  TestTokenErrors pins the generator-token
+    messages."""
+
+    BASE = (
+        "# one edit of this per case\nname: a\nn: 2\n[cohomology]\ngenerators: x:1 y:1\n"
+        "fundamental_class: x y\n[pi1]\ntype: nilpotent\ndim: 3\nbracket: [1,2] = e3\n"
+    )
+    GENS = "generators: x:1 y:1"
+    BRACKET = "bracket: [1,2] = e3"
+
+    def test_base_parses(self):
+        assert parse_descriptor(self.BASE).pi1.algebra.dim == 3
+
+    @pytest.mark.parametrize(
+        "old, new, line, col, message",
+        [
+            # the line as a whole
+            ("[pi1]", "[pi2]", 7, 1, "unknown section [pi2]"),
+            ("[pi1]", "[cohomology]\n[pi1]", 7, 1, "duplicate section [cohomology]"),
+            ("n: 2", "n: 2\nname", 4, 1, "expected key: value"),
+            (f"{GENS}\nfundamental_class: x y", f"fundamental_class: x y\n{GENS}", 5, 1,
+             "generators must come before polynomials"),
+            (f"dim: 3\n{BRACKET}", f"{BRACKET}\ndim: 3", 9, 1, "dim must come before bracket lines"),
+            # keys
+            ("n: 2", "n: 2\n  size: 3", 4, 3, "unknown key 'size'"),
+            ("dim: 3", "dim: 3\norder: 3", 10, 1, "unknown key 'order' in [pi1]"),
+            ("n: 2", "n: 2\nname: b", 4, 1, "duplicate key 'name'"),
+            ("n: 2", "n: 2\n n: 2", 4, 2, "duplicate key 'n'"),
+            ("fundamental_class", "generators: x:1\nfundamental_class", 6, 1,
+             "duplicate key 'generators' in [cohomology]"),
+            ("x y\n", "x y\n fundamental_class: x y\n", 7, 2,
+             "duplicate key 'fundamental_class' in [cohomology]"),
+            ("dim: 3", "type: nilpotent\ndim: 3", 9, 1, "duplicate key 'type' in [pi1]"),
+            ("dim: 3", "dim: 3\ndim: 3", 10, 1, "duplicate key 'dim' in [pi1]"),
+            ("e3\n", "e3\n[betti]\nb_plus: 0\nb_plus: 0\n", 13, 1, "duplicate key 'b_plus' in [betti]"),
+            ("e3\n", "e3\n[betti]\nb_minus: 0\nb_minus: 0\n", 13, 1, "duplicate key 'b_minus' in [betti]"),
+            # a missing top-level key or section: no line holds it
+            ("name: a", "", 1, 1, "missing name"),
+            ("n: 2", "", 1, 1, "missing n"),
+            (f"[cohomology]\n{GENS}\nfundamental_class: x y\n", "", 1, 1, "missing [cohomology] section"),
+            (f"[pi1]\ntype: nilpotent\ndim: 3\n{BRACKET}\n", "", 1, 1, "missing [pi1] section"),
+            # a missing key in a section: at the section header
+            (f"{GENS}\nfundamental_class: x y\n", "", 4, 1, "missing generators line"),
+            ("fundamental_class: x y\n", "", 4, 1, "missing fundamental_class"),
+            ("type: nilpotent\n", "", 7, 1, "missing pi1 type"),
+            (f"dim: 3\n{BRACKET}\n", "", 7, 1, "nilpotent pi1 needs a dim line"),
+            ("e3\n", "e3\n[betti]\nb_plus: 0\n", 11, 1, "betti section needs b_plus and b_minus"),
+            ("e3\n", "e3\n[betti]\nb_plus: 0\nb_minus: 0\n", 11, 1,
+             "[betti] holds 4-manifold data, but n = 2"),
+            # values
+            ("n: 2", "n: 1_0", 3, 4, "n must be an integer, got '1_0'"),
+            ("n: 2", "n: 0", 3, 4, "n must be >= 1"),
+            ("fundamental_class: x y", "relation: x y - x y\nfundamental_class: x y", 6, 11, "zero relation"),
+            ("fundamental_class: x y", "fundamental_class: x", 6, 20,
+             "fundamental class has degree 1, expected 2"),
+            ("dim: 3", "dim: x", 9, 6, "pi1 dim must be a positive integer"),
+            ("dim: 3", "dim: 0", 9, 6, "pi1 dim must be a positive integer"),
+            (BRACKET, "bracket: [1 2] = e3", 10, 10, "bracket must look like [i,j] = expr"),
+            (BRACKET, "bracket: [2,1] = e3", 10, 10, "bracket indices must satisfy 1 <= i < j <= 3"),
+            (BRACKET, f"{BRACKET}\n{BRACKET}", 11, 10, "duplicate bracket [1,2]"),
+            (BRACKET, "bracket: [1,2] = 2", 10, 18,
+             "bracket value is a constant, expected a combination of e1..e3"),
+            (BRACKET, f"{BRACKET}\nbracket: [1,3] = e1", 8, 7,
+             "nilpotent pi1: structure constants violate the Jacobi identity"),
+            (BRACKET, "bracket: [1,2] = e2", 8, 7,
+             "nilpotent pi1: lower central series stabilizes at dimension 1"),
+            ("type: nilpotent", "type: solvable", 8, 7, "unknown pi1 type 'solvable'"),
+            ("e3\n", "e3\n[betti]\nb_plus: -1\nb_minus: 0\n", 12, 9,
+             "b_plus must be a nonnegative integer, got '-1'"),
+            ("type: nilpotent", "type: Z^3", 8, 7,
+             "pi1 type Z^3 needs b1 = 3, but the cohomology has b1 = 2"),
+        ],
+    )
+    def test_exit_at_line_and_column(self, tmp_path, capsys, old, new, line, col, message):
+        assert self.BASE.count(old) == 1
+        bad = tmp_path / "bad.descriptor"
+        bad.write_text(self.BASE.replace(old, new))
+        assert main(["check", str(bad)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"error: line {line}, col {col}: {message}\n"
         assert captured.out == ""
 
 
@@ -540,7 +627,7 @@ class TestCLI:
         "ring,betti,at,message",
         [
             ("s2xs2", "b_plus: -1\nb_minus: 1\n", 1, "b_plus must be a nonnegative integer"),
-            ("s2xs2", "b_plus: 1\nb_minus: 1\nb_plus: 1\n", 3, "duplicate b_plus"),
+            ("s2xs2", "b_plus: 1\nb_minus: 1\nb_plus: 1\n", 3, "duplicate key 'b_plus' in [betti]"),
             ("s2xs2", "b_plus: 1\n", 0, "betti section needs b_plus and b_minus"),
             ("t2", "b_plus: 0\nb_minus: 0\n", 0, "[betti] holds 4-manifold data, but n = 2"),
             # S^2 x S^2 has b2 = 2 and a cup form of signature (1, 1); declaring
@@ -740,6 +827,13 @@ class TestCLI:
         assert "lower central series dims: [4, 2, 1, 0] (class 3)" in text
         assert "growth degree: 7" in text
         assert "degree-2 kernel of the abelianization pullback: 1" in text
+
+    def test_lie_without_nilpotent_block_exit(self, capsys):
+        # the error is about the descriptor as a whole, so it names no line
+        assert main(["lie", corpus_file("t2")]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == "error: descriptor t2 has no nilpotent structure-constant block\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("n", ["33", "40", "-1"])
     def test_embed_n_out_of_range_exit(self, capsys, n):

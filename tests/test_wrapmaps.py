@@ -315,6 +315,17 @@ class TestQuasiregularity:
         rep = quasiregularity_ratio(sphere_wrap_map(), np.stack([xs, ys], -1))
         assert rep.diverged
 
+    def test_differentiates_once(self):
+        # four difference columns and the outward normal, as signed_jacobian alone
+        import dataclasses
+
+        m = sphere_wrap_map()
+        calls = []
+        counted = dataclasses.replace(m, func=lambda p: calls.append(1) or m.func(p))
+        pts = np.random.default_rng(3).uniform(-2, 2, (1000, 2))
+        quasiregularity_ratio(counted, pts)
+        assert len(calls) == 5
+
 
 class TestOperatorNorm:
     def test_linear_map(self):
