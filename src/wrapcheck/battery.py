@@ -277,16 +277,14 @@ def run_battery(d: ManifoldDescriptor, options: BatteryOptions | None = None) ->
     gb = basis_and_dims(A)
     chi = euler_characteristic(A)
 
-    checks = _pi1_checks(d)
-    checks.extend(embed.ring_checks(A))
+    *ring, bound = embed.necessary_checks(A, d.n)
+    checks = _pi1_checks(d) + ring
     cup_form = _cup_form_analysis(d)  # before the search: it rejects inconsistent [betti] data
     if d.n == 4 and d.betti is not None:
         checks.append(fourmanifold_battery(*d.betti, d.pi1))
     # the graded-dimension bound is a proof too; its row shows only where it is the only one
-    if not any(c.failed for c in checks):
-        bound = embed.target_feasibility(A, d.n)
-        if bound.failed:
-            checks.append(bound)
+    if bound.failed and not any(c.failed for c in checks):
+        checks.append(bound)
 
     embedding = None
     if options.embed:

@@ -216,6 +216,7 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
     # entries, col being where the value starts
     sections: dict[str | None, dict[str, list[tuple[int, str, str, int]]]] = {None: {}}
     headers: dict[str, int] = {}  # the line of each section's header
+    key_cols: dict[int, int] = {}  # the column of each key: value line's key
     notes_lines: list[str] = []
     current = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -246,6 +247,7 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
         if entries and key not in _REPEATABLE:
             raise ParseError(f"duplicate key {key!r}{where}", line_no, key_col)
         entries.append((line_no, key, mkv.group(2), mkv.start(2) + 1))
+        key_cols[line_no] = key_col
 
     for key in ("name", "n"):
         if key not in sections[None]:
@@ -298,6 +300,8 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
                 relations.append(poly)
             else:
                 fundamental, fundamental_line = poly, line_no
+                if poly.is_zero:
+                    raise ParseError("fundamental class is zero", line_no, value_col)
                 if poly.degree() != n:
                     raise ParseError(
                         f"fundamental class has degree {poly.degree()}, expected {n}",
@@ -390,6 +394,15 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
             f"pi1 type {kind} needs b1 = {expected_b1}, but the cohomology has b1 = {b1}",
             kind_line,
             kind_col,
+        )
+    # after the b1 check, so that a type the ring contradicts is reported as that
+    stray = [entry for key in ("dim", "bracket") for entry in sections["pi1"].get(key, ())]
+    if stray and pi1.kind != "nilpotent":
+        line_no, key, _, _ = min(stray)
+        raise ParseError(
+            f"{key} line under pi1 type {kind}: only a nilpotent pi1 takes dim and bracket lines",
+            line_no,
+            key_cols[line_no],
         )
 
     return ManifoldDescriptor(

@@ -6,10 +6,10 @@ relations must map to zero and the fundamental class to a nonzero
 element, which by Poincare duality of the source certifies
 injectivity.
 
-The search is a semidecision procedure.  Necessary-condition checks
-(the ring checks shared with the battery -- Poincare duality, Euler
-characteristic, degree-one subalgebra -- then graded dimension bounds)
-can prove non-existence; otherwise the search tries structured exact
+The search is a semidecision procedure.  The necessary-condition
+checks it shares with the battery (:func:`necessary_checks`: Poincare
+duality, Euler characteristic, degree-one subalgebra, graded dimension
+bounds) can prove non-existence; otherwise the search tries structured exact
 candidates (signed sums of disjoint blades per generator, with
 backtracking) and then seeded random-restart nonlinear least squares.
 A floating candidate is certified only when rounding to small
@@ -255,11 +255,12 @@ def euler_obstruction(A: AlgebraPresentation) -> CheckResult:
 
 
 @lru_cache(maxsize=256)
-def ring_checks(A: AlgebraPresentation) -> tuple[CheckResult, ...]:
-    """Intrinsic checks (relative to A.n), in battery order.
+def necessary_checks(A: AlgebraPresentation, n: int) -> tuple[CheckResult, ...]:
+    """The ring checks (relative to A.n), then the graded dimension bounds
+    for Lambda*(Q^n), in battery order.
 
-    Computed once per presentation and shared: the battery reports all
-    of them, the search stops at the first failure.
+    Computed once per presentation and target and shared: the battery
+    reports them, the search stops at the first failure.
     """
     pd = check_poincare_duality(A)
     return (
@@ -270,6 +271,7 @@ def ring_checks(A: AlgebraPresentation) -> tuple[CheckResult, ...]:
         ),
         euler_obstruction(A),
         torus_subalgebra_check(A),
+        target_feasibility(A, n),
     )
 
 
@@ -745,12 +747,9 @@ def search_embedding(
     seeded least-squares restarts.  Identical arguments give identical
     output.
     """
-    for check in ring_checks(A):
-        if check.failed:
-            return SearchOutcome("not-found", obstruction=check)
-    feas = target_feasibility(A, n)
-    if feas.failed:
-        return SearchOutcome("not-found", obstruction=feas)
+    obstruction = next((c for c in necessary_checks(A, n) if c.failed), None)
+    if obstruction is not None:
+        return SearchOutcome("not-found", obstruction=obstruction)
 
     found, nodes = _exact_stage(A, n, budget)
     if found is not None:

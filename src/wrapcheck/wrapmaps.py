@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -448,7 +449,8 @@ def check_quadrature(radii: Sequence[float], quadrature_step: float, dim: int) -
     and increasing, the step is finite, positive and at most R_max / 4,
     and the midpoint grid of [-R_max, R_max]^dim has at most
     MAX_AXIS_POINTS points per axis and few enough points for a numpy
-    index (``np.unravel_index`` addresses it in ``intp``)."""
+    index (``np.unravel_index`` addresses it in ``intp``), and the powers
+    of R and h that the quadrature forms stay normal floats."""
     radii = [float(r) for r in radii]
     if not radii or any(radii[i] >= radii[i + 1] for i in range(len(radii) - 1)):
         raise ValueError("radii must be increasing and nonempty")
@@ -459,12 +461,21 @@ def check_quadrature(radii: Sequence[float], quadrature_step: float, dim: int) -
     if quadrature_step > radii[-1] / 4:
         raise ValueError("quadrature step too coarse relative to the largest radius")
     rmax, h = radii[-1], quadrature_step
-    side = math.ceil((rmax - (-rmax + h / 2)) / h)  # len(np.arange(-rmax + h / 2, rmax, h))
+    # len(np.arange(-rmax + h / 2, rmax, h)), or inf where 2 R_max or the quotient overflows
+    extent = (rmax - (-rmax + h / 2)) / h
+    side = math.ceil(extent) if math.isfinite(extent) else math.inf
     if side > MAX_AXIS_POINTS:
         raise ValueError(f"quadrature grid axis of {side} points exceeds {MAX_AXIS_POINTS}")
     # the logarithm settles a huge dim before the power is formed
     if dim * math.log2(side) >= 64 or side**dim > np.iinfo(np.intp).max:
         raise ValueError(f"quadrature grid of {side}^{dim} points is too large to index")
+    # the walk sums dim squared coordinates, and each ball's sum is scaled
+    # by h^dim / R^dim: every such power must be a normal float
+    low, high = math.log(sys.float_info.min), math.log(sys.float_info.max)
+    smallest = dim * math.log(min(h, radii[0]))
+    largest = math.log(dim) + max(dim, 2) * math.log(rmax)
+    if smallest <= low or largest >= high:
+        raise ValueError(f"radii and step {h:g} leave float range on a {dim}-dimensional grid")
     return radii
 
 

@@ -6,6 +6,7 @@ import math
 import pathlib
 import random
 import tempfile
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -406,6 +407,8 @@ class TestDescriptorMessages:
             ("fundamental_class: x y", "relation: x y - x y\nfundamental_class: x y", 6, 11, "zero relation"),
             ("fundamental_class: x y", "fundamental_class: x", 6, 20,
              "fundamental class has degree 1, expected 2"),
+            ("fundamental_class: x y", "fundamental_class: x y - x y", 6, 20,
+             "fundamental class is zero"),
             ("dim: 3", "dim: x", 9, 6, "pi1 dim must be a positive integer"),
             ("dim: 3", "dim: 0", 9, 6, "pi1 dim must be a positive integer"),
             (BRACKET, "bracket: [1 2] = e3", 10, 10, "bracket must look like [i,j] = expr"),
@@ -422,6 +425,9 @@ class TestDescriptorMessages:
              "b_plus must be a nonnegative integer, got '-1'"),
             ("type: nilpotent", "type: Z^3", 8, 7,
              "pi1 type Z^3 needs b1 = 3, but the cohomology has b1 = 2"),
+            # a pi1 that is not nilpotent takes no dim or bracket line: at the first one's key
+            ("type: nilpotent\ndim: 3", "type: Z^2\n  dim: 3", 9, 3,
+             "dim line under pi1 type Z^2: only a nilpotent pi1 takes dim and bracket lines"),
         ],
     )
     def test_exit_at_line_and_column(self, tmp_path, capsys, old, new, line, col, message):
@@ -1101,6 +1107,86 @@ class TestFuzzedDescriptors:
             if d.n == 4 and d.pi1.kind == "finite":
                 rep = run_battery(d, BatteryOptions(embed_budget=200))
                 certified_embedding_keeps_intersection_check(d, rep)
+
+
+# finite floats at the edges of float range and of each surface family: the
+# curvature grid's start past r = 2, the hyperbolic window that reaches
+# r = 710 where sinh overflows, the power-log epsilons whose circumference
+# at rmax turns subnormal or zero, and the default rmax of each family
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e-3, 0.5, 1.0, 2.0, 2.000001,
+    2.000002, 512.0, 710.0, 1023.0, 1024.0, 2.0**18, 1e6, 1e15, 1e308, 1.7976931348623157e308,
+    -1e-3, -1.0, -280.0, -285.0, -300.0, -1e308,
+]
+FINITE_FLOATS = st.one_of(
+    st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def surface_argv(draw):
+    argv = ["surface"]
+    family = draw(st.sampled_from((None, "euclidean", "hyperbolic", "power-log")))
+    if family is not None:
+        argv += ["--family", family]
+    for flag in ("--epsilon", "--rmax"):
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(FINITE_FLOATS)!r}")
+    return argv
+
+
+# the domain dimensions each map takes
+MAP_DIMS = {"identity": (1, 2, 3), "join": (3,), "sphere-wrap": (2,), "torus-collapse": (1, 2, 3)}
+
+
+@st.composite
+def map_argv(draw):
+    """A map run on at most 16 points per axis in at most 3 dimensions, with
+    at most one flag drawn from edge values instead."""
+    name = draw(st.sampled_from(sorted(MAP_DIMS)))
+    n = draw(st.sampled_from(MAP_DIMS[name]))
+    radius = st.sampled_from((0.5, 1.0, 4.0, 50.0))
+    radii = sorted(draw(st.lists(radius, min_size=1, max_size=3, unique=True)))
+    half_axis = draw(st.sampled_from((4, 4.5, 8)))  # R_max / step
+    samples = draw(st.sampled_from((1, 100)))
+    edge = draw(st.sampled_from((None, "--n", "--radii", "--step", "--samples")))
+    if edge == "--n":
+        n = draw(st.sampled_from((None, 0, 1, 2, 3, 40)))
+    elif edge == "--radii":
+        radii = draw(st.lists(FINITE_FLOATS, min_size=1, max_size=3))
+    step = max(radii) / half_axis
+    if edge == "--step":
+        step = draw(st.sampled_from((0.0, -1.0, 5e-324, max(radii) / 2, 1e308)))
+    elif edge == "--samples":
+        samples = draw(st.sampled_from((0, -1, 10**8)))
+    argv = ["map", "--map", name, f"--radii={','.join(map(repr, radii))}", f"--step={step!r}"]
+    return argv + [f"--samples={samples}"] + ([] if n is None else [f"--n={n}"])
+
+
+class TestFuzzedNumericFlags:
+    """surface and map on drawn finite floats exit 0 or 2, and exit 0
+    writes nothing to stderr (a warning counts as stderr)."""
+
+    @staticmethod
+    def assert_exit_0_or_2(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        stderr = err.getvalue() + "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+        assert code in (EXIT_OK, EXIT_USAGE), stderr
+        assert code == EXIT_USAGE or stderr == "", stderr
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(surface_argv())
+    def test_surface_exits_0_or_2(self, argv):
+        self.assert_exit_0_or_2(argv)
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(map_argv())
+    def test_map_exits_0_or_2(self, argv):
+        self.assert_exit_0_or_2(argv)
 
 
 class TestGoldenCorpus:

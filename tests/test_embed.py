@@ -15,7 +15,7 @@ from wrapcheck.embed import (
     RingMorphism,
     certify_injective,
     euler_obstruction,
-    ring_checks,
+    necessary_checks,
     search_embedding,
     torus_subalgebra_check,
     verify_morphism,
@@ -313,10 +313,28 @@ class TestSharedRingChecks:
         for module in (algebra, battery, embed):
             monkeypatch.setattr(module, "check_poincare_duality", counting)
         algebra.basis_and_dims.cache_clear()
-        embed.ring_checks.cache_clear()
+        embed.necessary_checks.cache_clear()
         path = next(p for p in corpus_paths() if p.name == "t4.descriptor")
         report = run_battery(parse_descriptor_file(path), BatteryOptions(embed=True, embed_budget=100))
         assert report.embedding is not None
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("with_search", [True, False])
+    @pytest.mark.parametrize("name", ["t4", "sum4_s2xs2"])
+    def test_battery_bounds_graded_dimensions_once(self, monkeypatch, name, with_search):
+        calls = []
+        original = embed.target_feasibility
+
+        def counting(presentation, n):
+            calls.append((presentation, n))
+            return original(presentation, n)
+
+        monkeypatch.setattr(embed, "target_feasibility", counting)
+        embed.necessary_checks.cache_clear()
+        path = next(p for p in corpus_paths() if p.name == f"{name}.descriptor")
+        options = BatteryOptions(embed=with_search, embed_budget=100)
+        report = run_battery(parse_descriptor_file(path), options)
+        assert (report.embedding is not None) == with_search
         assert len(calls) == 1
 
     def test_search_and_battery_share_the_pd_principle(self):
@@ -632,7 +650,7 @@ class TestPresentationOrder:
         assert [deg for _, deg in r.cohomology.generators] == [
             deg for _, deg in reversed(d.cohomology.generators)
         ]
-        assert ring_checks(r.cohomology) == ring_checks(d.cohomology)
+        assert necessary_checks(r.cohomology, d.n) == necessary_checks(d.cohomology, d.n)
         options = BatteryOptions(embed=False)
         want, got = run_battery(d, options), run_battery(r, options)
         assert (got.betti, got.euler_characteristic, got.verdict) == (

@@ -565,6 +565,27 @@ class TestParallelWalks:
         with pytest.raises(ValueError, match=f"axis of {bound + 2} points exceeds"):
             wrapmaps.check_quadrature([bound / 2 + 1], 1, 1)
 
+    @pytest.mark.parametrize(
+        "radii, step, dim, message",
+        [
+            # 2 R_max / h overflows: once through the step, once through R_max
+            ([1e-3], 5e-324, 2, "axis of inf points exceeds"),
+            ([1e308], 1.25e307, 1, "axis of inf points exceeds"),
+            # h^3, R^3 and the squared coordinates overflow or underflow
+            ([1e200], 2.5e199, 3, "leave float range on a 3-dimensional grid"),
+            ([2.2250738585072014e-308], 5.562684646268003e-309, 3, "leave float range"),
+            ([1e-200, 1.0], 0.25, 2, "leave float range on a 2-dimensional grid"),
+            ([1e160], 2.5e159, 1, "leave float range on a 1-dimensional grid"),
+        ],
+    )
+    def test_rejects_grids_past_float_range(self, radii, step, dim, message):
+        with pytest.raises(ValueError, match=message):
+            wrapmaps.check_quadrature(radii, step, dim)
+
+    def test_keeps_grids_inside_float_range(self):
+        assert wrapmaps.check_quadrature([1e-100, 1.0], 0.25, 2) == [1e-100, 1.0]
+        assert wrapmaps.check_quadrature([1e100], 2.5e99, 3) == [1e100]
+
     def test_chunk_exception_reaches_caller(self, monkeypatch):
         # every ball about the origin leaves the strip map's domain
         monkeypatch.setattr(wrapmaps, "CHUNK_POINTS", 100)
