@@ -15,7 +15,6 @@ No Groebner machinery is needed at this scale.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import warnings
@@ -28,6 +27,8 @@ from . import linalg
 from .exterior import Multivector, wedge
 
 GeneratorTable = tuple[tuple[str, int], ...]
+
+_ZERO = Fraction(0)  # one shared zero: a Gram matrix is mostly zeros
 
 
 class DegeneratePresentation(ValueError):
@@ -313,10 +314,11 @@ class GradedBasis:
         return list(self._monomials[k])
 
     # -- reduction ---------------------------------------------------------
-    def coords(self, k: int, terms) -> tuple[Fraction, ...]:
-        """Quotient coordinates, on the standard monomials, of the degree-k
-        element with (coefficient, exponent vector) ``terms``, the shape of
-        ``GradedPolynomial.monomials`` (exponent vectors distinct)."""
+    def coords(self, k: int, terms) -> dict[int, Fraction]:
+        """Quotient coordinates of the degree-k element with (coefficient,
+        exponent vector) ``terms``, the shape of ``GradedPolynomial.monomials``
+        (exponent vectors distinct): its nonzero entries on the standard
+        monomials, keyed by column among the monomials of degree k."""
         index = self._mono_index[k]
         return self._ideal[k].coords_modulo({index[e]: c for c, e in terms})
 
@@ -331,7 +333,7 @@ def basis_and_dims(presentation: AlgebraPresentation) -> GradedBasis:
     presentation should not need.
     """
     gb = GradedBasis(presentation)
-    if not any(gb.coords(presentation.n, presentation.fundamental_class.monomials)):
+    if not gb.coords(presentation.n, presentation.fundamental_class.monomials):
         raise DegeneratePresentation("fundamental class lies in the relation ideal")
     gb.excess_degrees = _excess_degrees(gb)
     if gb.excess_degrees:
@@ -445,7 +447,8 @@ def _duality_report(top: int, basis, pair) -> PDReport:
     """Nondegeneracy of basis(k) x basis(top - k) -> Q for every k <= top/2.
 
     ``basis(k)`` is a basis of degree k and ``pair(a, b)`` the coefficient
-    of the product a b in the one-dimensional degree ``top``.
+    of the product a b in the one-dimensional degree ``top``.  Each Gram
+    row goes into the rank as the dict of its nonzero pairings.
     """
     for k in range(top // 2 + 1):
         left, right = basis(k), basis(top - k)
@@ -453,7 +456,8 @@ def _duality_report(top: int, basis, pair) -> PDReport:
             return PDReport(
                 False, k, f"rank {len(left)} in degree {k} vs {len(right)} in degree {top - k}"
             )
-        if left and linalg.rank([[pair(a, b) for b in right] for a in left]) != len(left):
+        gram = ({j: v for j, b in enumerate(right) if (v := pair(a, b))} for a in left)
+        if linalg.SparseSubspace(len(right), gram).rank != len(left):
             return PDReport(False, k, f"degenerate pairing in degree {k}")
     return PDReport(True)
 
@@ -479,19 +483,20 @@ def cup_square_form(presentation: AlgebraPresentation, k: int):
 def _pairing(gb: GradedBasis, target: int):
     """Product of a pair of monomials in the rank-one degree ``target``, as a number.
 
-    The product's one quotient coordinate, divided by the fundamental
-    class's coordinate when ``target`` is the formal dimension; a product
-    in which an odd generator squares reads zero.
+    The product's one quotient coordinate (none when it is zero), divided
+    by the fundamental class's coordinate when ``target`` is the formal
+    dimension; a product in which an odd generator squares reads zero.
     """
     presentation = gb.presentation
     degrees = [d for _, d in presentation.generators]
     unit = Fraction(1)
     if target == presentation.n:
-        (unit,) = gb.coords(target, presentation.fundamental_class.monomials)
+        (unit,) = gb.coords(target, presentation.fundamental_class.monomials).values()
 
     def pair(a, b) -> Fraction:
         prod = _monomial_mul(degrees, a, b)
-        return Fraction(0) if prod is None else gb.coords(target, (prod,))[0] / unit
+        coords = {} if prod is None else gb.coords(target, (prod,))
+        return next(iter(coords.values())) / unit if coords else _ZERO
 
     return pair
 
@@ -516,35 +521,23 @@ class ConcreteSubalgebra:
 
     @classmethod
     def from_generators(cls, n: int, gens: Sequence[Multivector]) -> "ConcreteSubalgebra":
-        """Close the unit and the given homogeneous elements under wedge."""
-        layers: list[list[Multivector]] = [[] for _ in range(n + 1)]
+        """Close the unit and the given homogeneous elements under wedge.
+
+        One worklist: an element that enlarges its degree's span is kept and
+        wedged once with each element kept so far, itself included, so the
+        kept elements span their own products, hence the closure.
+        """
+        if any(g.degree() is None for g in gens if not g.is_zero):
+            raise ValueError("generators must be homogeneous")
         spans = [linalg.SparseSubspace(math.comb(n, k)) for k in range(n + 1)]
-
-        def absorb(v: Multivector) -> bool:
+        layers = [[Multivector.scalar(n, 1)]] + [[] for _ in range(n)]
+        todo = list(gens)
+        while todo:
+            v = todo.pop()
             k = v.degree()
-            if k is None or not spans[k].add(v.coords(k)):
-                return False
-            layers[k] = [Multivector.from_coords(n, k, r) for r in spans[k].rows]
-            return True
-
-        absorb(Multivector.scalar(n, 1))
-        for g in gens:
-            if g.is_zero:
-                continue
-            if g.degree() is None:
-                raise ValueError("generators must be homogeneous")
-            absorb(g)
-        changed = True
-        while changed:
-            changed = False
-            flat = [v for layer in layers for v in layer]
-            for a, b in itertools.product(flat, repeat=2):
-                da, db = a.degree(), b.degree()
-                if da == 0 or db == 0 or da + db > n:
-                    continue
-                w = wedge(a, b)
-                if not w.is_zero and absorb(w):
-                    changed = True
+            if k and spans[k].add(v.coords(k)):
+                layers[k].append(v)
+                todo.extend(wedge(a, v) for d in range(1, n - k + 1) for a in layers[d])
         return cls(n, layers)
 
     def basis(self, k: int) -> list[Multivector]:
@@ -648,7 +641,7 @@ def quotient_by_degree1(A: ConcreteSubalgebra, x: Multivector) -> QuotientReport
         if w.is_zero:
             return Fraction(0)
         red = ideal_spans[N - 1].coords_modulo(A.coords_in_basis(w, N - 1))
-        return next((c for c in red if c != 0), Fraction(0))
+        return next(iter(red.values()), Fraction(0))
 
     if quotient_dims[N] != 0 or (N >= 1 and quotient_dims[N - 1] != 1):
         pd_holds, failing = False, N

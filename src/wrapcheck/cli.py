@@ -185,24 +185,34 @@ def _load_profile(args) -> geom2d.RadialProfile:
         samples = {}  # radius -> (line number, circumference)
         with open(args.profile, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
+                content = raw.split("#", 1)[0]
+                line = content.strip()
                 if not line:
                     continue
-                parts = line.split()
+                # each field with its column; an error gives the column of
+                # the field it names, or of the first for the whole line
+                parts = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", content)]
                 if len(parts) != 2:
-                    raise ParseError(f"expected 'r L' pairs, got {line!r}", lineno)
-                try:
-                    r, value = float(parts[0]), float(parts[1])
-                except ValueError:
-                    raise ParseError(f"expected numbers, got {line!r}", lineno) from None
-                if not (math.isfinite(r) and math.isfinite(value)):
-                    raise ParseError(f"samples must be finite, got {line!r}", lineno)
+                    raise ParseError(f"expected 'r L' pairs, got {line!r}", lineno, parts[0][1])
+                (r_tok, r_col), (_, value_col) = parts
+                nums = []
+                for tok, col in parts:
+                    try:
+                        nums.append(float(tok))
+                    except ValueError:
+                        raise ParseError(f"expected numbers, got {line!r}", lineno, col) from None
+                for x, (_, col) in zip(nums, parts):
+                    if not math.isfinite(x):
+                        raise ParseError(f"samples must be finite, got {line!r}", lineno, col)
+                r, value = nums
                 if r <= 0:
-                    raise ParseError(f"radii must be positive, got {line!r}", lineno)
+                    raise ParseError(f"radii must be positive, got {line!r}", lineno, r_col)
                 if value <= 0:
-                    raise ParseError(f"circumference samples must be positive, got {line!r}", lineno)
+                    raise ParseError(
+                        f"circumference samples must be positive, got {line!r}", lineno, value_col
+                    )
                 if r in samples:
-                    raise ParseError(f"radius {parts[0]} repeats line {samples[r][0]}", lineno)
+                    raise ParseError(f"radius {r_tok} repeats line {samples[r][0]}", lineno, r_col)
                 samples[r] = (lineno, value)
         if len(samples) < 2:
             raise ParseError("need at least two 'r L' samples", 1)

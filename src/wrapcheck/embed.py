@@ -221,11 +221,11 @@ def torus_subalgebra_check(A: AlgebraPresentation) -> CheckResult:
         reps1 = gb.representatives(1)
         for j in range(2, k + 1):
             target = math.comb(k, j)
-            rows = [
+            rows = (
                 gb.coords(j, ((1, tuple(map(sum, zip(*combo)))),))
                 for combo in itertools.combinations(reps1, j)
-            ]
-            got = linalg.rank(rows)
+            )
+            got = linalg.SparseSubspace(len(gb.monomials(j)), rows).rank
             if got < target:
                 reasons.append(
                     {

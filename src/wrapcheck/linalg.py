@@ -45,13 +45,15 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
 
 
 class SparseSubspace:
-    """Incrementally maintained reduced echelon span of rows.
+    """Incrementally maintained echelon span of rows.
 
     Rows may be dicts column -> value or dense sequences; they are kept
     as sparse dicts of Fractions, so elimination only touches the
-    support of each row, which matters for large sparse ideals.  The
-    reduced echelon form of a row space is unique, so pivots, ``rows``
-    and quotient coordinates do not depend on the insertion order.
+    support of each row, which matters for large sparse ideals.  A stored
+    row starts at its pivot, with value 1 there, and is never rewritten.
+    The representative of a vector that is zero at every pivot is the
+    same for every echelon basis with these pivots, so no result depends
+    on the insertion order; ``rows`` builds the reduced form on read.
     """
 
     def __init__(self, dim: int, rows: Iterable = ()):
@@ -65,7 +67,9 @@ class SparseSubspace:
         # entries that are Fractions already are immutable and kept as they are
         out = {c: v if isinstance(v, Fraction) else Fraction(v) for c, v in items if v != 0}
         while True:
-            hit = next((c for c in out if c in self.pivot_rows), None)
+            # a stored row has no entry left of its pivot, so taking the
+            # smallest pivot first eliminates each pivot at most once
+            hit = min((c for c in out if c in self.pivot_rows), default=None)
             if hit is None:
                 return out
             f = out[hit]
@@ -83,17 +87,7 @@ class SparseSubspace:
             return False
         p = min(red)
         inv = 1 / red[p]
-        red = {c: v * inv for c, v in red.items()}
-        for existing in self.pivot_rows.values():
-            if p in existing:
-                f = existing[p]
-                for c, v in red.items():
-                    acc = existing.get(c, 0) - f * v
-                    if acc == 0:
-                        existing.pop(c, None)
-                    else:
-                        existing[c] = acc
-        self.pivot_rows[p] = red
+        self.pivot_rows[p] = {c: v * inv for c, v in red.items()}
         return True
 
     @property
@@ -110,8 +104,12 @@ class SparseSubspace:
 
     @property
     def rows(self) -> Matrix:
-        """The reduced echelon basis as dense rows, in pivot order."""
-        return [self._dense(self.pivot_rows[p]) for p in self.pivots]
+        """The reduced echelon basis as dense rows, in pivot order: pivot p's
+        row is 1 at p plus the representative of the rest of its stored row."""
+        return [
+            self._dense({p: Fraction(1), **self._reduced({c: v for c, v in row.items() if c != p})})
+            for p, row in sorted(self.pivot_rows.items())
+        ]
 
     def _dense(self, row: dict[int, Fraction]) -> Vector:
         return [row.get(c, Fraction(0)) for c in range(self.dim)]
@@ -123,7 +121,7 @@ class SparseSubspace:
     def contains(self, vec) -> bool:
         return not self._reduced(vec)
 
-    def coords_modulo(self, vec) -> tuple[Fraction, ...]:
-        """Coordinates of vec in the quotient: entries at non-pivot columns."""
-        red = self._reduced(vec)
-        return tuple(red.get(c, Fraction(0)) for c in range(self.dim) if c not in self.pivot_rows)
+    def coords_modulo(self, vec) -> dict[int, Fraction]:
+        """Coordinates of vec in the quotient: the nonzero entries, keyed by
+        column, of its representative modulo the span."""
+        return self._reduced(vec)

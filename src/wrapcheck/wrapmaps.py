@@ -77,7 +77,10 @@ def eval_f0(x, y):
         raise ValueError("f0 domain is [-1,1] x [0,inf)")
     ax = np.abs(x)
     r = ax + np.exp(-y) * (1.0 - ax)
-    theta = y + np.log(r)
+    # r underflows to 0 only where x = 0 and e^-y does, and there ln r = -y
+    with np.errstate(divide="ignore"):
+        log_r = np.log(r)
+    theta = y + np.where(r > 0, log_r, -y)
     theta = np.where(x < 0, -theta, theta)
     return r, theta
 

@@ -48,6 +48,13 @@ def random_pd_subalgebra(
 ) -> tuple[ConcreteSubalgebra, Multivector]:
     """A Poincare duality subalgebra of Lambda*(Q^n) with nonzero degree-1
     part, together with a nonzero degree-1 element of it."""
+    gens, x = random_pd_generators(rng, n)
+    return ConcreteSubalgebra.from_generators(n, gens), x
+
+
+def random_pd_generators(rng: random.Random, n: int) -> tuple[list[Multivector], Multivector]:
+    """Generators of :func:`random_pd_subalgebra`'s subalgebra, and its
+    degree-1 element."""
     k = rng.randint(1, n)
     t = _random_invertible(rng, n)
     images = [_push_vector(t, n, j) for j in range(n)]
@@ -60,14 +67,13 @@ def random_pd_subalgebra(
         for j in range(k + 1, k + width):
             blade = wedge(blade, images[j])
         gens.append(blade)
-    A = ConcreteSubalgebra.from_generators(n, gens)
     coeffs = [Fraction(rng.randint(-2, 2)) for _ in range(k)]
     if all(c == 0 for c in coeffs):
         coeffs[rng.randrange(k)] = Fraction(1)
     x = Multivector.zero(n)
     for c, g in zip(coeffs, images[:k]):
         x = x + g.scale(c)
-    return A, x
+    return gens, x
 
 
 def _random_two_step(rng: random.Random, dim: int) -> NilLieAlgebra:

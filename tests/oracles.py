@@ -7,12 +7,15 @@ solvability from a Hensel-style lifting search, and the invariant-form
 complex of a nilpotent Lie algebra from dense bracket vectors and
 dense differential columns, the signed volume of a wrapping map
 from a batched LAPACK determinant, the right side of a bracket line
-from a term loop of its own, and the two wrapping maps from their
-bodies before they shared a strip fold.
+from a term loop of its own, the two wrapping maps from their
+bodies before they shared a strip fold, and the closure of a
+subalgebra's generators from rounds over all pairs.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import re
 from fractions import Fraction
 
@@ -20,7 +23,8 @@ import numpy as np
 import sympy
 
 from wrapcheck import descriptor, linalg, wrapmaps
-from wrapcheck.exterior import blade_masks
+from wrapcheck.algebra import ConcreteSubalgebra
+from wrapcheck.exterior import Multivector, blade_masks, wedge
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +132,44 @@ def oracle_quotient_ranks(presentation):
             rank = 0
         ranks.append(len(basis) - rank)
     return tuple(ranks)
+
+
+# ---------------------------------------------------------------------------
+# Subalgebra closure in rounds over all pairs
+# ---------------------------------------------------------------------------
+
+
+def all_pairs_closure(n, gens):
+    """The subalgebra of Lambda*(Q^n) generated by gens, closed in rounds:
+    each round wedges every pair of basis elements and rebuilds a degree's
+    basis from its reduced echelon rows after each insert, until a round
+    adds nothing."""
+    layers = [[] for _ in range(n + 1)]
+    spans = [linalg.SparseSubspace(math.comb(n, k)) for k in range(n + 1)]
+
+    def absorb(v):
+        k = v.degree()
+        if k is None or not spans[k].add(v.coords(k)):
+            return False
+        layers[k] = [Multivector.from_coords(n, k, r) for r in spans[k].rows]
+        return True
+
+    absorb(Multivector.scalar(n, 1))
+    for g in gens:
+        if not g.is_zero:
+            absorb(g)
+    changed = True
+    while changed:
+        changed = False
+        flat = [v for layer in layers for v in layer]
+        for a, b in itertools.product(flat, repeat=2):
+            da, db = a.degree(), b.degree()
+            if da == 0 or db == 0 or da + db > n:
+                continue
+            w = wedge(a, b)
+            if not w.is_zero and absorb(w):
+                changed = True
+    return ConcreteSubalgebra(n, layers)
 
 
 # ---------------------------------------------------------------------------

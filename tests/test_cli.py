@@ -10,7 +10,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wrapcheck.battery import BatteryOptions, run_battery
@@ -918,27 +918,34 @@ class TestCLI:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
 
+    BAD_PROFILES = [
+        ("0 1\n2 3\n4 5\n", 1, 1, "radii must be positive, got '0 1'"),
+        ("2 3\n-5 1\n", 2, 1, "radii must be positive, got '-5 1'"),
+        ("2 3\nabc 3\n", 2, 1, "expected numbers, got 'abc 3'"),
+        ("2 3\n4 5\n2 7\n", 3, 1, "radius 2 repeats line 1"),
+        ("2 3\n4 0\n", 2, 3, "circumference samples must be positive"),
+        ("# r L\n2 3\n4 -1\n", 3, 3, "circumference samples must be positive"),
+        ("2 3\n", 1, 1, "need at least two 'r L' samples"),
+        ("2 3\nnan 4\n", 2, 1, "samples must be finite, got 'nan 4'"),
+        ("2 3\n4 inf\n", 2, 3, "samples must be finite, got '4 inf'"),
+        ("2 3\n4 5 6\n", 2, 1, "expected 'r L' pairs, got '4 5 6'"),
+        # indented lines: the column is the field's, not the stripped line's
+        ("2 3\n  4   x\n", 2, 7, "expected numbers, got '4   x'"),
+        ("2 3\n\t 7 5 6\n", 2, 3, "expected 'r L' pairs, got '7 5 6'"),
+        ("2 3\n  10  -2.5 # L\n", 2, 7, "circumference samples must be positive"),
+        ("  2 3\n 2 5\n", 2, 2, "radius 2 repeats line 1"),
+    ]
+
+    # the ids are those the rows had before they carried a column
     @pytest.mark.parametrize(
-        "text, line, message",
-        [
-            ("0 1\n2 3\n4 5\n", 1, "radii must be positive, got '0 1'"),
-            ("2 3\n-5 1\n", 2, "radii must be positive, got '-5 1'"),
-            ("2 3\nabc 3\n", 2, "expected numbers, got 'abc 3'"),
-            ("2 3\n4 5\n2 7\n", 3, "radius 2 repeats line 1"),
-            ("2 3\n4 0\n", 2, "circumference samples must be positive"),
-            ("# r L\n2 3\n4 -1\n", 3, "circumference samples must be positive"),
-            ("2 3\n", 1, "need at least two 'r L' samples"),
-            ("2 3\nnan 4\n", 2, "samples must be finite, got 'nan 4'"),
-            ("2 3\n4 inf\n", 2, "samples must be finite, got '4 inf'"),
-            ("2 3\n4 5 6\n", 2, "expected 'r L' pairs, got '4 5 6'"),
-        ],
+        "text, line, col, message", BAD_PROFILES, ids=[f"{t}-{n}-{m}" for t, n, _, m in BAD_PROFILES]
     )
-    def test_surface_bad_profile_exit(self, tmp_path, capsys, text, line, message):
+    def test_surface_bad_profile_exit(self, tmp_path, capsys, text, line, col, message):
         prof = tmp_path / "prof.txt"
         prof.write_text(text)
         assert main(["surface", "--profile", str(prof)]) == EXIT_USAGE
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: line {line}, col 1: ") and message in captured.err
+        assert captured.err.startswith(f"error: line {line}, col {col}: ") and message in captured.err
         assert captured.out == ""
 
     def test_surface_profile_order_is_free(self, tmp_path):
@@ -1185,6 +1192,8 @@ class TestFuzzedNumericFlags:
 
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
     @given(map_argv())
+    # a grid reaching |y| > 745, where e^-y underflows on the fold line x = 0
+    @example(["map", "--map", "sphere-wrap", "--radii", "800", "--step", "100", "--samples", "1"])
     def test_map_exits_0_or_2(self, argv):
         self.assert_exit_0_or_2(argv)
 

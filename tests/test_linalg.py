@@ -54,10 +54,18 @@ class TestAgainstSympy:
         assert linalg.rank(rows) == _sym(rows, ncols).rank()
 
     def test_echelon_rows(self, name, rows, ncols):
-        span = linalg.SparseSubspace(ncols, rows)
+        rng = random.Random(name)
         rref, pivots = _sym(rows, ncols).rref()
-        assert span.pivots == list(pivots)
-        assert span.rows == [[_frac(x) for x in rref.row(i)] for i in range(len(pivots))]
+        want = [[_frac(x) for x in rref.row(i)] for i in range(len(pivots))]
+        v = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(ncols)]
+        # the representative modulo the span that is zero at every pivot
+        rep = [x - sum((v[p] * r[j] for p, r in zip(pivots, want)), Fraction(0)) for j, x in enumerate(v)]
+        # the stored rows differ with the insertion order; what is read does not
+        for order in (rows, rows[::-1]):
+            span = linalg.SparseSubspace(ncols, order)
+            assert span.pivots == list(pivots)
+            assert span.rows == want
+            assert span.coords_modulo(v) == {j: x for j, x in enumerate(rep) if x != 0}
 
     def test_reduce(self, name, rows, ncols):
         rng = random.Random(name)

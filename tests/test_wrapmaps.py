@@ -45,6 +45,15 @@ class TestF0:
         assert np.allclose(r, np.exp(-y))
         assert np.allclose(theta, 0.0, atol=1e-12)
 
+    def test_center_line_past_exp_underflow(self):
+        # e^-y is 0 in floats from y = 746 on, so r is 0 and ln r = -y
+        y = np.array([745.0, 746.0, 800.0, 1e6])
+        r, theta = eval_f0(np.zeros_like(y), y)
+        assert np.all(r[1:] == 0.0) and np.all(theta[1:] == 0.0)
+        assert np.all(np.isfinite(theta))
+        r, theta = eval_f0(-0.0, 800.0)
+        assert float(r) == 0.0 and float(theta) == 0.0
+
     def test_mirror_half(self):
         r1, t1 = eval_f0(0.4, 2.0)
         r2, t2 = eval_f0(-0.4, 2.0)
