@@ -279,6 +279,13 @@ def _ideal_span(
     return linalg.SparseSubspace(len(monomials[k]), _ideal_rows(presentation, monomials, k))
 
 
+def first_betti(presentation: AlgebraPresentation) -> int:
+    """b1, the rank of degree one: the span ``GradedBasis`` builds there,
+    alone, so it never raises DegeneratePresentation."""
+    gens = presentation.generators
+    return _ideal_span(presentation, [_monomials_of_degree(gens, k) for k in (0, 1)], 1).codim
+
+
 class GradedBasis:
     """Per-degree monomial bases of the quotient algebra, with one reducer.
 
@@ -552,15 +559,7 @@ class ConcreteSubalgebra:
         return max(top) if top else 0
 
     def contains(self, v: Multivector) -> bool:
-        if v.is_zero:
-            return True
-        k = v.degree()
-        if k is None:
-            return all(
-                self._span[d].contains(list(v.homogeneous_part(d).coords(d)))
-                for d in v.degrees()
-            )
-        return self._span[k].contains(list(v.coords(k)))
+        return all(self._span[d].contains(v.coords(d)) for d in v.degrees())
 
     def coords_in_basis(self, v: Multivector, k: int) -> linalg.Vector | None:
         """Coordinates of a degree-k element in this subalgebra's basis, or None.

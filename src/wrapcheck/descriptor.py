@@ -31,8 +31,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
-from .algebra import AlgebraPresentation, GradedPolynomial
+from .algebra import AlgebraPresentation, GradedPolynomial, first_betti
 from .nilcoh import NilLieAlgebra, lower_central_series
 
 
@@ -112,16 +111,14 @@ def parse_polynomial(
     monomials = []
     starts = []  # (column after the sign, degree) of each term
     i = 0
-    first = True
+    # the monomial loop below stops only at a sign or the end, so every
+    # term after the first starts with a sign
     while i < len(tokens):
         sign = Fraction(1)
         tok, col = tokens[i]
         if tok in "+-":
             sign = Fraction(-1) if tok == "-" else Fraction(1)
             i += 1
-        elif not first:
-            raise ParseError(f"expected + or - before {tok!r}", line_no, col)
-        first = False
         if i >= len(tokens):
             raise ParseError("dangling sign", line_no, col)
         coeff = sign
@@ -388,7 +385,7 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
         expected_b1 = dim - series[1]
     else:
         expected_b1 = {"finite": 0, "free-abelian": pi1.rank}.get(pi1.kind)
-    b1 = _first_betti(presentation)
+    b1 = first_betti(presentation)
     if expected_b1 is not None and b1 != expected_b1:
         raise ParseError(
             f"pi1 type {kind} needs b1 = {expected_b1}, but the cohomology has b1 = {b1}",
@@ -415,23 +412,6 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
         fundamental_class_line=fundamental_line,
         betti_line=betti_line,
     )
-
-
-def _first_betti(presentation: AlgebraPresentation) -> int:
-    """Degree-one generators minus the rank of the degree-one relations.
-
-    Generator degrees are >= 1, so the degree-one part of the relation
-    ideal is spanned by the degree-one relations themselves.  The parser
-    must not build the graded basis for basis_and_dims(...).rank(1): the
-    build raises DegeneratePresentation, and ``lie`` never needs it.
-    """
-    ones = [i for i, (_, d) in enumerate(presentation.generators) if d == 1]
-    rows = []
-    for rel in presentation.relations:
-        if rel.degree() == 1:
-            coeffs = {exps.index(1): c for c, exps in rel.monomials}
-            rows.append([coeffs.get(i, 0) for i in ones])
-    return len(ones) - linalg.rank(rows)
 
 
 def parse_descriptor_file(path) -> ManifoldDescriptor:

@@ -22,16 +22,6 @@ from typing import Sequence
 
 import numpy as np
 
-SPHERE_AREA = {1: 2 * math.pi}  # filled lazily by _unit_sphere_area
-
-
-def _unit_sphere_area(d: int) -> float:
-    """Surface area of the unit sphere S^d in R^{d+1}."""
-    if d not in SPHERE_AREA:
-        SPHERE_AREA[d] = 2 * math.pi ** ((d + 1) / 2) / math.gamma((d + 1) / 2)
-    return SPHERE_AREA[d]
-
-
 # ---------------------------------------------------------------------------
 # Radial profiles and conformal type
 # ---------------------------------------------------------------------------
@@ -46,7 +36,6 @@ MIN_WINDOWS = 8
 AHLFORS_SAMPLES_PER_WINDOW = 256
 MILNOR_TAIL_FRACTION = 0.5  # the tail is this last fraction of the samples' log r range
 CURVATURE_MAX_STEP = 0.5
-PROFILE_STEP = 1e-3
 NODULE_SAMPLES_PER_UNIT = 512
 
 
@@ -149,7 +138,7 @@ class Classification:
 def _dyadic_windows(rmin: float, rmax: float) -> list[tuple[float, float]]:
     out = []
     a = max(rmin, 1e-9)
-    start = 2.0 ** math.ceil(math.log2(a)) if a > 0 else 1.0
+    start = 2.0 ** math.ceil(math.log2(a))
     if start < a:
         start *= 2
     b = start
@@ -253,36 +242,6 @@ def curvature_from_profile(r: Sequence[float], rho: Sequence[float]) -> np.ndarr
     return -second / rho[1:-1]
 
 
-def profile_from_curvature(curvature, r0: float, rmax: float) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate rho'' = -K rho outward from rho(r0) = r0, rho'(r0) = 1
-    (classical RK4 with step PROFILE_STEP).
-
-    The inverse of :func:`curvature_from_profile`; used to turn a
-    curvature law into circumference data.
-    """
-    step = PROFILE_STEP
-    n = int(math.ceil((rmax - r0) / step))
-    r = r0 + step * np.arange(n + 1)
-    rho = np.empty(n + 1)
-    y, v = r0, 1.0
-    rho[0] = y
-    for i in range(n):
-        def f(t, state):
-            yy, vv = state
-            return np.array([vv, -float(curvature(t)) * yy])
-
-        t = r[i]
-        s = np.array([y, v])
-        k1 = f(t, s)
-        k2 = f(t + step / 2, s + step / 2 * k1)
-        k3 = f(t + step / 2, s + step / 2 * k2)
-        k4 = f(t + step, s + step * k3)
-        s = s + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        y, v = s
-        rho[i + 1] = y
-    return r, rho
-
-
 # ---------------------------------------------------------------------------
 # Revolution profiles with geometrically shrinking nodules
 # ---------------------------------------------------------------------------
@@ -339,7 +298,8 @@ def revolution_volume(t: Sequence[float], rho: Sequence[float], n: int, interval
     if np.any(rr <= 0):
         raise ValueError("profile must be positive on the interval")
     drho = np.gradient(rr, tt)
-    integrand = _unit_sphere_area(n - 1) * rr ** (n - 1) * np.sqrt(1.0 + drho**2)
+    sphere_area = 2 * math.pi ** (n / 2) / math.gamma(n / 2)  # omega_{n-1}, of S^{n-1}
+    integrand = sphere_area * rr ** (n - 1) * np.sqrt(1.0 + drho**2)
     return float(np.trapezoid(integrand, tt))
 
 
@@ -391,13 +351,6 @@ class LatticeLoop:
 
     def word(self) -> str:
         return "".join(self.steps)
-
-
-def square_loop(width: int = 1, height: int = 1, clockwise: bool = False) -> LatticeLoop:
-    steps = ("E",) * width + ("N",) * height + ("W",) * width + ("S",) * height
-    if clockwise:
-        steps = tuple(OPPOSITE[s] for s in reversed(steps))
-    return LatticeLoop(steps)
 
 
 def reduce_loop(loop: LatticeLoop) -> LatticeLoop:
@@ -537,14 +490,10 @@ def fill_cycle(z: dict[Edge, int]) -> LatticeChain:
         if any(c for c in z.values()):
             raise ValueError("nonzero cycle with no vertical edges cannot close up")
         return LatticeChain({})
-    xs = sorted({x for x, _, _ in vertical})
     ys = sorted({y for _, y, _ in vertical})
     cells: dict[Cell, int] = {}
     for y in ys:
         row = [(x, c) for x, yy, c in vertical if yy == y]
-        if not row:
-            continue
-        row.sort()
         xmin = min(x for x, _ in row)
         xmax = max(x for x, _ in row)
         for cx in range(xmin, xmax):

@@ -221,31 +221,6 @@ def identity_map(dim: int) -> EvaluableMap:
     return EvaluableMap("identity", dim, TargetSpace("euclidean", dim), lambda p: p.copy())
 
 
-def constant_map(dim: int) -> EvaluableMap:
-    """R^dim -> S^dim, everything to the north pole (0, ..., 0, 1)."""
-    pt = np.asarray([0.0] * dim + [1.0])
-    return EvaluableMap(
-        "constant",
-        dim,
-        TargetSpace("sphere", dim + 1),
-        lambda p: np.broadcast_to(pt, p.shape[:-1] + pt.shape).copy(),
-    )
-
-
-def radial_stretch_map(alpha: float) -> EvaluableMap:
-    def f(p):
-        r = np.linalg.norm(p, axis=-1, keepdims=True)
-        return np.where(r > 0, r**alpha * p, 0.0)
-
-    return EvaluableMap(
-        f"radial-stretch({alpha})",
-        2,
-        TargetSpace("euclidean", 2),
-        f,
-        seam_distance=lambda p: np.linalg.norm(p, axis=-1),
-    )
-
-
 def f0_map() -> EvaluableMap:
     def f(p):
         r, theta = eval_f0(p[..., 0], p[..., 1])
@@ -308,11 +283,6 @@ def _difference_columns(m: EvaluableMap, pts: np.ndarray, step: float) -> list[n
     return cols
 
 
-def partials(m: EvaluableMap, pts: np.ndarray, step: float = FD_STEP) -> np.ndarray:
-    """Central-difference partials, shape (..., ambient, domain_dim)."""
-    return np.stack(_difference_columns(m, np.asarray(pts, dtype=float), step), axis=-1)
-
-
 # largest order whose determinant is expanded by cofactors (see signed_jacobian)
 COFACTOR_MAX_ORDER = 4
 
@@ -372,11 +342,6 @@ def _signed_volume(m: EvaluableMap, pts: np.ndarray, cols: list[np.ndarray]) -> 
     return np.linalg.det(np.stack(cols, axis=-1))
 
 
-def operator_norm(m: EvaluableMap, pts: np.ndarray, step: float = FD_STEP) -> np.ndarray:
-    d = partials(m, pts, step)
-    return np.linalg.svd(d, compute_uv=False)[..., 0]
-
-
 def _chunk_walk(chunk: Callable[[int, int], object], count: int, size: int):
     """chunk(start, stop) over consecutive ranges covering range(count),
     at most size long, run on WORKERS threads; yields the results in
@@ -412,7 +377,6 @@ class DegreeReport:
     radii: tuple[float, ...]
     normalized: tuple[float, ...]
     quadrature_step: float
-    fd_step: float = FD_STEP
     lipschitz: float | None = None
     jacobian_floor: float | None = None
     samples: int | None = None
@@ -431,7 +395,7 @@ class DegreeReport:
             f"# map\t{self.map_name}",
             f"# domain_dim\t{self.domain_dim}",
             f"# quadrature_step\t{self.quadrature_step:.6g}",
-            f"# fd_step\t{self.fd_step:.6g}",
+            f"# fd_step\t{FD_STEP:.6g}",
         ]
         if self.samples is not None:
             lines.append(f"# samples\t{self.samples}")

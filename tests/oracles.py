@@ -369,11 +369,16 @@ def bracket_rhs_reference(text, dim, line_no):
 # ---------------------------------------------------------------------------
 
 
+def partials(m, pts, step=wrapmaps.FD_STEP):
+    """Central-difference partials, shape (..., ambient, domain_dim)."""
+    return np.stack(wrapmaps._difference_columns(m, np.asarray(pts, dtype=float), step), axis=-1)
+
+
 def dense_signed_jacobian(m, pts, step=wrapmaps.FD_STEP):
     """signed_jacobian as np.linalg.det of the stacked (..., k, k)
     differential, with the value m(pts) appended as the last column for
     a sphere target."""
-    d = wrapmaps.partials(m, pts, step)
+    d = partials(m, pts, step)
     if m.target.kind == "euclidean":
         return np.linalg.det(d)
     return np.linalg.det(np.concatenate([d, m(pts)[..., None]], axis=-1))

@@ -19,6 +19,7 @@ from wrapcheck.algebra import (
     cup_square_form,
     euler_characteristic,
     evaluate_polynomial,
+    first_betti,
     quotient_by_degree1,
 )
 from wrapcheck.cli import corpus_paths
@@ -187,6 +188,24 @@ class TestPoincareDuality:
         assert check_poincare_duality(P.sum_s2xs2(3)).holds
 
 
+class TestFirstBetti:
+    """b1 from the degree-one ideal alone, against the whole graded basis."""
+
+    def test_matches_graded_basis(self):
+        rings = [parse_descriptor_file(p).cohomology for p in corpus_paths()]
+        rings += random_small_presentations()
+        for pres in rings:
+            assert first_betti(pres) == basis_and_dims(pres).rank(1)
+
+    def test_constant_relation_fills_degree_one(self):
+        # the ideal is everything, so building the graded basis would raise
+        gens = (("x", 1), ("y", 1))
+        pres = AlgebraPresentation(gens, (mono(gens, 1, 0, 0),), 2, mono(gens, 1, 1, 1))
+        assert first_betti(pres) == 0
+        with pytest.raises(DegeneratePresentation):
+            basis_and_dims(pres)
+
+
 def e4(*indices) -> Multivector:
     return Multivector.blade(4, indices) if indices else Multivector.scalar(4, 1)
 
@@ -254,6 +273,22 @@ class TestFromGenerators:
     def test_inhomogeneous_generator_rejected(self):
         with pytest.raises(ValueError, match="homogeneous"):
             ConcreteSubalgebra.from_generators(4, [e4(1) + e4(1, 2)])
+
+
+class TestContains:
+    """Membership degree by degree, for mixed-degree elements too."""
+
+    def test_mixed_degrees(self):
+        one = Multivector.scalar(2, 1)
+        e1, e2 = Multivector.blade(2, (1,)), Multivector.blade(2, (2,))
+        A = ConcreteSubalgebra.from_generators(2, [e1])
+        assert A.contains(one + e1)
+        assert not A.contains(one + e2)
+
+    def test_zero_and_homogeneous(self):
+        A = ConcreteSubalgebra.from_generators(4, [e4(1), e4(2)])
+        assert A.contains(Multivector.zero(4))
+        assert A.contains(e4(1, 2)) and not A.contains(e4(3))
 
 
 class TestExactMemory:

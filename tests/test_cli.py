@@ -409,6 +409,11 @@ class TestDescriptorMessages:
              "fundamental class has degree 1, expected 2"),
             ("fundamental_class: x y", "fundamental_class: x y - x y", 6, 20,
              "fundamental class is zero"),
+            ("fundamental_class: x y", "fundamental_class: x 2 y", 6, 22,
+             "unexpected token '2' in monomial"),
+            ("fundamental_class: x y", "fundamental_class: x^ y", 6, 20,
+             "expected integer exponent after ^"),
+            ("fundamental_class: x y", "fundamental_class: x y + *", 6, 26, "empty term"),
             ("dim: 3", "dim: x", 9, 6, "pi1 dim must be a positive integer"),
             ("dim: 3", "dim: 0", 9, 6, "pi1 dim must be a positive integer"),
             (BRACKET, "bracket: [1 2] = e3", 10, 10, "bracket must look like [i,j] = expr"),
@@ -458,6 +463,60 @@ def connected_sum(name: str, p: int, q: int, copies: int) -> str:
         + "".join(f"relation: {r}\n" for r in rels)
         + "fundamental_class: a1 b1\n[pi1]\ntype: finite\n"
     )
+
+
+class TestDegreeOneRelation:
+    """b1 read off the degree-one ideal of the ring: a T^2 on x, y, z with
+    z = x has b1 = 2."""
+
+    BASE = (
+        "name: t2_zx\nn: 2\n[cohomology]\ngenerators: x:1 y:1 z:1\nrelation: z - x\n"
+        "fundamental_class: x y\n[pi1]\ntype: Z^2\n"
+    )
+
+    def test_z2_embeds(self, tmp_path, capsys):
+        path = tmp_path / "t2_zx.descriptor"
+        path.write_text(self.BASE)
+        assert main(["check", str(path), "--format", "structured"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["betti"] == [1, 2, 1]
+        assert report["embedding"]["status"] == "found-certified"
+
+    def test_z3_contradicts_the_ring(self, tmp_path, capsys):
+        path = tmp_path / "t2_zx.descriptor"
+        path.write_text(self.BASE.replace("Z^2", "Z^3"))
+        assert main(["check", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: line 8, col 7: pi1 type Z^3 needs b1 = 3, but the cohomology has b1 = 2\n"
+        )
+
+    def test_constant_relation_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "one.descriptor"
+        path.write_text(self.BASE.replace("z - x", "1"))
+        assert main(["check", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: line ") and captured.out == ""
+
+
+class TestTopDegreeRankTwo:
+    """A ring whose top degree has rank 2 fails Poincare duality there."""
+
+    TEXT = (
+        "name: top2\nn: 2\n[cohomology]\ngenerators: a:2 b:2\nrelation: a^2\nrelation: a b\n"
+        "relation: b^2\nfundamental_class: a\n[pi1]\ntype: finite\n"
+    )
+
+    def test_poincare_duality_fails_at_the_top(self, tmp_path, capsys):
+        path = tmp_path / "top2.descriptor"
+        path.write_text(self.TEXT)
+        assert main(["check", str(path), "--format", "structured"]) == EXIT_EXCLUDED
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        row = next(c for c in report["checks"] if c["id"] == "poincare-duality")
+        assert row["verdict"] == "fail"
+        assert row["witness"] == {"failing_degree": 2, "detail": "top degree has rank 2, expected 1"}
+        assert report["witnesses"] == ["poincare-duality"]
 
 
 class TestGradedDimensionBound:

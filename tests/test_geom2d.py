@@ -8,6 +8,7 @@ import pytest
 from wrapcheck.geom2d import (
     HYPERBOLIC,
     INCONCLUSIVE,
+    OPPOSITE,
     PARABOLIC,
     LatticeChain,
     LatticeLoop,
@@ -21,13 +22,50 @@ from wrapcheck.geom2d import (
     loop_to_cycle,
     milnor_classify,
     nodule_profile,
-    profile_from_curvature,
     reduce_loop,
     revolution_volume,
     splice_across_square,
-    square_loop,
     turning_number,
 )
+
+PROFILE_STEP = 1e-3
+
+
+def profile_from_curvature(curvature, r0: float, rmax: float) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate rho'' = -K rho outward from rho(r0) = r0, rho'(r0) = 1
+    (classical RK4 with step PROFILE_STEP).
+
+    The inverse of :func:`curvature_from_profile`; used to turn a
+    curvature law into circumference data.
+    """
+    step = PROFILE_STEP
+    n = int(math.ceil((rmax - r0) / step))
+    r = r0 + step * np.arange(n + 1)
+    rho = np.empty(n + 1)
+    y, v = r0, 1.0
+    rho[0] = y
+    for i in range(n):
+        def f(t, state):
+            yy, vv = state
+            return np.array([vv, -float(curvature(t)) * yy])
+
+        t = r[i]
+        s = np.array([y, v])
+        k1 = f(t, s)
+        k2 = f(t + step / 2, s + step / 2 * k1)
+        k3 = f(t + step / 2, s + step / 2 * k2)
+        k4 = f(t + step, s + step * k3)
+        s = s + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        y, v = s
+        rho[i + 1] = y
+    return r, rho
+
+
+def square_loop(width: int = 1, height: int = 1, clockwise: bool = False) -> LatticeLoop:
+    steps = ("E",) * width + ("N",) * height + ("W",) * width + ("S",) * height
+    if clockwise:
+        steps = tuple(OPPOSITE[s] for s in reversed(steps))
+    return LatticeLoop(steps)
 
 
 class TestAhlfors:
