@@ -355,25 +355,68 @@ def basis_and_dims(presentation: AlgebraPresentation) -> GradedBasis:
 def _excess_degrees(gb: GradedBasis) -> list[int]:
     """Degrees n+1 .. n+max generator degree the relations leave nonzero.
 
-    Builds the ideal rows of each of those degrees alone, from the
-    monomials of degree 0..n that ``gb`` already holds, and keeps none
-    of them.  A degree is first certified full by :func:`_fills_mod_p`:
-    rank over F_p is at most rank over Q, so rows spanning every column
-    mod p span them over Q too.  A deficit mod p, or a denominator that
-    p divides, proves nothing, and only then does the degree go through
-    the exact ``SparseSubspace``; the list is therefore the exact one.
+    While no excess degree has been found, a degree k is first settled
+    by :func:`_products_vanish` from the products that ``gb`` already
+    holds.  A degree it cannot settle, and every degree after the first
+    excess one, gets the ideal rows of that degree alone, built from the
+    monomials of degree 0..k and kept nowhere.  Those rows are first
+    certified full by :func:`_fills_mod_p`: rank over F_p is at most
+    rank over Q, so rows spanning every column mod p span them over Q
+    too.  A deficit mod p, or a denominator that p divides, proves
+    nothing, and only then does the degree go through the exact
+    ``SparseSubspace``; the list is therefore the exact one.
     """
     presentation = gb.presentation
     gens, n = presentation.generators, presentation.n
     monomials = list(gb._monomials)
     excess = []
     for k in range(n + 1, n + max((d for _, d in gens), default=0) + 1):
-        monomials.append(_monomials_of_degree(gens, k))
+        if not excess and _products_vanish(gb, k):
+            continue
+        monomials.extend(_monomials_of_degree(gens, j) for j in range(len(monomials), k + 1))
         if _fills_mod_p(lambda: _ideal_rows(presentation, monomials, k), len(monomials[k])):
             continue
         if _ideal_span(presentation, monomials, k).codim > 0:
             excess.append(k)
     return excess
+
+
+def _products_vanish(gb: GradedBasis, k: int) -> bool:
+    """True when every product g r is zero in degree k > n, for g a
+    generator and r a standard monomial of degree k - deg g <= n, given
+    that the relations force every degree strictly between n and k to zero.
+
+    Those products span degree k of the untruncated ring: a monomial of
+    degree k is a generator times a monomial of degree k - deg g, which is
+    zero when that degree lies between n and k and is a combination of
+    standard monomials when it is at most n.  A product M is zero when an
+    odd generator squares, when M is the one term of a relation, or when
+    M / h is zero for some generator h in M: its degree k - deg h lies
+    above n, or its quotient coordinates in ``gb`` are empty.  False
+    proves nothing.
+    """
+    presentation = gb.presentation
+    n = presentation.n
+    degrees = [d for _, d in presentation.generators]
+    killed = {rel.monomials[0][1] for rel in presentation.relations if len(rel.monomials) == 1}
+    for g, dg in enumerate(degrees):
+        if not 0 <= k - dg <= n:
+            continue
+        unit = tuple(int(i == g) for i in range(len(degrees)))
+        for r in gb.representatives(k - dg):
+            prod = _monomial_mul(degrees, unit, r)
+            if prod is None or prod[1] in killed:
+                continue
+            m = prod[1]
+            if any(x and k - degrees[h] > n for h, x in enumerate(m)):
+                continue
+            if any(
+                x and not gb.coords(k - degrees[h], ((1, m[:h] + (x - 1,) + m[h + 1 :]),))
+                for h, x in enumerate(m)
+            ):
+                continue
+            return False
+    return True
 
 
 _PRIME = (1 << 61) - 1

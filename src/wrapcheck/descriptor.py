@@ -35,6 +35,12 @@ from .algebra import AlgebraPresentation, GradedPolynomial, first_betti
 from .nilcoh import NilLieAlgebra, lower_central_series
 
 
+# The most monomials of degree 0 .. n + the largest generator degree that a
+# ring may have: the graded basis and the truncation probe enumerate each of
+# them.  T^15 has this many; T^16 has twice as many, and T^20 has 2^20.
+MAX_MONOMIALS = 1 << 15
+
+
 class ParseError(ValueError):
     """Bad input, located at a line and column when it comes from a file."""
 
@@ -198,6 +204,18 @@ _KEYS = {
 _REPEATABLE = {"relation", "bracket"}
 
 
+def _monomial_count(degrees: list[int], top: int) -> int:
+    """The number of monomials of degree 0..top, each odd generator at most
+    once: the coefficients up to t^top of the product of 1 + t^d over the
+    odd degrees d and of 1 / (1 - t^d) over the even ones."""
+    counts = [1] + [0] * top
+    for d in degrees:
+        steps = range(top, d - 1, -1) if d % 2 else range(d, top + 1)
+        for k in steps:
+            counts[k] += counts[k - d]
+    return sum(counts)
+
+
 def _integer(entry, message: str, least: int = 0) -> int:
     """A (line, key, value, col) entry's value in ASCII digits (int() also
     reads '1_0', '+2' and other scripts' digits), at least ``least``; else
@@ -285,6 +303,16 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
                     )
                 generators.append((nm, deg))
             generators = tuple(generators)
+            degrees = [d for _, d in generators]
+            top = n + max(degrees, default=0)
+            count = _monomial_count(degrees, top)
+            if count > MAX_MONOMIALS:
+                raise ParseError(
+                    f"generators span {count} monomials of degree 0..{top}, "
+                    f"over the limit of {MAX_MONOMIALS}",
+                    line_no,
+                    value_col,
+                )
         else:
             if generators is None:
                 raise ParseError("generators must come before polynomials", line_no)

@@ -81,6 +81,9 @@ class RadialProfile:
         values = tuple(float(x) for x in values)
         if len(r) != len(values) or len(r) < 2:
             raise ValueError("need matching r and L(r) samples, at least two")
+        # every check below is False on NaN, and an infinite radius is rmax
+        if not all(map(math.isfinite, r + values)):
+            raise ValueError("radii and circumference samples must be finite")
         if any(r[i] >= r[i + 1] for i in range(len(r) - 1)):
             raise ValueError("radii must be strictly increasing")
         if r[0] <= 0:

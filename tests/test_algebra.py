@@ -477,25 +477,47 @@ def _unforced():
     return AlgebraPresentation(gens, (), 2, mono(gens, 1, 0, 1))
 
 
-def _scaled_square(coeff):
-    # x^2 = 0 scaled by a coefficient with no unit image mod the certificate's
-    # prime: degree 4 is full over Q, but the mod-p rank cannot show it
-    gens = (("x", 2),)
-    return AlgebraPresentation(gens, (mono(gens, coeff, 2),), 2, mono(gens, 1, 1))
+def _square_pair(coeff):
+    # x y, x^2 + y^2 and x^2 + coeff y^2 fill degree 4 over Q when coeff != 1,
+    # but x^2 is no lone relation term and x survives in degree 2, so the
+    # product certificate cannot settle degree 4
+    gens = (("x", 2), ("y", 2))
+    rels = (
+        mono(gens, 1, 1, 1),
+        GradedPolynomial(gens, ((1, (2, 0)), (1, (0, 2)))),
+        GradedPolynomial(gens, ((1, (2, 0)), (coeff, (0, 2)))),
+    )
+    return AlgebraPresentation(gens, rels, 2, mono(gens, 1, 1, 0))
 
 
 class TestIdealRows:
     """Exponent-tuple ideal rows against the sorted-word products."""
 
     PATHS = {p.name.removesuffix(".descriptor"): p for p in corpus_paths()}
-    # presentations whose probe cannot be settled mod p and must reach the
-    # exact elimination: no relations at all, a row that vanishes mod p, and
-    # a denominator that p divides
+    # presentations whose probe degrees the product certificate cannot all
+    # settle: no relations at all; a degree-4 ideal that is full mod p; one
+    # whose last row coincides with another mod p; and one with a
+    # denominator that p divides
     FALLBACK = {
         "unforced": _unforced,
-        "p_coefficient": lambda: _scaled_square(algebra._PRIME),
-        "inverse_p_coefficient": lambda: _scaled_square(Fraction(1, algebra._PRIME)),
+        "mod_p": lambda: _square_pair(Fraction(-1)),
+        "p_coefficient": lambda: _square_pair(1 + Fraction(algebra._PRIME)),
+        "inverse_p_coefficient": lambda: _square_pair(1 + Fraction(1, algebra._PRIME)),
     }
+    # the route that settles each probe degree, in order; the certificate
+    # settles every other corpus degree.  In the sums of CP^2's, c1^3 is
+    # zero only through c1 c2 = 0 and c2^2 = +-c1^2, which no single
+    # product shows
+    ROUTES = {
+        **dict.fromkeys(["cp2_1_1", "cp2_3_3", "cp2_4_0"], ["certificate", "mod p"]),
+        "unforced": ["exact", "exact"],
+        "mod_p": ["certificate", "mod p"],
+        "p_coefficient": ["certificate", "exact"],
+        "inverse_p_coefficient": ["certificate", "exact"],
+    }
+
+    def test_every_route_has_a_fixture(self):
+        assert set(itertools.chain(*self.ROUTES.values())) == {"certificate", "mod p", "exact"}
 
     @pytest.mark.parametrize("name", [*PATHS, *FALLBACK])
     def test_basis_and_probe_match_reference(self, name, monkeypatch):
@@ -514,22 +536,57 @@ class TestIdealRows:
             assert rows == span.rows
             assert all(type(c) is Fraction for row in rows for c in row)
         want = [k for k in range(A.n + 1, top + 1) if ref[k][1].codim > 0]
-        fallbacks = []
-        exact = algebra._ideal_span
+        routes = []
+        certificate, mod_p, exact = algebra._products_vanish, algebra._fills_mod_p, algebra._ideal_span
 
-        def counted(presentation, monomials, k):
+        def by_certificate(gb, k):
+            settled = certificate(gb, k)
+            routes.extend(["certificate"] * settled)
+            return settled
+
+        def by_mod_p(rows, dim):
+            settled = mod_p(rows, dim)
+            routes.extend(["mod p"] * settled)
+            return settled
+
+        def by_exact(presentation, monomials, k):
             if k > presentation.n:
-                fallbacks.append(k)
+                routes.append("exact")
             return exact(presentation, monomials, k)
 
-        monkeypatch.setattr(algebra, "_ideal_span", counted)
+        monkeypatch.setattr(algebra, "_products_vanish", by_certificate)
+        monkeypatch.setattr(algebra, "_fills_mod_p", by_mod_p)
+        monkeypatch.setattr(algebra, "_ideal_span", by_exact)
         assert algebra._excess_degrees(gb) == want
         assert want == ([3, 4] if name == "unforced" else [])
-        assert (len(fallbacks) > 0) == (name in self.FALLBACK)
+        assert routes == self.ROUTES.get(name, ["certificate"] * (top - A.n))
+        # the exact fallbacks: only fixtures the certificate and mod p leave open
+        assert (routes.count("exact") > 0) == (name in ("unforced", "p_coefficient", "inverse_p_coefficient"))
         # a fresh build, past the cache, so that the warning fires again
         with pytest.warns(UserWarning, match="truncation") if want else contextlib.nullcontext():
             stored = basis_and_dims.__wrapped__(A)
         assert stored.excess_degrees == want
+
+    FAMILIES = {
+        "random-5": lambda: random_small_presentations(200, seed=5),
+        "random-808": lambda: random_small_presentations(200, seed=808),
+        "torus": lambda: map(P.torus, range(1, 9)),
+        "cp": lambda: map(P.complex_projective, range(1, 6)),
+        "genus": lambda: map(P.genus_surface, range(1, 5)),
+        "sum_s2xs2": lambda: map(P.sum_s2xs2, range(1, 6)),
+    }
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_probe_matches_reference_on_families(self, family):
+        with_excess = 0
+        for A in self.FAMILIES[family]():
+            top = A.n + max(d for _, d in A.generators)
+            ref = reference_ideal(A, top)
+            want = [k for k in range(A.n + 1, top + 1) if ref[k][1].codim > 0]
+            assert algebra._excess_degrees(GradedBasis(A)) == want, A
+            with_excess += bool(want)
+        # the random presentations mostly leave degrees above n to truncation
+        assert (with_excess > 0) == family.startswith("random")
 
 
 def leaf_monomials(gens, k):

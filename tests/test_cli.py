@@ -6,6 +6,7 @@ import math
 import pathlib
 import random
 import tempfile
+import time
 import warnings
 from fractions import Fraction
 
@@ -15,7 +16,14 @@ from hypothesis import strategies as st
 
 from wrapcheck.battery import BatteryOptions, run_battery
 from wrapcheck.cli import EXIT_EXCLUDED, EXIT_OK, EXIT_USAGE, corpus_paths, main
-from wrapcheck.descriptor import ParseError, parse_descriptor, parse_descriptor_file
+from wrapcheck.algebra import _monomials_of_degree
+from wrapcheck.descriptor import (
+    MAX_MONOMIALS,
+    ParseError,
+    _monomial_count,
+    parse_descriptor,
+    parse_descriptor_file,
+)
 
 import oracles
 
@@ -551,6 +559,48 @@ class TestGradedDimensionBound:
         out = capsys.readouterr().out
         assert "embedding: not-found (blocked by graded-dimension-bound)" in out
         assert "witnesses: graded-dimension-bound" in out
+
+
+def torus_descriptor(k: int) -> str:
+    gens = [f"x{i}" for i in range(1, k + 1)]
+    return (
+        f"name: t{k}\nn: {k}\n[cohomology]\ngenerators: {' '.join(f'{g}:1' for g in gens)}\n"
+        f"fundamental_class: {' '.join(gens)}\n[pi1]\ntype: Z^{k}\n"
+    )
+
+
+class TestMonomialBound:
+    """A ring with more than MAX_MONOMIALS monomials of degree 0 .. n + the
+    largest generator degree is refused at its generators line, before
+    anything enumerates them: T^k has 2^k."""
+
+    def test_count_matches_enumeration(self):
+        rng = random.Random(7)
+        for _ in range(100):
+            degrees = [rng.randint(1, 5) for _ in range(rng.randint(0, 6))]
+            gens = tuple((f"g{i}", d) for i, d in enumerate(degrees))
+            top = rng.randint(0, 12)
+            want = sum(len(_monomials_of_degree(gens, k)) for k in range(top + 1))
+            assert _monomial_count(degrees, top) == want
+
+    @pytest.mark.parametrize("k", [14, 15])
+    def test_tori_within_the_limit_parse(self, k):
+        assert 2**k <= MAX_MONOMIALS
+        assert parse_descriptor(torus_descriptor(k)).n == k
+
+    @pytest.mark.parametrize("k", [16, 20])
+    def test_larger_tori_exit_at_the_generators_line(self, tmp_path, capsys, k):
+        path = tmp_path / "torus.descriptor"
+        path.write_text(torus_descriptor(k))
+        start = time.perf_counter()
+        assert main(["check", str(path)]) == EXIT_USAGE
+        assert time.perf_counter() - start < 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: line 4, col 13: generators span {2**k} monomials of degree 0..{k + 1}, "
+            f"over the limit of {MAX_MONOMIALS}\n"
+        )
+        assert captured.out == ""
 
 
 class TestBattery:

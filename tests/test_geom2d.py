@@ -106,6 +106,15 @@ class TestAhlfors:
         with pytest.raises(ValueError, match="radii must be positive"):
             RadialProfile.tabulated(r, [1.0] * len(r))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("where", ["radius", "sample"])
+    def test_nonfinite_sample_rejected(self, bad, where):
+        r, values = [bad, 100.0], [1.0, 1.0]
+        if where == "sample":
+            r, values = [1.0, 100.0], [1.0, bad]
+        with pytest.raises(ValueError, match="must be finite"):
+            RadialProfile.tabulated(r, values)
+
     @pytest.mark.parametrize("eps, rmax", [(1e308, 2.0**18), (400.0, 2.0**18), (5.0, 1e300)])
     def test_overflowing_circumference_rejected(self, eps, rmax):
         with pytest.raises(ValueError, match="is not a finite float"):
