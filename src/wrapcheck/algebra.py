@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from . import linalg
+from . import linalg, quadform
 from .exterior import Multivector, wedge
 
 GeneratorTable = tuple[tuple[str, int], ...]
@@ -279,13 +279,6 @@ def _ideal_span(
     return linalg.SparseSubspace(len(monomials[k]), _ideal_rows(presentation, monomials, k))
 
 
-def first_betti(presentation: AlgebraPresentation) -> int:
-    """b1, the rank of degree one: the span ``GradedBasis`` builds there,
-    alone, so it never raises DegeneratePresentation."""
-    gens = presentation.generators
-    return _ideal_span(presentation, [_monomials_of_degree(gens, k) for k in (0, 1)], 1).codim
-
-
 class GradedBasis:
     """Per-degree monomial bases of the quotient algebra, with one reducer.
 
@@ -314,11 +307,13 @@ class GradedBasis:
 
     def representatives(self, k: int) -> list[tuple[int, ...]]:
         """Standard monomials: those away from the ideal's pivot columns."""
+        if not 0 <= k <= self.presentation.n:
+            return []
         pivots = set(self._ideal[k].pivots)
         return [m for i, m in enumerate(self._monomials[k]) if i not in pivots]
 
     def monomials(self, k: int) -> list[tuple[int, ...]]:
-        return list(self._monomials[k])
+        return list(self._monomials[k]) if 0 <= k <= self.presentation.n else []
 
     # -- reduction ---------------------------------------------------------
     def coords(self, k: int, terms) -> dict[int, Fraction]:
@@ -326,6 +321,8 @@ class GradedBasis:
         exponent vector) ``terms``, the shape of ``GradedPolynomial.monomials``
         (exponent vectors distinct): its nonzero entries on the standard
         monomials, keyed by column among the monomials of degree k."""
+        if not 0 <= k <= self.presentation.n:
+            return {}
         index = self._mono_index[k]
         return self._ideal[k].coords_modulo({index[e]: c for c, e in terms})
 
@@ -391,25 +388,19 @@ def _products_vanish(gb: GradedBasis, k: int) -> bool:
     zero when that degree lies between n and k and is a combination of
     standard monomials when it is at most n.  A product M is zero when an
     odd generator squares, when M is the one term of a relation, or when
-    M / h is zero for some generator h in M: its degree k - deg h lies
-    above n, or its quotient coordinates in ``gb`` are empty.  False
-    proves nothing.
+    M / h has no quotient coordinates in ``gb`` for some generator h in M
+    (none above degree n).  False proves nothing.
     """
     presentation = gb.presentation
-    n = presentation.n
     degrees = [d for _, d in presentation.generators]
     killed = {rel.monomials[0][1] for rel in presentation.relations if len(rel.monomials) == 1}
     for g, dg in enumerate(degrees):
-        if not 0 <= k - dg <= n:
-            continue
         unit = tuple(int(i == g) for i in range(len(degrees)))
         for r in gb.representatives(k - dg):
             prod = _monomial_mul(degrees, unit, r)
             if prod is None or prod[1] in killed:
                 continue
             m = prod[1]
-            if any(x and k - degrees[h] > n for h, x in enumerate(m)):
-                continue
             if any(
                 x and not gb.coords(k - degrees[h], ((1, m[:h] + (x - 1,) + m[h + 1 :]),))
                 for h, x in enumerate(m)
@@ -528,6 +519,18 @@ def cup_square_form(presentation: AlgebraPresentation, k: int):
     reps = gb.representatives(k)
     pair = _pairing(gb, 2 * k)
     return [[pair(a, b) for b in reps] for a in reps], reps
+
+
+@lru_cache(maxsize=256)
+def degree_two_form(presentation: AlgebraPresentation) -> quadform.QuadraticForm | None:
+    """The cup form on degree 2 when n >= 4 and it pairs into a rank-one
+    degree 4, else None; built once per presentation, for the parser's
+    [betti] check and the battery's report alike."""
+    gb = basis_and_dims(presentation)
+    if presentation.n < 4 or gb.rank(2) < 1 or gb.rank(4) != 1:
+        return None
+    gram, _ = cup_square_form(presentation, 2)
+    return quadform.QuadraticForm(tuple(tuple(row) for row in gram))
 
 
 def _pairing(gb: GradedBasis, target: int):

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import embed, quadform
-from .algebra import basis_and_dims, cup_square_form, euler_characteristic
-from .algebra import check_poincare_duality  # noqa: F401 -- perfbench traces it on this module
-from .descriptor import ManifoldDescriptor, ParseError, Pi1Data
+from .algebra import basis_and_dims, degree_two_form, euler_characteristic
+from .algebra import check_poincare_duality, cup_square_form  # noqa: F401 -- perfbench traces them
+from .descriptor import ManifoldDescriptor, Pi1Data
 from .embed import CheckResult, SearchOutcome
 from .exterior import Blade
 from .nilcoh import pi1_verdict
@@ -228,40 +228,22 @@ def fourmanifold_battery(b_plus: int, b_minus: int, pi1: Pi1Data) -> CheckResult
 
 
 def _cup_form_analysis(d: ManifoldDescriptor) -> dict | None:
-    """The degree-2 cup form's invariants, or None without one.
+    """The invariants of the degree-2 cup form, or None without one.
 
-    Declared [betti] data must be the ring's: b_plus + b_minus = b2,
-    and (b_plus, b_minus) is the signature of a nondegenerate form;
-    otherwise ParseError at the [betti] line, so that the four-manifold
-    check never judges data the ring contradicts.
+    Declared [betti] data is the form's signature when the form is
+    nondegenerate: ``parse_descriptor`` refuses any other.
     """
-    gb = basis_and_dims(d.cohomology)
-    declared = d.betti if d.n == 4 else None
-    if declared is not None and sum(declared) != gb.rank(2):
-        raise ParseError(
-            f"[betti] declares b_plus + b_minus = {sum(declared)}, "
-            f"but the cohomology has b2 = {gb.rank(2)}",
-            d.betti_line,
-        )
-    if gb.rank(2) < 1 or d.n < 4 or gb.rank(4) != 1:
+    form = degree_two_form(d.cohomology)
+    if form is None:
         return None
-    gram, _ = cup_square_form(d.cohomology, 2)
-    form = quadform.QuadraticForm(tuple(tuple(row) for row in gram))
     if not form.is_nondegenerate:
         return {"rank": form.rank, "degenerate": True}
-    sig = quadform.signature(form)
     out = {
         "rank": form.rank,
-        "signature": list(sig),
+        "signature": list(quadform.signature(form)),
         "discriminant": quadform.discriminant(form),
     }
-    if declared is not None:
-        if sig != declared:
-            raise ParseError(
-                f"[betti] declares (b_plus, b_minus) = {declared}, "
-                f"but the cup form on degree 2 has signature {sig}",
-                d.betti_line,
-            )
+    if d.betti is not None:
         out["matches_declared_betti"] = True
     wedge4 = quadform.wedge_pairing_form(4)
     if form.rank == wedge4.rank:
@@ -279,8 +261,7 @@ def run_battery(d: ManifoldDescriptor, options: BatteryOptions | None = None) ->
 
     *ring, bound = embed.necessary_checks(A, d.n)
     checks = _pi1_checks(d) + ring
-    cup_form = _cup_form_analysis(d)  # before the search: it rejects inconsistent [betti] data
-    if d.n == 4 and d.betti is not None:
+    if d.betti is not None:
         checks.append(fourmanifold_battery(*d.betti, d.pi1))
     # the graded-dimension bound is a proof too; its row shows only where it is the only one
     if bound.failed and not any(c.failed for c in checks):
@@ -305,7 +286,7 @@ def run_battery(d: ManifoldDescriptor, options: BatteryOptions | None = None) ->
         euler_characteristic=chi,
         checks=checks,
         embedding=embedding,
-        cup_form=cup_form,
+        cup_form=_cup_form_analysis(d),
         verdict=verdict,
         witnesses=failing,
     )

@@ -19,12 +19,12 @@ import json
 import math
 import re
 import sys
+import warnings
 from importlib import resources
 
 import numpy as np
 
 from . import geom2d, nilcoh, wrapmaps
-from .algebra import DegeneratePresentation
 from .battery import BatteryOptions, run_battery
 from .descriptor import ParseError, parse_descriptor_file
 from .embed import search_embedding
@@ -95,10 +95,7 @@ def _common_flags(p: argparse.ArgumentParser, embed_flags=False):
 
 def _cmd_check(args) -> int:
     d = parse_descriptor_file(args.descriptor)
-    try:
-        report = run_battery(d, _battery_options(args, not args.no_embed))
-    except DegeneratePresentation as exc:
-        raise ParseError(str(exc), d.fundamental_class_line) from None
+    report = run_battery(d, _battery_options(args, not args.no_embed))
     _report(args, report.to_dict(), report.render_text().splitlines())
     return EXIT_OK if report.verdict == "no-obstruction-found" else EXIT_EXCLUDED
 
@@ -106,16 +103,9 @@ def _cmd_check(args) -> int:
 def _cmd_embed(args) -> int:
     d = parse_descriptor_file(args.descriptor)
     n = args.n if args.n is not None else d.n
-    try:
-        outcome = search_embedding(
-            d.cohomology,
-            n,
-            budget=args.budget,
-            seed=args.seed,
-            float_restarts=args.float_restarts,
-        )
-    except DegeneratePresentation as exc:
-        raise ParseError(str(exc), d.fundamental_class_line) from None
+    outcome = search_embedding(
+        d.cohomology, n, budget=args.budget, seed=args.seed, float_restarts=args.float_restarts
+    )
     payload = {
         "name": d.name,
         "target_n": n,
@@ -418,14 +408,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
-        return args.func(args)
-    except (ParseError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except Exception as exc:  # pragma: no cover - internal failures
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    # each warning as one plain line, under the caller's filters, restored on return
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except (ParseError, FileNotFoundError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except Exception as exc:  # pragma: no cover - internal failures
+            print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -31,7 +31,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraPresentation, GradedPolynomial, first_betti
+from . import algebra, quadform
+from .algebra import AlgebraPresentation, GradedPolynomial
 from .nilcoh import NilLieAlgebra, lower_central_series
 
 
@@ -65,8 +66,6 @@ class ManifoldDescriptor:
     pi1: Pi1Data
     betti: tuple[int, int] | None = None  # (b2+, b2-) for 4-manifold mode
     notes: str = ""
-    fundamental_class_line: int = 1  # where a degenerate presentation is reported
-    betti_line: int = 1  # where [betti] data that disagrees with the ring is reported
 
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -227,6 +226,9 @@ def _integer(entry, message: str, least: int = 0) -> int:
 
 
 def parse_descriptor(text: str) -> ManifoldDescriptor:
+    """The one constructor of ``ManifoldDescriptor``, and the one judge of its
+    consistency: a degenerate fundamental class, or a pi1 type or [betti]
+    data that the ring contradicts, is a ParseError at the value's column."""
     # section (None: the top level) -> key -> its (line, key, value, col)
     # entries, col being where the value starts
     sections: dict[str | None, dict[str, list[tuple[int, str, str, int]]]] = {None: {}}
@@ -324,7 +326,7 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
                     raise ParseError("zero relation", line_no, value_col)
                 relations.append(poly)
             else:
-                fundamental, fundamental_line = poly, line_no
+                fundamental, fundamental_at = poly, (line_no, value_col)
                 if poly.is_zero:
                     raise ParseError("fundamental class is zero", line_no, value_col)
                 if poly.degree() != n:
@@ -339,6 +341,10 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
         raise ParseError("missing fundamental_class", headers["cohomology"])
     # every condition AlgebraPresentation checks has been refused above, with a location
     presentation = AlgebraPresentation(generators, tuple(relations), n, fundamental)
+    try:
+        gb = algebra.basis_and_dims(presentation)  # by module attribute, which a tracer may wrap
+    except algebra.DegeneratePresentation as exc:
+        raise ParseError(str(exc), *fundamental_at) from None
 
     # -- pi1 ----------------------------------------------------------------
     kind_entry = None
@@ -384,20 +390,19 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
     elif kind == "nilpotent":
         if dim is None:
             raise ParseError("nilpotent pi1 needs a dim line", headers["pi1"])
-        algebra = NilLieAlgebra(dim, brackets)
+        lie = NilLieAlgebra(dim, brackets)
         try:
-            series = lower_central_series(algebra)  # checks the Jacobi identity, then nilpotency
+            series = lower_central_series(lie)  # checks the Jacobi identity, then nilpotency
         except ValueError as exc:
             raise ParseError(f"nilpotent pi1: {exc}", kind_line, kind_col) from None
-        pi1 = Pi1Data("nilpotent", algebra=algebra)
+        pi1 = Pi1Data("nilpotent", algebra=lie)
     else:
         raise ParseError(f"unknown pi1 type {kind!r}", kind_line, kind_col)
 
     # -- betti ---------------------------------------------------------------
-    # agreement with the cup form is checked where the battery computes it
     betti = None
-    betti_line = headers.get("betti", 1)
     if "betti" in sections:
+        betti_line = headers["betti"]
         vals = {
             key: _integer(entry, "{key} must be a nonnegative integer, got {value!r}")
             for key, (entry,) in sections["betti"].items()
@@ -413,7 +418,7 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
         expected_b1 = dim - series[1]
     else:
         expected_b1 = {"finite": 0, "free-abelian": pi1.rank}.get(pi1.kind)
-    b1 = first_betti(presentation)
+    b1 = gb.rank(1)
     if expected_b1 is not None and b1 != expected_b1:
         raise ParseError(
             f"pi1 type {kind} needs b1 = {expected_b1}, but the cohomology has b1 = {b1}",
@@ -429,6 +434,24 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
             line_no,
             key_cols[line_no],
         )
+    if betti is not None:
+        # the declared data must be the ring's: b2, and the cup form's signature
+        b_plus_line, _, _, b_plus_col = sections["betti"]["b_plus"][0]
+        if sum(betti) != gb.rank(2):
+            raise ParseError(
+                f"[betti] declares b_plus + b_minus = {sum(betti)}, "
+                f"but the cohomology has b2 = {gb.rank(2)}",
+                b_plus_line,
+                b_plus_col,
+            )
+        form = algebra.degree_two_form(presentation)
+        if form is not None and form.is_nondegenerate and quadform.signature(form) != betti:
+            raise ParseError(
+                f"[betti] declares (b_plus, b_minus) = {betti}, "
+                f"but the cup form on degree 2 has signature {quadform.signature(form)}",
+                b_plus_line,
+                b_plus_col,
+            )
 
     return ManifoldDescriptor(
         name=sections[None]["name"][0][2],
@@ -437,8 +460,6 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
         pi1=pi1,
         betti=betti,
         notes="\n".join(notes_lines),
-        fundamental_class_line=fundamental_line,
-        betti_line=betti_line,
     )
 
 

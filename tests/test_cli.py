@@ -422,6 +422,8 @@ class TestDescriptorMessages:
             ("fundamental_class: x y", "fundamental_class: x^ y", 6, 20,
              "expected integer exponent after ^"),
             ("fundamental_class: x y", "fundamental_class: x y + *", 6, 26, "empty term"),
+            ("fundamental_class: x y", "relation: y x\nfundamental_class: x y", 7, 20,
+             "fundamental class lies in the relation ideal"),
             ("dim: 3", "dim: x", 9, 6, "pi1 dim must be a positive integer"),
             ("dim: 3", "dim: 0", 9, 6, "pi1 dim must be a positive integer"),
             (BRACKET, "bracket: [1 2] = e3", 10, 10, "bracket must look like [i,j] = expr"),
@@ -503,7 +505,9 @@ class TestDegreeOneRelation:
         path.write_text(self.BASE.replace("z - x", "1"))
         assert main(["check", str(path)]) == EXIT_USAGE
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: line ") and captured.out == ""
+        # the ring is refused before its pi1 type is read against b1 = 0
+        assert captured.err == "error: line 6, col 20: fundamental class lies in the relation ideal\n"
+        assert captured.out == ""
 
 
 class TestTopDegreeRankTwo:
@@ -537,11 +541,13 @@ class TestGradedDimensionBound:
         ids=["sum6_s2xs2", "sum11_s2xs3", "sum10_s2xs3"],
     )
     @pytest.mark.parametrize("flags", [["--no-embed"], ["--budget", "50"]])
-    def test_exit_and_witness(self, tmp_path, capsys, recwarn, p, q, copies, code, flags):
+    def test_exit_and_witness(self, tmp_path, capsys, p, q, copies, code, flags):
         path = tmp_path / "sum.descriptor"
         path.write_text(connected_sum("sum", p, q, copies))
         assert main(["check", str(path), "--format", "structured", *flags]) == code
-        report = json.loads(capsys.readouterr().out)
+        captured = capsys.readouterr()
+        assert captured.err == ""  # no truncation warning
+        report = json.loads(captured.out)
         b2 = 2 * copies if p == q else copies
         assert report["betti"][2] == b2
         assert report["witnesses"] == (["graded-dimension-bound"] if code else [])
@@ -550,7 +556,6 @@ class TestGradedDimensionBound:
             assert row["id"] == "graded-dimension-bound" and row["verdict"] == "fail"
             bound = math.comb(p + q, 2)
             assert row["witness"] == {"degree": 2, "rank": b2, "bound": bound, "target_n": p + q}
-        assert not recwarn.list  # no truncation warning
 
     def test_text_report_names_the_bound(self, tmp_path, capsys):
         path = tmp_path / "sum.descriptor"
@@ -726,44 +731,67 @@ class TestCLI:
         assert f"line {type_line}, " in err
         assert message in err
 
-    @pytest.mark.parametrize("command", [["check"], ["embed", "--n", "4"]], ids=["check", "embed"])
-    def test_degenerate_presentation_exit(self, tmp_path, capsys, command):
-        text = pathlib.Path(corpus_file("s2xs2")).read_text()
-        bad = tmp_path / "degenerate.descriptor"
-        bad.write_text(text.replace("fundamental_class: u v", "fundamental_class: u^2"))
-        assert main([command[0], str(bad), *command[1:]]) == EXIT_USAGE
-        err = capsys.readouterr().err
-        fc_line = text.splitlines().index("fundamental_class: u v") + 1
-        assert err.startswith(f"error: line {fc_line}, ")
-        assert "fundamental class lies in the relation ideal" in err
+    # the parser refuses a degenerate ring, so every command exits 2 at the
+    # fundamental class's value, lie included (it exited 1 on heisenberg3)
+    U_SQUARED = ("s2xs2", "fundamental_class: u v", "fundamental_class: u^2")
+    A_B_KILLED = ("heisenberg3", "fundamental_class: a B", "fundamental_class: a B\nrelation: a B")
 
-    # at: the line of the error, counted from the [betti] line
     @pytest.mark.parametrize(
-        "ring,betti,at,message",
+        "ring, old, new, command",
         [
-            ("s2xs2", "b_plus: -1\nb_minus: 1\n", 1, "b_plus must be a nonnegative integer"),
-            ("s2xs2", "b_plus: 1\nb_minus: 1\nb_plus: 1\n", 3, "duplicate key 'b_plus' in [betti]"),
-            ("s2xs2", "b_plus: 1\n", 0, "betti section needs b_plus and b_minus"),
-            ("t2", "b_plus: 0\nb_minus: 0\n", 0, "[betti] holds 4-manifold data, but n = 2"),
-            # S^2 x S^2 has b2 = 2 and a cup form of signature (1, 1); declaring
-            # (4, 0) used to exclude it while its report printed a certified embedding
-            (
-                "s2xs2",
-                "b_plus: 4\nb_minus: 0\n",
-                0,
-                "[betti] declares b_plus + b_minus = 4, but the cohomology has b2 = 2",
-            ),
-            (
-                "s2xs2",
-                "b_plus: 2\nb_minus: 0\n",
-                0,
-                "[betti] declares (b_plus, b_minus) = (2, 0), "
-                "but the cup form on degree 2 has signature (1, 1)",
-            ),
+            (*U_SQUARED, ["check"]),
+            (*U_SQUARED, ["embed", "--n", "4"]),
+            (*A_B_KILLED, ["check"]),
+            (*A_B_KILLED, ["embed", "--n", "3"]),
+            (*A_B_KILLED, ["lie"]),
         ],
-        ids=["negative", "duplicate", "missing-key", "n-not-4", "sum-mismatch", "signature-mismatch"],
+        ids=["check", "embed", "heisenberg3-check", "heisenberg3-embed", "heisenberg3-lie"],
     )
-    def test_bad_betti_exit(self, tmp_path, capsys, ring, betti, at, message):
+    def test_degenerate_presentation_exit(self, tmp_path, capsys, ring, old, new, command):
+        text = pathlib.Path(corpus_file(ring)).read_text()
+        bad = tmp_path / "degenerate.descriptor"
+        bad.write_text(text.replace(old, new))
+        assert main([command[0], str(bad), *command[1:]]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        fc_line = text.splitlines().index(old) + 1
+        assert out == ""
+        assert err == f"error: line {fc_line}, col 20: fundamental class lies in the relation ideal\n"
+
+    SUM_MISMATCH = "[betti] declares b_plus + b_minus = 4, but the cohomology has b2 = 2"
+    SIGNATURE_MISMATCH = (
+        "[betti] declares (b_plus, b_minus) = (2, 0), "
+        "but the cup form on degree 2 has signature (1, 1)"
+    )
+
+    # at, col: the line of the error, counted from the [betti] line, and its column
+    @pytest.mark.parametrize(
+        "ring,betti,at,col,message,command",
+        [
+            ("s2xs2", "b_plus: -1\nb_minus: 1\n", 1, 9, "b_plus must be a nonnegative integer", "check"),
+            ("s2xs2", "b_plus: 1\nb_minus: 1\nb_plus: 1\n", 3, 1, "duplicate key 'b_plus' in [betti]",
+             "check"),
+            ("s2xs2", "b_plus: 1\n", 0, 1, "betti section needs b_plus and b_minus", "check"),
+            ("t2", "b_plus: 0\nb_minus: 0\n", 0, 1, "[betti] holds 4-manifold data, but n = 2", "check"),
+            # S^2 x S^2 has b2 = 2 and a cup form of signature (1, 1); declaring
+            # (4, 0) used to exclude it while its report printed a certified
+            # embedding.  The parser refuses both, for embed as for check.
+            ("s2xs2", "b_plus: 4\nb_minus: 0\n", 1, 9, SUM_MISMATCH, "check"),
+            ("s2xs2", "b_plus: 4\nb_minus: 0\n", 1, 9, SUM_MISMATCH, "embed"),
+            ("s2xs2", "b_plus: 2\nb_minus: 0\n", 1, 9, SIGNATURE_MISMATCH, "check"),
+            ("s2xs2", "b_plus: 2\nb_minus: 0\n", 1, 9, SIGNATURE_MISMATCH, "embed"),
+        ],
+        ids=[
+            "negative",
+            "duplicate",
+            "missing-key",
+            "n-not-4",
+            "sum-mismatch",
+            "sum-mismatch-embed",
+            "signature-mismatch",
+            "signature-mismatch-embed",
+        ],
+    )
+    def test_bad_betti_exit(self, tmp_path, capsys, ring, betti, at, col, message, command):
         text = pathlib.Path(corpus_file(ring)).read_text()
         if "[betti]" in text:
             head = text[: text.index("b_plus:")]
@@ -771,11 +799,11 @@ class TestCLI:
             head = text + "[betti]\n"
         bad = tmp_path / f"{ring}.descriptor"
         bad.write_text(head + betti)
-        assert main(["check", str(bad)]) == EXIT_USAGE
+        assert main([command, str(bad)]) == EXIT_USAGE
         out, err = capsys.readouterr()
         assert out == ""
         line = head.splitlines().index("[betti]") + 1 + at
-        assert err.startswith(f"error: line {line}, ")
+        assert err.startswith(f"error: line {line}, col {col}: ")
         assert message in err
 
     # int() rejects each of these, so the parser must name the line instead
@@ -844,6 +872,21 @@ class TestCLI:
         path.write_text(self.S1 + "[pi1]\ntype: Z\n")
         assert main(["check", str(path)]) == EXIT_OK
         assert "verdict: no-obstruction-found" in capsys.readouterr().out
+
+    def test_truncation_warning_is_one_plain_line(self, tmp_path, capsys):
+        # nothing kills s t or t^2 (names no other test uses, so that the
+        # graded basis is built here and not read from basis_and_dims's cache)
+        path = tmp_path / "unforced.descriptor"
+        path.write_text(
+            "name: a\nn: 2\n[cohomology]\ngenerators: s:1 t:2\nfundamental_class: t\n[pi1]\ntype: Z\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")  # shown, as outside the test suite
+            assert main(["check", str(path), "--no-embed"]) == EXIT_EXCLUDED
+        assert capsys.readouterr().err == (
+            "warning: relations do not force vanishing above degree 2 (first excess degree 3); "
+            "relying on truncation\n"
+        )
 
     @pytest.mark.parametrize("value", ["false", "true"])
     def test_truncation_key_is_unknown(self, tmp_path, capsys, value):
@@ -1208,18 +1251,52 @@ def mutated_descriptors(draw):
 
 
 class TestFuzzedDescriptors:
+    """The parser alone judges a descriptor: check and embed exit 2 exactly
+    on the mutants it refuses, and lie on those and on any whose pi1 is not
+    nilpotent."""
+
     @settings(max_examples=60, derandomize=True, database=None, deadline=None)
     @given(mutated_descriptors())
+    # the two inconsistencies the parser took over from the battery and the CLI
+    @example(
+        pathlib.Path(corpus_file("heisenberg3"))
+        .read_text()
+        .replace("fundamental_class: a B\n", "fundamental_class: a B\nrelation: a B\n")
+    )
+    @example(
+        pathlib.Path(corpus_file("s2xs2"))
+        .read_text()
+        .replace("b_plus: 1\nb_minus: 1", "b_plus: 2\nb_minus: 0")
+    )
     def test_check_exits_0_1_or_2(self, text):
+        with warnings.catch_warnings():
+            # a mutant may leave degrees above n to truncation: a warning, not an error
+            warnings.filterwarnings("ignore", "relations do not force vanishing", UserWarning)
+            self._judged_by_the_parser_alone(text)
+
+    @staticmethod
+    def _judged_by_the_parser_alone(text):
+        try:
+            d = parse_descriptor(text)
+        except ParseError:
+            d = None
+        codes = {}
         with tempfile.TemporaryDirectory() as tmp:
             path = pathlib.Path(tmp) / "fuzzed.descriptor"
             path.write_text(text)
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(["check", str(path), "--budget", "200", "--float-restarts", "0"])
-        assert code in (EXIT_OK, EXIT_EXCLUDED, EXIT_USAGE), err.getvalue()
-        if code != EXIT_USAGE:
-            d = parse_descriptor(text)
+            for command, *flags in (
+                ["check", "--budget", "200", "--float-restarts", "0"],
+                ["embed", "--budget", "200"],
+                ["lie"],
+            ):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    codes[command] = main([command, str(path), *flags])
+                assert codes[command] in (EXIT_OK, EXIT_EXCLUDED, EXIT_USAGE), err.getvalue()
+        assert (codes["check"] == EXIT_USAGE) == (d is None), codes
+        assert (codes["embed"] == EXIT_USAGE) == (d is None), codes
+        assert (codes["lie"] == EXIT_USAGE) == (d is None or d.pi1.kind != "nilpotent"), codes
+        if d is not None:
             if d.n == 4 and d.pi1.kind == "finite":
                 rep = run_battery(d, BatteryOptions(embed_budget=200))
                 certified_embedding_keeps_intersection_check(d, rep)
