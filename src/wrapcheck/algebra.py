@@ -481,15 +481,19 @@ def check_poincare_duality(presentation: AlgebraPresentation) -> PDReport:
     n = presentation.n
     if gb.rank(n) != 1:
         return PDReport(False, n, f"top degree has rank {gb.rank(n)}, expected 1")
-    return _duality_report(n, gb.representatives, _pairing(gb, n))
+    return _duality_report(n, gb.representatives, _top_functional_rows(gb))
 
 
-def _duality_report(top: int, basis, pair) -> PDReport:
+def _duality_report(top: int, basis, gram_rows) -> PDReport:
     """Nondegeneracy of basis(k) x basis(top - k) -> Q for every k <= top/2.
 
-    ``basis(k)`` is a basis of degree k and ``pair(a, b)`` the coefficient
-    of the product a b in the one-dimensional degree ``top``.  Each Gram
-    row goes into the rank as the dict of its nonzero pairings.
+    ``basis(k)`` is a basis of degree k.  ``gram_rows(left, right)``
+    yields one Gram row per element a of ``left``: the dict ``{j: v}`` of
+    the nonzero coefficients v of a times ``right[j]`` in the
+    one-dimensional degree ``top``.  The presentation builds its rows from
+    the top functional (:func:`_top_functional_rows`); a concrete
+    subalgebra and its quotient read them pair by pair
+    (:func:`_pair_rows`).
     """
     for k in range(top // 2 + 1):
         left, right = basis(k), basis(top - k)
@@ -497,10 +501,56 @@ def _duality_report(top: int, basis, pair) -> PDReport:
             return PDReport(
                 False, k, f"rank {len(left)} in degree {k} vs {len(right)} in degree {top - k}"
             )
-        gram = ({j: v for j, b in enumerate(right) if (v := pair(a, b))} for a in left)
-        if linalg.SparseSubspace(len(right), gram).rank != len(left):
+        if linalg.SparseSubspace(len(right), gram_rows(left, right)).rank != len(left):
             return PDReport(False, k, f"degenerate pairing in degree {k}")
     return PDReport(True)
+
+
+def _pair_rows(pair):
+    """Gram rows for :func:`_duality_report` from ``pair(a, b)``, the
+    coefficient of one product in the top degree, called on every pair."""
+
+    def rows(left, right):
+        return ({j: v for j, b in enumerate(right) if (v := pair(a, b))} for a in left)
+
+    return rows
+
+
+def _top_functional_rows(gb: GradedBasis):
+    """Gram rows for :func:`_duality_report` through the top functional.
+
+    lambda(t) is the one quotient coordinate of the degree-n monomial t
+    (dividing by the fundamental class's would scale every entry alike
+    and leave the rank alone); each is computed once.  A product a b of
+    standard monomials is the monomial t = a + b times its Koszul sign,
+    so the row of a has the entry sign * lambda(t) at b for every t in
+    the support of lambda with t - a a standard monomial of the
+    complementary degree: the same rank as reading each product a b,
+    without reducing one product per pair.
+    """
+    presentation = gb.presentation
+    n = presentation.n
+    degrees = [d for _, d in presentation.generators]
+    support = []
+    for t in gb.monomials(n):
+        coords = gb.coords(n, ((1, t),))
+        if coords:
+            (value,) = coords.values()
+            support.append((t, value))
+
+    def rows(left, right):
+        # an exponent vector with a negative entry is no standard monomial
+        index = {b: j for j, b in enumerate(right)}
+        for a in left:
+            row = {}
+            for t, value in support:
+                j = index.get(tuple(map(operator.sub, t, a)))
+                if j is not None:
+                    sign, _ = _monomial_mul(degrees, a, right[j])
+                    row[j] = value if sign > 0 else -value
+            yield row
+
+    return rows
 
 
 def cup_square_form(presentation: AlgebraPresentation, k: int):
@@ -629,7 +679,7 @@ class ConcreteSubalgebra:
             c = None if w.is_zero else self.coords_in_basis(w, N)
             return c[0] if c else Fraction(0)
 
-        return _duality_report(N, self.basis, pair)
+        return _duality_report(N, self.basis, _pair_rows(pair))
 
 
 @dataclass(frozen=True)
@@ -692,7 +742,7 @@ def quotient_by_degree1(A: ConcreteSubalgebra, x: Multivector) -> QuotientReport
         pd_holds, failing = False, N
     else:
         # pairing of quotient classes into the 1-dimensional degree N-1 piece
-        pd = _duality_report(N - 1, lambda k: _quotient_reps(A, ideal_spans, k), pair)
+        pd = _duality_report(N - 1, lambda k: _quotient_reps(A, ideal_spans, k), _pair_rows(pair))
         pd_holds, failing = pd.holds, pd.failing_degree
 
     return QuotientReport(

@@ -310,17 +310,30 @@ class SearchOutcome:
         return self.status.startswith("found")
 
 
+# the symmetry group a candidate list is closed under, smallest first
+_NO_SYMMETRY, _SIGN_FLIPS, _SIGNED_PERMUTATIONS = range(3)
+
+
 @lru_cache(maxsize=64)
-def _disjoint_blade_candidates(n: int, degree: int, cap: int) -> list[dict[int, int]]:
+def _disjoint_blade_candidates(n: int, degree: int, cap: int) -> tuple[list[dict[int, int]], int]:
     """Signed sums of pairwise disjoint degree-``degree`` blades, as
-    ``{mask: +-1}`` dicts (shared through the cache: do not mutate).
+    ``{mask: +-1}`` dicts (shared through the cache: do not mutate), and
+    the group of signed permutations of e1..en that maps the list onto
+    itself.
 
     Ordered by term count, then lexicographically by blade mask, with
     all-positive sign patterns first, so that torus- and projective-
-    space-style witnesses appear early and deterministically.
+    space-style witnesses appear early and deterministically.  Each blade
+    set takes its 2^k sign patterns one after another, ending with all
+    negative.  A list the cap leaves whole is closed under every signed
+    permutation (``_SIGNED_PERMUTATIONS``).  A list the cap cuts right
+    after a blade set's last sign pattern holds every sign pattern of
+    each of its blade sets, and a sign flip of basis vectors changes only
+    the signs of a candidate: it is closed under sign flips
+    (``_SIGN_FLIPS``).  Any other cut leaves ``_NO_SYMMETRY``.
     """
     if degree > n:
-        return []
+        return [], _SIGNED_PERMUTATIONS
     masks = blade_masks(n, degree)
     out: list[dict[int, int]] = []
     max_terms = n // degree
@@ -338,12 +351,13 @@ def _disjoint_blade_candidates(n: int, degree: int, cap: int) -> list[dict[int, 
             acc.pop()
 
     for size in range(1, max_terms + 1):
+        last = (-1,) * size
         for combo in collections(0, 0, [], size):
             for signs in itertools.product((1, -1), repeat=size):
                 out.append(dict(zip(combo, signs)))
                 if len(out) >= cap:
-                    return out
-    return out
+                    return out, _SIGN_FLIPS if signs == last else _NO_SYMMETRY
+    return out, _SIGNED_PERMUTATIONS
 
 
 def _int_terms(p: GradedPolynomial) -> list[tuple[int, list[int]]]:
@@ -379,19 +393,29 @@ def _exact_stage(
     Subtrees that mirror an explored sibling are skipped (isomorph
     rejection).  At level L let U be the union of the blades assigned
     above it.  The signed permutations of the basis vectors outside U
-    (the group G_L) are automorphisms of Lambda*(Q^n) that fix every
-    assigned image, so they preserve every prune and the leaf
-    certificate; when every deeper candidate list is uncapped, each of
-    those lists is G_L-invariant, and a candidate's subtree is the G_L
-    image of any orbit sibling's.  :func:`_orbit_key` names a
-    candidate's orbit.  Once one candidate of an orbit has been explored
-    to the end without a witness, its siblings are not visited: each is
-    charged that subtree's node count, capped at the budget.  This is
-    exactly what visiting it would cost and return, so ``node_budget``
-    and the returned count still measure the unpruned search.
+    fix every assigned image and are automorphisms of Lambda*(Q^n), so
+    they preserve every prune and the leaf certificate.  Of them, the
+    search uses the largest group that maps every deeper candidate list
+    onto itself (see :func:`_disjoint_blade_candidates`):
+      - all of them (G_L) when every deeper list is uncapped, with
+        :func:`_orbit_key` naming a candidate's orbit;
+      - only the sign flips outside U (F_L) when some deeper list is
+        capped but each capped one ends on a whole sign group, with
+        :func:`_flip_key`;
+      - none when some deeper list is cut inside a sign group: no level
+        above it skips anything.
+    Then a candidate's subtree is the image of any orbit sibling's.  Once
+    one candidate of an orbit has been explored to the end without a
+    witness, its siblings are not visited: each is charged that
+    subtree's node count, capped at the budget.  The image subtree visits
+    the images of the same nodes, prunes them alike and finds no witness
+    either, so this is exactly what visiting it would cost and return:
+    ``node_budget`` and the returned count still measure the unpruned
+    search, whichever group a level uses.
     """
     gens = A.generators
-    candidates = [_disjoint_blade_candidates(n, deg, CANDIDATE_CAP) for _, deg in gens]
+    lists = [_disjoint_blade_candidates(n, deg, CANDIDATE_CAP) for _, deg in gens]
+    candidates = [cands for cands, _ in lists]
     if any(not c for c in candidates):
         return None, 0
     # relations become checkable once all their generators are assigned;
@@ -415,10 +439,12 @@ def _exact_stage(
         )
         for level in range(len(gens))
     ]
-    # orbit rejection at a level needs uncapped, hence G_L-invariant,
-    # lists below it
-    symmetric = [
-        all(len(c) < CANDIDATE_CAP for c in candidates[level + 1:]) for level in range(len(gens))
+    # the orbit key of each level: that of the largest group mapping every
+    # deeper list onto itself, None if no group does
+    keys = {_SIGNED_PERMUTATIONS: _orbit_key, _SIGN_FLIPS: _flip_key}
+    orbit_keys = [
+        keys.get(min((group for _, group in lists[level + 1:]), default=_SIGNED_PERMUTATIONS))
+        for level in range(len(gens))
     ]
     # powers[d][i]: [None, c, c^2, ...] for the i-th degree-d candidate c,
     # extended as far as a level asks; a level that needs no square reads
@@ -472,13 +498,14 @@ def _exact_stage(
                         fixed[m] = fixed.get(m, 0) + c
             checks.append((fixed, varying))
         # orbit key -> nodes below the orbit's explored candidate
-        explored: dict[tuple, int] | None = {} if symmetric[level] else None
+        orbit_key = orbit_keys[level]
+        explored: dict[tuple, int] | None = {} if orbit_key else None
         for i, cand in enumerate(candidates[level]):
             if nodes >= node_budget:
                 return None
             nodes += 1
             if explored is not None:
-                key = _orbit_key(cand, used)
+                key = orbit_key(cand, used)
                 below = explored.get(key)
                 if below is not None:
                     nodes = min(nodes + below, node_budget)
@@ -533,6 +560,19 @@ def _orbit_key(cand: dict[int, int], used: int) -> tuple:
             for m, s in cand.items()
         )
     )
+
+
+def _flip_key(cand: dict[int, int], used: int) -> tuple:
+    """A name for the orbit of the candidate ``cand`` under the sign flips
+    of the basis vectors outside the mask ``used``.
+
+    Per blade ``m`` with sign ``s``: ``m`` itself, which no flip moves,
+    and ``s`` if ``m`` lies in ``used``.  A blade that leaves ``used``
+    takes either sign by flipping one of its outside vectors, and the
+    blades of a candidate are disjoint, so those signs change
+    independently: candidates with equal keys lie in one orbit.
+    """
+    return tuple([(m, 0 if m & ~used else s) for m, s in cand.items()])
 
 
 def _vanishes(fixed: dict[int, int], varying, pw) -> bool:

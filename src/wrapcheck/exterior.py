@@ -29,13 +29,17 @@ class DimensionMismatch(ValueError):
 
 
 def _merge_sign(a: int, b: int) -> int:
-    # parity of the merge permutation: pairs (i in a, j in b) with i > j
-    inversions = 0
-    x = a >> 1
-    while x:
-        inversions += (x & b).bit_count()
-        x >>= 1
-    return -1 if inversions & 1 else 1
+    # parity of the merge permutation: pairs (i in a, j in b) with i > j.
+    # Bit j of s is the parity of the bits of a above j: a >> 1 xored with
+    # its shifts by 1 .. 31 reaches all MAX_DIMENSION bits.  So the count
+    # has the parity of s & b, in a fixed six steps whatever the masks.
+    s = a >> 1
+    s ^= s >> 1
+    s ^= s >> 2
+    s ^= s >> 4
+    s ^= s >> 8
+    s ^= s >> 16
+    return -1 if (s & b).bit_count() & 1 else 1
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ complex of a nilpotent Lie algebra from dense bracket vectors and
 dense differential columns, the signed volume of a wrapping map
 from a batched LAPACK determinant, the right side of a bracket line
 from a term loop of its own, the two wrapping maps from their
-bodies before they shared a strip fold, and the closure of a
-subalgebra's generators from rounds over all pairs.
+bodies before they shared a strip fold, the closure of a
+subalgebra's generators from rounds over all pairs, and the duality
+Gram of a presentation from one reduced product per entry.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from fractions import Fraction
 import numpy as np
 import sympy
 
-from wrapcheck import descriptor, linalg, wrapmaps
-from wrapcheck.algebra import ConcreteSubalgebra
+from wrapcheck import algebra, descriptor, linalg, wrapmaps
+from wrapcheck.algebra import ConcreteSubalgebra, PDReport
 from wrapcheck.exterior import Multivector, blade_masks, wedge
 
 
@@ -132,6 +133,32 @@ def oracle_quotient_ranks(presentation):
             rank = 0
         ranks.append(len(basis) - rank)
     return tuple(ranks)
+
+
+# ---------------------------------------------------------------------------
+# Poincare duality Gram, one reduced product per entry
+# ---------------------------------------------------------------------------
+
+
+def pairwise_poincare_duality(presentation) -> PDReport:
+    """``check_poincare_duality`` with every Gram entry read off its own
+    product: each pair of standard monomials of complementary degrees is
+    multiplied and reduced to its top coordinate."""
+    gb = algebra.basis_and_dims(presentation)
+    n = presentation.n
+    if gb.rank(n) != 1:
+        return PDReport(False, n, f"top degree has rank {gb.rank(n)}, expected 1")
+    pair = algebra._pairing(gb, n)
+    for k in range(n // 2 + 1):
+        left, right = gb.representatives(k), gb.representatives(n - k)
+        if len(left) != len(right):
+            return PDReport(
+                False, k, f"rank {len(left)} in degree {k} vs {len(right)} in degree {n - k}"
+            )
+        gram = [{j: v for j, b in enumerate(right) if (v := pair(a, b))} for a in left]
+        if linalg.SparseSubspace(len(right), gram).rank != len(left):
+            return PDReport(False, k, f"degenerate pairing in degree {k}")
+    return PDReport(True)
 
 
 # ---------------------------------------------------------------------------

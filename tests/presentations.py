@@ -5,12 +5,14 @@ tests: spheres, tori, projective spaces, surfaces, connected sums of
 4-manifolds, nilmanifolds of the Heisenberg and filiform algebras, and
 two boundary-of-thickening examples (the 2-skeleton of the 3-torus,
 and the 9-manifold built from a rational Poincare duality space whose
-cup form has square class -2).  Also seeded random presentations, and
-any presentation with its generator table reversed.
+cup form has square class -2).  Also larger rings with their Betti
+numbers in closed form, seeded random presentations, and any
+presentation with its generator table reversed.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import warnings
 from fractions import Fraction
@@ -259,6 +261,21 @@ def nine_manifold_disc2() -> AlgebraPresentation:
         rels.append(_poly(gens, (Fraction(1, squares[i]), {f"u{i}": 2}), (Fraction(-1, 2), {"u1": 2})))
     fc = _mono(gens, 1, u2=2, t=1)
     return AlgebraPresentation(gens, tuple(rels), 9, fc)
+
+
+def closed_form_rings() -> dict[str, tuple[AlgebraPresentation, tuple[int, ...]]]:
+    """Larger rings, each with its Betti numbers in closed form: T^6 .. T^10
+    (b_k = C(n, k)), CP^4 and CP^6, #6 and #10 (S^2 x S^2), and the
+    genus-5 surface."""
+    rings = {
+        f"t{k}": (torus(k), tuple(math.comb(k, j) for j in range(k + 1))) for k in range(6, 11)
+    }
+    for k in (4, 6):
+        rings[f"cp{k}"] = (complex_projective(k), tuple(1 - j % 2 for j in range(2 * k + 1)))
+    for r in (6, 10):
+        rings[f"sum{r}_s2xs2"] = (sum_s2xs2(r), (1, 0, 2 * r, 0, 1))
+    rings["genus5"] = (genus_surface(5), (1, 10, 1))
+    return rings
 
 
 def random_small_presentations(count=20, seed=808):

@@ -29,7 +29,13 @@ from wrapcheck.exterior import Multivector
 import presentations as P
 from presentations import random_small_presentations
 from corpusgen import random_pd_generators, random_pd_subalgebra
-from oracles import all_pairs_closure, oracle_quotient_ranks, poly_to_words, word_mult
+from oracles import (
+    all_pairs_closure,
+    oracle_quotient_ranks,
+    pairwise_poincare_duality,
+    poly_to_words,
+    word_mult,
+)
 
 
 def mono(gens, coeff, *exps):
@@ -193,6 +199,48 @@ class TestPoincareDuality:
 
     def test_connected_sum_holds(self):
         assert check_poincare_duality(P.sum_s2xs2(3)).holds
+
+    def test_odd_pairing_is_antisymmetric(self):
+        # ab = bc = ca spans degree 2, so the degree-1 pairing is an
+        # antisymmetric form on three classes: degenerate.  Read without
+        # the Koszul signs it would be symmetric, with determinant -2.
+        gens = (("a", 1), ("b", 1), ("c", 1))
+        rels = (
+            GradedPolynomial(gens, ((1, (1, 1, 0)), (-1, (0, 1, 1)))),
+            GradedPolynomial(gens, ((1, (0, 1, 1)), (1, (1, 0, 1)))),
+            mono(gens, 1, 1, 1, 1),
+        )
+        pres = AlgebraPresentation(gens, rels, 2, mono(gens, 1, 1, 1, 0))
+        report = check_poincare_duality(pres)
+        assert (report.holds, report.failing_degree) == (False, 1)
+        assert report == pairwise_poincare_duality(pres)
+
+
+class TestTopFunctionalGram:
+    """Gram rows read off the top functional against the oracle that
+    reduces one product per entry, and the larger rings' closed forms."""
+
+    def test_reports_match_the_pairwise_oracle(self):
+        rings = [parse_descriptor_file(p).cohomology for p in corpus_paths()]
+        rings += [A for A, _ in P.closed_form_rings().values()]
+        rings += random_small_presentations(20, seed=5)
+        assert len(rings) == 49
+        reports = [check_poincare_duality(A) for A in rings]
+        assert reports == [pairwise_poincare_duality(A) for A in rings]
+        # the top-rank, the rank-mismatch and the degenerate-pairing exits
+        exits = {r.detail.split()[0] for r in reports if not r.holds}
+        assert exits == {"top", "rank", "degenerate"}
+
+    @pytest.mark.parametrize("name", sorted(P.closed_form_rings()))
+    def test_closed_forms(self, name):
+        A, betti = P.closed_form_rings()[name]
+        assert basis_and_dims(A).ranks == betti
+        assert check_poincare_duality(A).holds
+        # degree one generates a free exterior algebra on b1 classes, which
+        # fails the check only when b1 exceeds the dimension (the surface)
+        res = torus_subalgebra_check(A)
+        assert res.witness["b1"] == betti[1]
+        assert res.failed == (betti[1] > A.n)
 
 
 def e4(*indices) -> Multivector:

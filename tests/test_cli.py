@@ -5,6 +5,7 @@ import json
 import math
 import pathlib
 import random
+import re
 import tempfile
 import time
 import warnings
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wrapcheck import algebra
 from wrapcheck.battery import BatteryOptions, run_battery
 from wrapcheck.cli import EXIT_EXCLUDED, EXIT_OK, EXIT_USAGE, corpus_paths, main
 from wrapcheck.algebra import _monomials_of_degree
@@ -1300,6 +1302,90 @@ class TestFuzzedDescriptors:
             if d.n == 4 and d.pi1.kind == "finite":
                 rep = run_battery(d, BatteryOptions(embed_budget=200))
                 certified_embedding_keeps_intersection_check(d, rep)
+
+
+TRUNCATION = "relations do not force vanishing"
+
+
+def corpus_edits():
+    """(name, edit, text): each bundled descriptor with one ``relation:``
+    line deleted, with its fundamental class added as a relation, and
+    with ``b_plus`` raised by one or swapped with ``b_minus``."""
+    for path in corpus_paths():
+        text = path.read_text()
+        lines = text.splitlines(keepends=True)
+        for i, line in enumerate(lines):
+            if line.startswith("relation:"):
+                yield path.stem, f"delete line {i + 1}", "".join(lines[:i] + lines[i + 1 :])
+            elif line.startswith("fundamental_class:"):
+                relation = line.replace("fundamental_class:", "relation:", 1)
+                yield path.stem, "relation: fundamental class", "".join(
+                    lines[: i + 1] + [relation] + lines[i + 1 :]
+                )
+        betti = re.search(r"^b_plus: (\d+)\nb_minus: (\d+)$", text, re.M)
+        if betti:
+            b_plus, b_minus = map(int, betti.groups())
+            for edit, pair in (("b_plus + 1", (b_plus + 1, b_minus)), ("swap", (b_minus, b_plus))):
+                if pair == (b_plus, b_minus):
+                    continue
+                replaced = "b_plus: {}\nb_minus: {}".format(*pair)
+                yield path.stem, edit, text[: betti.start()] + replaced + text[betti.end() :]
+
+
+class TestCorpusEditSweep:
+    """A fixed sweep aimed at the parser's consistency checks: ``check``
+    exits 2 exactly on the edits that ``parse_descriptor`` refuses, and
+    never 3."""
+
+    def test_exit_2_exactly_when_the_parser_refuses(self, tmp_path):
+        reached = {"degenerate": 0, "betti": 0, "truncation": 0}
+        path = tmp_path / "edited.descriptor"
+        for name, edit, text in corpus_edits():
+            # a fresh basis, so that each edit's truncation warning shows
+            algebra.basis_and_dims.cache_clear()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.filterwarnings("always", TRUNCATION, UserWarning)
+                try:
+                    parse_descriptor(text)
+                    error = None
+                except ParseError as exc:
+                    error = str(exc)
+            reached["truncation"] += bool(caught)
+            reached["degenerate"] += "fundamental class lies in the relation ideal" in (error or "")
+            reached["betti"] += "[betti] declares" in (error or "")
+            path.write_text(text)
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", TRUNCATION, UserWarning)
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(["check", str(path), "--no-embed"])
+            assert code in (EXIT_OK, EXIT_EXCLUDED, EXIT_USAGE), (name, edit, err.getvalue())
+            assert (code == EXIT_USAGE) == (error is not None), (name, edit, error, code)
+        assert all(reached.values()), reached
+
+
+class TestErrorColumns:
+    """Replacing one token of a bundled line never moves an error on that
+    line to the right of the token."""
+
+    def test_error_on_the_edited_line_is_no_later_than_the_token(self):
+        edits = 0
+        for path in corpus_paths():
+            lines = path.read_text().splitlines(keepends=True)
+            for i, line in enumerate(lines):
+                for token in re.finditer(r"\S+", line):
+                    for replacement in ("?", "0", "x"):
+                        edited = line[: token.start()] + replacement + line[token.end() :]
+                        text = "".join(lines[:i] + [edited] + lines[i + 1 :])
+                        edits += 1
+                        try:
+                            with warnings.catch_warnings():
+                                warnings.filterwarnings("ignore", TRUNCATION, UserWarning)
+                                parse_descriptor(text)
+                        except ParseError as exc:
+                            if exc.line == i + 1:
+                                assert exc.col <= token.start() + 1, (path.name, edited, str(exc))
+        assert edits > 2000
 
 
 # finite floats at the edges of float range and of each surface family: the

@@ -404,7 +404,7 @@ def fraction_exact_stage(A, n, node_budget, per_generator_cap=512):
     gens = A.generators
     names = [nm for nm, _ in gens]
     candidates = [
-        [Multivector(n, c) for c in embed._disjoint_blade_candidates(n, deg, per_generator_cap)]
+        [Multivector(n, c) for c in embed._disjoint_blade_candidates(n, deg, per_generator_cap)[0]]
         for _, deg in gens
     ]
     if any(not c for c in candidates):
@@ -551,11 +551,28 @@ class TestAgainstFractionOracle:
             m, nodes = self._assert_matches_oracle(A, 7, budget)
         assert m is not None and nodes == 2540
 
+    def test_sign_closed_capped_lists_below(self):
+        # Lambda^2(Q^9) is capped at 512 right after a blade set's last sign
+        # pattern (36 single blades x 2 signs, then 110 disjoint pairs x 4),
+        # so the levels above it skip sign-flip orbits
+        cands, group = embed._disjoint_blade_candidates(9, 2, embed.CANDIDATE_CAP)
+        assert (len(cands), group) == (512, embed._SIGN_FLIPS)
+        nine = next(p for p in corpus_paths() if p.name == "nine_disc2.descriptor")
+        for budget in self.BUDGETS + (4000,):
+            self._assert_matches_oracle(parse_descriptor_file(nine).cohomology, 9, budget)
+        # #3 CP^2 # 3 CP^2-bar in Lambda*(Q^9): six degree-2 levels, the
+        # witness past many skipped siblings
+        A = P.sum_cp2(3, 3)
+        for budget in self.BUDGETS + (4000,):
+            m, nodes = self._assert_matches_oracle(A, 9, budget)
+        assert m is not None and nodes == 945
+
     @pytest.mark.parametrize(
-        "ring, nodes, most_calls", [("cp2_4_0", 3768, 1000), ("cp3", 211, 10)]
+        "ring, nodes, most_calls",
+        [("cp2_4_0", 3768, 1000), ("cp3", 211, 10), ("nine_disc2", 4000, 1000)],
     )
     def test_mirrored_subtrees_are_skipped(self, monkeypatch, ring, nodes, most_calls):
-        # without orbit rejection: 8856 and 211 relation checks
+        # without orbit rejection: 8856, 211 and 4860 relation checks
         calls = 0
         vanishes = embed._vanishes
 
@@ -586,17 +603,15 @@ def _signed_permutation_image(cand, perm, signs):
 
 class TestOrbitKey:
     """``_orbit_key`` names exactly the orbits of the signed permutations
-    of the basis vectors outside ``used``, found by brute force."""
+    of the basis vectors outside ``used``, and ``_flip_key`` those of the
+    sign flips alone, found by brute force."""
 
-    @pytest.mark.parametrize(
-        "n, degree, used",
-        [(4, 1, 0), (4, 2, 0), (4, 2, 0b0011), (4, 2, 0b0101), (4, 1, 0b0110), (5, 2, 0b00110)],
-    )
-    def test_keys_are_orbits(self, n, degree, used):
-        cands = embed._disjoint_blade_candidates(n, degree, embed.CANDIDATE_CAP)
+    @staticmethod
+    def _assert_keys_are_orbits(key_of, n, degree, used, permute):
+        cands, _ = embed._disjoint_blade_candidates(n, degree, embed.CANDIDATE_CAP)
         outside = [i for i in range(n) if not used >> i & 1]
         orbit = {}
-        for images in itertools.permutations(outside):
+        for images in itertools.permutations(outside) if permute else [outside]:
             perm = list(range(n))
             for i, j in zip(outside, images):
                 perm[i] = j
@@ -611,7 +626,55 @@ class TestOrbitKey:
         for a in cands:
             for b in cands:
                 same_orbit = frozenset(b.items()) in orbit[frozenset(a.items())]
-                assert same_orbit == (embed._orbit_key(a, used) == embed._orbit_key(b, used))
+                assert same_orbit == (key_of(a, used) == key_of(b, used))
+
+    @pytest.mark.parametrize(
+        "n, degree, used",
+        [(4, 1, 0), (4, 2, 0), (4, 2, 0b0011), (4, 2, 0b0101), (4, 1, 0b0110), (5, 2, 0b00110)],
+    )
+    def test_keys_are_orbits(self, n, degree, used):
+        self._assert_keys_are_orbits(embed._orbit_key, n, degree, used, permute=True)
+
+    @pytest.mark.parametrize(
+        "n, degree, used",
+        [
+            (4, 1, 0),
+            (4, 2, 0),
+            (4, 2, 0b0011),
+            (4, 1, 0b0110),
+            (5, 1, 0b11000),
+            (5, 2, 0b00110),
+            (5, 2, 0b01111),
+            (5, 3, 0b00111),
+        ],
+    )
+    def test_flip_keys_are_flip_orbits(self, n, degree, used):
+        self._assert_keys_are_orbits(embed._flip_key, n, degree, used, permute=False)
+
+    @pytest.mark.parametrize(
+        "n, degree, group",
+        [
+            (4, 2, embed._SIGNED_PERMUTATIONS),
+            (7, 2, embed._NO_SYMMETRY),  # cut after 2 of a triple's 8 sign patterns
+            (8, 1, embed._SIGN_FLIPS),
+            (8, 2, embed._SIGN_FLIPS),
+            (9, 1, embed._NO_SYMMETRY),
+            (9, 2, embed._SIGN_FLIPS),
+            (10, 2, embed._NO_SYMMETRY),
+        ],
+    )
+    def test_each_list_is_closed_under_its_group(self, n, degree, group):
+        cands, got = embed._disjoint_blade_candidates(n, degree, embed.CANDIDATE_CAP)
+        assert got == group
+        members = {frozenset(c.items()) for c in cands}
+        identity = list(range(n))
+        flips = [[-1 if j == i else 1 for j in range(n)] for i in range(n)]
+        images = [_signed_permutation_image(c, identity, f) for c in cands for f in flips]
+        assert all(image in members for image in images) == (group >= embed._SIGN_FLIPS)
+        if group == embed._SIGNED_PERMUTATIONS:
+            swaps = [identity[:i] + [i + 1, i] + identity[i + 2 :] for i in range(n - 1)]
+            images = [_signed_permutation_image(c, swap, [1] * n) for c in cands for swap in swaps]
+            assert all(image in members for image in images)
 
 
 def _polynomial_text(p) -> str:

@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 
@@ -6,8 +7,10 @@ from hypothesis import given, strategies as st
 
 from wrapcheck.exterior import (
     Blade,
+    MAX_DIMENSION,
     DimensionMismatch,
     Multivector,
+    _merge_sign,
     blade_masks,
     graded_dimension,
     top_pairing,
@@ -47,6 +50,35 @@ class TestWedge:
         sign, sorted_idx = brute_force_wedge((1, 3), (2,))
         assert (sign, sorted_idx) == (-1, (1, 2, 3))
         assert wedge(e(4, 1, 3), e(4, 2)) == e(4, 1, 2, 3).scale(-1)
+
+    @staticmethod
+    def _inversion_parity_sign(a, b, n):
+        inversions = sum(
+            i > j for i in range(n) if a >> i & 1 for j in range(n) if b >> j & 1
+        )
+        return (-1) ** inversions
+
+    def test_merge_sign_is_inversion_parity(self):
+        # every pair of disjoint blades in Lambda*(Q^9), hence for all n <= 9
+        n = 9
+        for a in range(1 << n):
+            rest = ((1 << n) - 1) ^ a
+            b = rest
+            while True:
+                assert _merge_sign(a, b) == self._inversion_parity_sign(a, b, n), (a, b)
+                if not b:
+                    break
+                b = (b - 1) & rest
+
+    def test_merge_sign_reaches_the_top_dimension(self):
+        # blades at both ends of Lambda*(Q^32)
+        rng = random.Random(0)
+        n = MAX_DIMENSION
+        for _ in range(300):
+            a = rng.getrandbits(n)
+            b = rng.getrandbits(n) & ~a
+            assert _merge_sign(a, b) == self._inversion_parity_sign(a, b, n), (a, b)
+        assert _merge_sign(1 << (n - 1), 1) == -1
 
     def test_bilinear(self):
         a = e(4, 1) + e(4, 2).scale(Fraction(1, 2))
