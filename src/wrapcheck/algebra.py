@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import operator
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -27,8 +26,6 @@ from . import linalg, quadform
 from .exterior import Multivector, wedge
 
 GeneratorTable = tuple[tuple[str, int], ...]
-
-_ZERO = Fraction(0)  # one shared zero: a Gram matrix is mostly zeros
 
 
 class DegeneratePresentation(ValueError):
@@ -286,7 +283,7 @@ class GradedBasis:
     standard-monomial basis; callers multiply monomials with
     :func:`_monomial_mul`, so no polynomial is built after parsing.
     ``basis_and_dims`` also stores the truncation probe's result on it
-    as ``excess_degrees``.
+    as ``excess_degrees``, the data a caller reports from.
     """
 
     def __init__(self, presentation: AlgebraPresentation):
@@ -332,20 +329,14 @@ def basis_and_dims(presentation: AlgebraPresentation) -> GradedBasis:
     """Quotient bases per degree 0..n; errors on a degenerate presentation.
 
     Stores the degrees n+1 .. n+max_generator_degree that the relations
-    alone leave nonzero as ``excess_degrees`` and warns when there are
-    any: truncation is then doing real work, which a closed-manifold
-    presentation should not need.
+    alone leave nonzero as ``excess_degrees``.  When there are any,
+    truncation is doing real work, which a closed-manifold presentation
+    should not need; the CLI reports it on every run.
     """
     gb = GradedBasis(presentation)
     if not gb.coords(presentation.n, presentation.fundamental_class.monomials):
         raise DegeneratePresentation("fundamental class lies in the relation ideal")
     gb.excess_degrees = _excess_degrees(gb)
-    if gb.excess_degrees:
-        warnings.warn(
-            f"relations do not force vanishing above degree {presentation.n} "
-            f"(first excess degree {gb.excess_degrees[0]}); relying on truncation",
-            stacklevel=2,
-        )
     return gb
 
 
@@ -476,12 +467,16 @@ class PDReport:
 
 
 def check_poincare_duality(presentation: AlgebraPresentation) -> PDReport:
-    """Nondegeneracy of the pairing deg k x deg n-k -> deg n for all k."""
+    """Nondegeneracy of the pairing deg k x deg n-k -> deg n for all k.
+
+    The Gram rows are not divided by the fundamental class's coordinate,
+    which would scale every entry alike and leave the rank alone.
+    """
     gb = basis_and_dims(presentation)
     n = presentation.n
     if gb.rank(n) != 1:
         return PDReport(False, n, f"top degree has rank {gb.rank(n)}, expected 1")
-    return _duality_report(n, gb.representatives, _top_functional_rows(gb))
+    return _duality_report(n, gb.representatives, _functional_rows(gb, n))
 
 
 def _duality_report(top: int, basis, gram_rows) -> PDReport:
@@ -491,9 +486,9 @@ def _duality_report(top: int, basis, gram_rows) -> PDReport:
     yields one Gram row per element a of ``left``: the dict ``{j: v}`` of
     the nonzero coefficients v of a times ``right[j]`` in the
     one-dimensional degree ``top``.  The presentation builds its rows from
-    the top functional (:func:`_top_functional_rows`); a concrete
-    subalgebra and its quotient read them pair by pair
-    (:func:`_pair_rows`).
+    the functional of its top degree (:func:`_functional_rows`, which
+    builds the cup form's rows too); a concrete subalgebra and its
+    quotient read them pair by pair (:func:`_pair_rows`).
     """
     for k in range(top // 2 + 1):
         left, right = basis(k), basis(top - k)
@@ -516,24 +511,21 @@ def _pair_rows(pair):
     return rows
 
 
-def _top_functional_rows(gb: GradedBasis):
-    """Gram rows for :func:`_duality_report` through the top functional.
+def _functional_rows(gb: GradedBasis, degree: int):
+    """Gram rows for :func:`_duality_report` through the functional of
+    ``degree``, a degree of rank one.
 
-    lambda(t) is the one quotient coordinate of the degree-n monomial t
-    (dividing by the fundamental class's would scale every entry alike
-    and leave the rank alone); each is computed once.  A product a b of
-    standard monomials is the monomial t = a + b times its Koszul sign,
-    so the row of a has the entry sign * lambda(t) at b for every t in
-    the support of lambda with t - a a standard monomial of the
-    complementary degree: the same rank as reading each product a b,
-    without reducing one product per pair.
+    lambda(t) is the one quotient coordinate of the monomial t of that
+    degree; each is computed once.  A product a b of standard monomials
+    is the monomial t = a + b times its Koszul sign, so the row of a has
+    the entry sign * lambda(t) at b for every t in the support of lambda
+    with t - a a standard monomial of the complementary degree: each
+    product's coordinate, without reducing one product per pair.
     """
-    presentation = gb.presentation
-    n = presentation.n
-    degrees = [d for _, d in presentation.generators]
+    degrees = [d for _, d in gb.presentation.generators]
     support = []
-    for t in gb.monomials(n):
-        coords = gb.coords(n, ((1, t),))
+    for t in gb.monomials(degree):
+        coords = gb.coords(degree, ((1, t),))
         if coords:
             (value,) = coords.values()
             support.append((t, value))
@@ -567,8 +559,11 @@ def cup_square_form(presentation: AlgebraPresentation, k: int):
     if gb.rank(2 * k) != 1:
         raise ValueError(f"degree {2 * k} has rank {gb.rank(2 * k)}, expected 1")
     reps = gb.representatives(k)
-    pair = _pairing(gb, 2 * k)
-    return [[pair(a, b) for b in reps] for a in reps], reps
+    unit = Fraction(1)  # an int zero over an int unit would be a float
+    if 2 * k == presentation.n:
+        (unit,) = gb.coords(2 * k, presentation.fundamental_class.monomials).values()
+    rows = _functional_rows(gb, 2 * k)(reps, reps)
+    return [[row.get(j, 0) / unit for j in range(len(reps))] for row in rows], reps
 
 
 @lru_cache(maxsize=256)
@@ -581,27 +576,6 @@ def degree_two_form(presentation: AlgebraPresentation) -> quadform.QuadraticForm
         return None
     gram, _ = cup_square_form(presentation, 2)
     return quadform.QuadraticForm(tuple(tuple(row) for row in gram))
-
-
-def _pairing(gb: GradedBasis, target: int):
-    """Product of a pair of monomials in the rank-one degree ``target``, as a number.
-
-    The product's one quotient coordinate (none when it is zero), divided
-    by the fundamental class's coordinate when ``target`` is the formal
-    dimension; a product in which an odd generator squares reads zero.
-    """
-    presentation = gb.presentation
-    degrees = [d for _, d in presentation.generators]
-    unit = Fraction(1)
-    if target == presentation.n:
-        (unit,) = gb.coords(target, presentation.fundamental_class.monomials).values()
-
-    def pair(a, b) -> Fraction:
-        prod = _monomial_mul(degrees, a, b)
-        coords = {} if prod is None else gb.coords(target, (prod,))
-        return next(iter(coords.values())) / unit if coords else _ZERO
-
-    return pair
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,11 @@ import json
 import math
 import re
 import sys
-import warnings
 from importlib import resources
 
 import numpy as np
 
-from . import geom2d, nilcoh, wrapmaps
+from . import algebra, geom2d, nilcoh, wrapmaps
 from .battery import BatteryOptions, run_battery
 from .descriptor import ParseError, parse_descriptor_file
 from .embed import search_embedding
@@ -93,15 +92,29 @@ def _common_flags(p: argparse.ArgumentParser, embed_flags=False):
         p.add_argument("--seed", type=_nonnegative, default=0)
 
 
+def _parse(path):
+    """The descriptor at ``path``.  When its ring leaves degrees above n
+    to truncation, one line on stderr says so, on every call."""
+    d = parse_descriptor_file(path)
+    excess = algebra.basis_and_dims(d.cohomology).excess_degrees
+    if excess:
+        print(
+            f"warning: relations do not force vanishing above degree {d.cohomology.n} "
+            f"(first excess degree {excess[0]}); relying on truncation",
+            file=sys.stderr,
+        )
+    return d
+
+
 def _cmd_check(args) -> int:
-    d = parse_descriptor_file(args.descriptor)
+    d = _parse(args.descriptor)
     report = run_battery(d, _battery_options(args, not args.no_embed))
     _report(args, report.to_dict(), report.render_text().splitlines())
     return EXIT_OK if report.verdict == "no-obstruction-found" else EXIT_EXCLUDED
 
 
 def _cmd_embed(args) -> int:
-    d = parse_descriptor_file(args.descriptor)
+    d = _parse(args.descriptor)
     n = args.n if args.n is not None else d.n
     outcome = search_embedding(
         d.cohomology, n, budget=args.budget, seed=args.seed, float_restarts=args.float_restarts
@@ -132,7 +145,7 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_lie(args) -> int:
-    d = parse_descriptor_file(args.descriptor)
+    d = _parse(args.descriptor)
     if d.pi1.kind != "nilpotent":
         raise ParseError(f"descriptor {d.name} has no nilpotent structure-constant block")
     g = d.pi1.algebra
@@ -326,7 +339,7 @@ def _cmd_corpus(args) -> int:
     options = _battery_options(args, True)
     table = []
     for path in corpus_paths():
-        d = parse_descriptor_file(path)
+        d = _parse(path)
         report = run_battery(d, options)
         table.append(report)
     payload = {
@@ -408,17 +421,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    # each warning as one plain line, under the caller's filters, restored on return
-    with warnings.catch_warnings():
-        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
-        try:
-            return args.func(args)
-        except (ParseError, FileNotFoundError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except Exception as exc:  # pragma: no cover - internal failures
-            print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return EXIT_INTERNAL
+    try:
+        return args.func(args)
+    except (ParseError, FileNotFoundError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception as exc:  # pragma: no cover - internal failures
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -173,9 +173,6 @@ class Multivector:
             raise ValueError(f"multivector is not homogeneous: degrees {sorted(degs)}")
         return degs.pop()
 
-    def homogeneous_part(self, k: int) -> "Multivector":
-        return Multivector(self.n, {m: c for m, c in self._terms.items() if m.bit_count() == k})
-
     def coords(self, degree: int) -> tuple:
         """Coefficients on the ascending blade basis of one degree."""
         return tuple(self._terms.get(m, Fraction(0)) for m in blade_masks(self.n, degree))

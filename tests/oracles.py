@@ -10,7 +10,8 @@ from a batched LAPACK determinant, the right side of a bracket line
 from a term loop of its own, the two wrapping maps from their
 bodies before they shared a strip fold, the closure of a
 subalgebra's generators from rounds over all pairs, and the duality
-Gram of a presentation from one reduced product per entry.
+Gram and cup forms of a presentation from one product per entry,
+multiplied as sorted words.
 """
 
 from __future__ import annotations
@@ -136,19 +137,43 @@ def oracle_quotient_ranks(presentation):
 
 
 # ---------------------------------------------------------------------------
-# Poincare duality Gram, one reduced product per entry
+# Rank-one pairings of a presentation, one product per entry
 # ---------------------------------------------------------------------------
+
+
+def product_pairing(presentation, target):
+    """pair(a, b): the product of two monomials in the rank-one degree
+    ``target`` as a number.  The monomials are multiplied as sorted words
+    by :func:`word_mult`, and the product is reduced to its one quotient
+    coordinate, divided by the fundamental class's coordinate when
+    ``target`` is the formal dimension."""
+    gb = algebra.basis_and_dims(presentation)
+    degrees = [d for _, d in presentation.generators]
+    unit = Fraction(1)
+    if target == presentation.n:
+        (unit,) = gb.coords(target, presentation.fundamental_class.monomials).values()
+
+    def word(e):
+        return [i for i, x in enumerate(e) for _ in range(x)]
+
+    def pair(a, b) -> Fraction:
+        sign, w = word_mult(degrees, word(a), word(b))
+        if not sign:
+            return Fraction(0)
+        t = tuple(w.count(i) for i in range(len(degrees)))
+        return sum(gb.coords(target, ((sign, t),)).values(), Fraction(0)) / unit
+
+    return pair
 
 
 def pairwise_poincare_duality(presentation) -> PDReport:
     """``check_poincare_duality`` with every Gram entry read off its own
-    product: each pair of standard monomials of complementary degrees is
-    multiplied and reduced to its top coordinate."""
+    product of standard monomials of complementary degrees."""
     gb = algebra.basis_and_dims(presentation)
     n = presentation.n
     if gb.rank(n) != 1:
         return PDReport(False, n, f"top degree has rank {gb.rank(n)}, expected 1")
-    pair = algebra._pairing(gb, n)
+    pair = product_pairing(presentation, n)
     for k in range(n // 2 + 1):
         left, right = gb.representatives(k), gb.representatives(n - k)
         if len(left) != len(right):
@@ -159,6 +184,14 @@ def pairwise_poincare_duality(presentation) -> PDReport:
         if linalg.SparseSubspace(len(right), gram).rank != len(left):
             return PDReport(False, k, f"degenerate pairing in degree {k}")
     return PDReport(True)
+
+
+def pairwise_cup_form(presentation, k):
+    """``cup_square_form(presentation, k)`` with every entry read off its
+    own product, for a degree 2k of rank one."""
+    reps = algebra.basis_and_dims(presentation).representatives(k)
+    pair = product_pairing(presentation, 2 * k)
+    return [[pair(a, b) for b in reps] for a in reps], reps
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import contextlib
 import itertools
 import math
 import random
@@ -32,6 +31,7 @@ from corpusgen import random_pd_generators, random_pd_subalgebra
 from oracles import (
     all_pairs_closure,
     oracle_quotient_ranks,
+    pairwise_cup_form,
     pairwise_poincare_duality,
     poly_to_words,
     word_mult,
@@ -169,11 +169,11 @@ class TestBasisAndDims:
         assert gb.coords(k, ((Fraction(1), (1, 1)),)) == {}
 
     def test_truncation_warning(self):
-        # nothing kills x w or w^2 above degree 2; truncation must step in
+        # nothing kills x w or w^2 above degree 2; truncation must step in,
+        # and the basis records it for the caller to report
         gens = (("x", 1), ("w", 2))
         pres = AlgebraPresentation(gens, (), 2, mono(gens, 1, 0, 1))
-        with pytest.warns(UserWarning, match="truncation"):
-            basis_and_dims(pres)
+        assert basis_and_dims(pres).excess_degrees == [3, 4]
 
 
 class TestEulerCharacteristic:
@@ -217,19 +217,40 @@ class TestPoincareDuality:
 
 
 class TestTopFunctionalGram:
-    """Gram rows read off the top functional against the oracle that
-    reduces one product per entry, and the larger rings' closed forms."""
+    """Gram rows read off the functional of a rank-one degree against the
+    oracle that reduces one product per entry, and the larger rings'
+    closed forms."""
 
-    def test_reports_match_the_pairwise_oracle(self):
+    @staticmethod
+    def rings():
         rings = [parse_descriptor_file(p).cohomology for p in corpus_paths()]
         rings += [A for A, _ in P.closed_form_rings().values()]
         rings += random_small_presentations(20, seed=5)
         assert len(rings) == 49
+        return rings
+
+    def test_reports_match_the_pairwise_oracle(self):
+        rings = self.rings()
         reports = [check_poincare_duality(A) for A in rings]
         assert reports == [pairwise_poincare_duality(A) for A in rings]
         # the top-rank, the rank-mismatch and the degenerate-pairing exits
         exits = {r.detail.split()[0] for r in reports if not r.holds}
         assert exits == {"top", "rank", "degenerate"}
+
+    def test_cup_forms_match_the_pairwise_oracle(self):
+        def typed(gram):
+            return [[(v, type(v)) for v in row] for row in gram]
+
+        forms = {"middle": 0, "below": 0}
+        for A in self.rings():
+            gb = basis_and_dims(A)
+            for k in range(A.n // 2 + 1):
+                if gb.rank(2 * k) == 1:
+                    gram, reps = cup_square_form(A, k)
+                    want, want_reps = pairwise_cup_form(A, k)
+                    assert (typed(gram), reps) == (typed(want), want_reps), (A, k)
+                    forms["middle" if 2 * k == A.n else "below"] += 1
+        assert forms == {"middle": 30, "below": 70}, forms
 
     @pytest.mark.parametrize("name", sorted(P.closed_form_rings()))
     def test_closed_forms(self, name):
@@ -599,10 +620,7 @@ class TestIdealRows:
         assert routes == self.ROUTES.get(name, ["certificate"] * (top - A.n))
         # the exact fallbacks: only fixtures the certificate and mod p leave open
         assert (routes.count("exact") > 0) == (name in ("unforced", "p_coefficient", "inverse_p_coefficient"))
-        # a fresh build, past the cache, so that the warning fires again
-        with pytest.warns(UserWarning, match="truncation") if want else contextlib.nullcontext():
-            stored = basis_and_dims.__wrapped__(A)
-        assert stored.excess_degrees == want
+        assert basis_and_dims(A).excess_degrees == want
 
     FAMILIES = {
         "random-5": lambda: random_small_presentations(200, seed=5),

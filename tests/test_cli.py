@@ -876,19 +876,24 @@ class TestCLI:
         assert "verdict: no-obstruction-found" in capsys.readouterr().out
 
     def test_truncation_warning_is_one_plain_line(self, tmp_path, capsys):
-        # nothing kills s t or t^2 (names no other test uses, so that the
-        # graded basis is built here and not read from basis_and_dims's cache)
+        # nothing kills s t or t^2: the line shows on every run, the second
+        # one in this process included, and no warning filter turns it into
+        # an error
         path = tmp_path / "unforced.descriptor"
         path.write_text(
             "name: a\nn: 2\n[cohomology]\ngenerators: s:1 t:2\nfundamental_class: t\n[pi1]\ntype: Z\n"
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("default")  # shown, as outside the test suite
-            assert main(["check", str(path), "--no-embed"]) == EXIT_EXCLUDED
-        assert capsys.readouterr().err == (
+        line = (
             "warning: relations do not force vanishing above degree 2 (first excess degree 3); "
             "relying on truncation\n"
         )
+        for _ in range(2):
+            assert main(["check", str(path), "--no-embed"]) == EXIT_EXCLUDED
+            assert capsys.readouterr().err == line
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check", str(path), "--no-embed"]) == EXIT_EXCLUDED
+        assert capsys.readouterr().err == line
 
     @pytest.mark.parametrize("value", ["false", "true"])
     def test_truncation_key_is_unknown(self, tmp_path, capsys, value):
@@ -1271,10 +1276,7 @@ class TestFuzzedDescriptors:
         .replace("b_plus: 1\nb_minus: 1", "b_plus: 2\nb_minus: 0")
     )
     def test_check_exits_0_1_or_2(self, text):
-        with warnings.catch_warnings():
-            # a mutant may leave degrees above n to truncation: a warning, not an error
-            warnings.filterwarnings("ignore", "relations do not force vanishing", UserWarning)
-            self._judged_by_the_parser_alone(text)
+        self._judged_by_the_parser_alone(text)
 
     @staticmethod
     def _judged_by_the_parser_alone(text):
@@ -1302,9 +1304,6 @@ class TestFuzzedDescriptors:
             if d.n == 4 and d.pi1.kind == "finite":
                 rep = run_battery(d, BatteryOptions(embed_budget=200))
                 certified_embedding_keeps_intersection_check(d, rep)
-
-
-TRUNCATION = "relations do not force vanishing"
 
 
 def corpus_edits():
@@ -1341,26 +1340,22 @@ class TestCorpusEditSweep:
         reached = {"degenerate": 0, "betti": 0, "truncation": 0}
         path = tmp_path / "edited.descriptor"
         for name, edit, text in corpus_edits():
-            # a fresh basis, so that each edit's truncation warning shows
-            algebra.basis_and_dims.cache_clear()
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.filterwarnings("always", TRUNCATION, UserWarning)
-                try:
-                    parse_descriptor(text)
-                    error = None
-                except ParseError as exc:
-                    error = str(exc)
-            reached["truncation"] += bool(caught)
+            try:
+                d = parse_descriptor(text)
+                error = None
+            except ParseError as exc:
+                d, error = None, str(exc)
+            truncated = d is not None and bool(algebra.basis_and_dims(d.cohomology).excess_degrees)
+            reached["truncation"] += truncated
             reached["degenerate"] += "fundamental class lies in the relation ideal" in (error or "")
             reached["betti"] += "[betti] declares" in (error or "")
             path.write_text(text)
             out, err = io.StringIO(), io.StringIO()
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", TRUNCATION, UserWarning)
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = main(["check", str(path), "--no-embed"])
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["check", str(path), "--no-embed"])
             assert code in (EXIT_OK, EXIT_EXCLUDED, EXIT_USAGE), (name, edit, err.getvalue())
             assert (code == EXIT_USAGE) == (error is not None), (name, edit, error, code)
+            assert ("relying on truncation" in err.getvalue()) == truncated, (name, edit, err.getvalue())
         assert all(reached.values()), reached
 
 
@@ -1379,9 +1374,7 @@ class TestErrorColumns:
                         text = "".join(lines[:i] + [edited] + lines[i + 1 :])
                         edits += 1
                         try:
-                            with warnings.catch_warnings():
-                                warnings.filterwarnings("ignore", TRUNCATION, UserWarning)
-                                parse_descriptor(text)
+                            parse_descriptor(text)
                         except ParseError as exc:
                             if exc.line == i + 1:
                                 assert exc.col <= token.start() + 1, (path.name, edited, str(exc))

@@ -545,8 +545,7 @@ class TestAgainstFractionOracle:
             "name: capped\nn: 6\n[cohomology]\ngenerators: a:3 b:2\nrelation: a b\n"
             "fundamental_class: b^3\n[pi1]\ntype: finite\n"
         )
-        with pytest.warns(UserWarning, match="truncation"):  # nothing kills b^4
-            A = parse_descriptor(text).cohomology
+        A = parse_descriptor(text).cohomology  # nothing kills b^4: truncation steps in
         for budget in self.BUDGETS + (3000,):
             m, nodes = self._assert_matches_oracle(A, 7, budget)
         assert m is not None and nodes == 2540
