@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from . import linalg, quadform
 from .exterior import Multivector, wedge
@@ -158,7 +158,8 @@ class AlgebraPresentation:
     Everything above degree n is zero, as for a closed n-manifold;
     relations of degree > n are kept (they matter when mapping into
     larger exterior algebras) but are redundant for the truncated basis
-    computation.
+    computation.  The field hash is computed once: the cached layers look
+    a presentation up on every call.
     """
 
     generators: GeneratorTable
@@ -187,6 +188,11 @@ class AlgebraPresentation:
             raise ValueError(
                 f"fundamental class has degree {self.fundamental_class.degree()}, expected {self.n}"
             )
+        fields = (gens, self.relations, self.n, self.fundamental_class)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self):
+        return self._hash
 
 
 def _monomials_of_degree(gens: GeneratorTable, k: int) -> list[tuple[int, ...]]:
@@ -346,13 +352,9 @@ def _excess_degrees(gb: GradedBasis) -> list[int]:
     While no excess degree has been found, a degree k is first settled
     by :func:`_products_vanish` from the products that ``gb`` already
     holds.  A degree it cannot settle, and every degree after the first
-    excess one, gets the ideal rows of that degree alone, built from the
-    monomials of degree 0..k and kept nowhere.  Those rows are first
-    certified full by :func:`_fills_mod_p`: rank over F_p is at most
-    rank over Q, so rows spanning every column mod p span them over Q
-    too.  A deficit mod p, or a denominator that p divides, proves
-    nothing, and only then does the degree go through the exact
-    ``SparseSubspace``; the list is therefore the exact one.
+    excess one, goes through the exact ``SparseSubspace`` of that
+    degree's ideal rows alone, built from the monomials of degree 0..k
+    and kept nowhere; the list is therefore the exact one.
     """
     presentation = gb.presentation
     gens, n = presentation.generators, presentation.n
@@ -362,8 +364,6 @@ def _excess_degrees(gb: GradedBasis) -> list[int]:
         if not excess and _products_vanish(gb, k):
             continue
         monomials.extend(_monomials_of_degree(gens, j) for j in range(len(monomials), k + 1))
-        if _fills_mod_p(lambda: _ideal_rows(presentation, monomials, k), len(monomials[k])):
-            continue
         if _ideal_span(presentation, monomials, k).codim > 0:
             excess.append(k)
     return excess
@@ -399,59 +399,6 @@ def _products_vanish(gb: GradedBasis, k: int) -> bool:
                 continue
             return False
     return True
-
-
-_PRIME = (1 << 61) - 1
-
-
-def _fills_mod_p(rows: Callable[[], Iterable[dict[int, Fraction]]], dim: int) -> bool:
-    """True when the rows span all ``dim`` columns mod the prime 2^61 - 1.
-
-    ``rows()`` streams the rows; they are read twice and never stored.
-    The first pass collects the columns that a one-entry row with a unit
-    value mod p spans on its own.  The second drops those columns from
-    every other row (subtracting multiples of the one-entry rows, which
-    leaves the span alone) and eliminates the rest in Python ints, in
-    echelon form with each pivot at its row's first column, stopping as
-    soon as the rank is full.  False means inconclusive.
-    """
-    covered: set[int] = set()
-    for row in rows():
-        if len(covered) == dim:
-            return True
-        if len(row) == 1:
-            ((c, v),) = row.items()
-            if v.numerator % _PRIME and v.denominator % _PRIME:
-                covered.add(c)
-    pivots: dict[int, dict[int, int]] = {}
-    for row in rows():
-        if len(covered) + len(pivots) == dim:
-            break
-        red = {}
-        for c, v in row.items():
-            if c in covered:
-                continue
-            den = v.denominator % _PRIME
-            if den == 0:
-                return False
-            x = v.numerator * pow(den, -1, _PRIME) % _PRIME
-            if x:
-                red[c] = x
-        while red:
-            c = min(red)
-            pivot = pivots.get(c)
-            if pivot is None:
-                inv = pow(red[c], -1, _PRIME)
-                pivots[c] = {j: x * inv % _PRIME for j, x in red.items()}
-                break
-            f = red[c]
-            for j, x in pivot.items():
-                y = (red.get(j, 0) - f * x) % _PRIME
-                if y:
-                    red[j] = y
-                else:
-                    red.pop(j, None)
-    return len(covered) + len(pivots) == dim
 
 
 def euler_characteristic(presentation: AlgebraPresentation) -> int:

@@ -106,8 +106,19 @@ def _parse(path):
     return d
 
 
+def _require_searchable(n: int, avoid: str):
+    """Refuse, as a usage error, an embedding search into Lambda*(Q^n)
+    beyond the blade masks' reach; ``avoid`` names the flag that skips it."""
+    if n > MAX_DIMENSION:
+        raise ParseError(
+            f"the embedding search handles n up to {MAX_DIMENSION}, got n = {n}; {avoid}"
+        )
+
+
 def _cmd_check(args) -> int:
     d = _parse(args.descriptor)
+    if not args.no_embed:
+        _require_searchable(d.n, "pass --no-embed to run the other checks")
     report = run_battery(d, _battery_options(args, not args.no_embed))
     _report(args, report.to_dict(), report.render_text().splitlines())
     return EXIT_OK if report.verdict == "no-obstruction-found" else EXIT_EXCLUDED
@@ -116,6 +127,7 @@ def _cmd_check(args) -> int:
 def _cmd_embed(args) -> int:
     d = _parse(args.descriptor)
     n = args.n if args.n is not None else d.n
+    _require_searchable(n, f"pass --n with a target dimension in 0..{MAX_DIMENSION}")
     outcome = search_embedding(
         d.cohomology, n, budget=args.budget, seed=args.seed, float_restarts=args.float_restarts
     )

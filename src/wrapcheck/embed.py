@@ -276,9 +276,15 @@ def necessary_checks(A: AlgebraPresentation, n: int) -> tuple[CheckResult, ...]:
 
 
 def target_feasibility(A: AlgebraPresentation, n: int) -> CheckResult:
-    """Graded dimension bounds for embedding into Lambda*(Q^n)."""
+    """Graded dimension bounds for embedding into Lambda*(Q^n).
+
+    Only a degree of positive rank can exceed its bound, so only those
+    take a binomial: C(n, k) for every k costs quadratic big-int work.
+    """
     gb = basis_and_dims(A)
     for k in range(A.n + 1):
+        if gb.rank(k) == 0:
+            continue
         bound = graded_dimension(n, k) if k <= n else 0
         if gb.rank(k) > bound:
             witness = {"degree": k, "rank": gb.rank(k), "bound": bound, "target_n": n}
@@ -334,7 +340,9 @@ def _disjoint_blade_candidates(n: int, degree: int, cap: int) -> tuple[list[dict
     """
     if degree > n:
         return [], _SIGNED_PERMUTATIONS
-    masks = blade_masks(n, degree)
+    # the cap is reached among the first cap single blades, or the list
+    # holds fewer than cap masks: no later mask is ever read
+    masks = blade_masks(n, degree, limit=cap)
     out: list[dict[int, int]] = []
     max_terms = n // degree
 

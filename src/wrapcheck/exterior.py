@@ -79,15 +79,16 @@ class Blade:
         return cls(tuple(idx))
 
 
-def blade_masks(n: int, degree: int) -> list[int]:
-    """All degree-``degree`` blade masks in Lambda^*(Q^n), ascending."""
+def blade_masks(n: int, degree: int, limit: int | None = None) -> list[int]:
+    """All degree-``degree`` blade masks in Lambda^*(Q^n), ascending, or
+    the first ``limit`` of them."""
     if not 0 <= degree <= n:
         return []
     if degree == 0:
-        return [0]
+        return [0][:limit]
     # step to the next larger integer with the same bit count (Gosper)
     mask, end, out = (1 << degree) - 1, 1 << n, []
-    while mask < end:
+    while mask < end and len(out) != limit:
         out.append(mask)
         low = mask & -mask
         high = mask + low

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -174,6 +175,35 @@ class TestBasisAndDims:
         gens = (("x", 1), ("w", 2))
         pres = AlgebraPresentation(gens, (), 2, mono(gens, 1, 0, 1))
         assert basis_and_dims(pres).excess_degrees == [3, 4]
+
+
+class TestPresentationHash:
+    """A presentation hashes its fields once; equality stays field equality."""
+
+    def test_equal_presentations_share_one_cache_entry(self):
+        A, B = P.sum_cp2(2, 1), P.sum_cp2(2, 1)
+        assert A is not B and A == B and hash(A) == hash(B)
+        assert basis_and_dims(A) is basis_and_dims(B)
+        # d1^2 = c1^2 in place of d1^2 = -c1^2: #3 CP^2 on the same generators
+        flipped = GradedPolynomial(A.generators, ((1, (0, 0, 2)), (-1, (2, 0, 0))))
+        C = dataclasses.replace(A, relations=A.relations[:-1] + (flipped,))
+        assert C != A and basis_and_dims(C) is not basis_and_dims(A)
+        assert basis_and_dims(C).ranks == oracle_quotient_ranks(C)
+
+    def test_lookups_do_not_rehash_the_fields(self, monkeypatch):
+        A = P.sum_cp2(2, 1)
+        calls = []
+        field_hash = GradedPolynomial.__hash__
+
+        def counting(self):
+            calls.append(self)
+            return field_hash(self)
+
+        monkeypatch.setattr(GradedPolynomial, "__hash__", counting)
+        for _ in range(3):
+            basis_and_dims(A)
+            hash(A)
+        assert calls == []
 
 
 class TestEulerCharacteristic:
@@ -553,29 +583,24 @@ class TestIdealRows:
 
     PATHS = {p.name.removesuffix(".descriptor"): p for p in corpus_paths()}
     # presentations whose probe degrees the product certificate cannot all
-    # settle: no relations at all; a degree-4 ideal that is full mod p; one
-    # whose last row coincides with another mod p; and one with a
-    # denominator that p divides
+    # settle: no relations at all, and a degree-4 ideal that the relations
+    # fill with no lone relation term
     FALLBACK = {
         "unforced": _unforced,
-        "mod_p": lambda: _square_pair(Fraction(-1)),
-        "p_coefficient": lambda: _square_pair(1 + Fraction(algebra._PRIME)),
-        "inverse_p_coefficient": lambda: _square_pair(1 + Fraction(1, algebra._PRIME)),
+        "square_pair": lambda: _square_pair(Fraction(-1)),
     }
     # the route that settles each probe degree, in order; the certificate
     # settles every other corpus degree.  In the sums of CP^2's, c1^3 is
     # zero only through c1 c2 = 0 and c2^2 = +-c1^2, which no single
     # product shows
     ROUTES = {
-        **dict.fromkeys(["cp2_1_1", "cp2_3_3", "cp2_4_0"], ["certificate", "mod p"]),
+        **dict.fromkeys(["cp2_1_1", "cp2_3_3", "cp2_4_0"], ["certificate", "exact"]),
         "unforced": ["exact", "exact"],
-        "mod_p": ["certificate", "mod p"],
-        "p_coefficient": ["certificate", "exact"],
-        "inverse_p_coefficient": ["certificate", "exact"],
+        "square_pair": ["certificate", "exact"],
     }
 
     def test_every_route_has_a_fixture(self):
-        assert set(itertools.chain(*self.ROUTES.values())) == {"certificate", "mod p", "exact"}
+        assert set(itertools.chain(*self.ROUTES.values())) == {"certificate", "exact"}
 
     @pytest.mark.parametrize("name", [*PATHS, *FALLBACK])
     def test_basis_and_probe_match_reference(self, name, monkeypatch):
@@ -595,16 +620,11 @@ class TestIdealRows:
             assert all(type(c) is Fraction for row in rows for c in row)
         want = [k for k in range(A.n + 1, top + 1) if ref[k][1].codim > 0]
         routes = []
-        certificate, mod_p, exact = algebra._products_vanish, algebra._fills_mod_p, algebra._ideal_span
+        certificate, exact = algebra._products_vanish, algebra._ideal_span
 
         def by_certificate(gb, k):
             settled = certificate(gb, k)
             routes.extend(["certificate"] * settled)
-            return settled
-
-        def by_mod_p(rows, dim):
-            settled = mod_p(rows, dim)
-            routes.extend(["mod p"] * settled)
             return settled
 
         def by_exact(presentation, monomials, k):
@@ -613,13 +633,12 @@ class TestIdealRows:
             return exact(presentation, monomials, k)
 
         monkeypatch.setattr(algebra, "_products_vanish", by_certificate)
-        monkeypatch.setattr(algebra, "_fills_mod_p", by_mod_p)
         monkeypatch.setattr(algebra, "_ideal_span", by_exact)
         assert algebra._excess_degrees(gb) == want
         assert want == ([3, 4] if name == "unforced" else [])
         assert routes == self.ROUTES.get(name, ["certificate"] * (top - A.n))
-        # the exact fallbacks: only fixtures the certificate and mod p leave open
-        assert (routes.count("exact") > 0) == (name in ("unforced", "p_coefficient", "inverse_p_coefficient"))
+        # the exact fallback: only rings the certificate leaves open
+        assert (routes.count("exact") > 0) == (name in self.ROUTES)
         assert basis_and_dims(A).excess_degrees == want
 
     FAMILIES = {
@@ -629,6 +648,8 @@ class TestIdealRows:
         "cp": lambda: map(P.complex_projective, range(1, 6)),
         "genus": lambda: map(P.genus_surface, range(1, 5)),
         "sum_s2xs2": lambda: map(P.sum_s2xs2, range(1, 6)),
+        # the one family whose non-excess degrees the certificate cannot settle
+        "sum_cp2": lambda: (P.sum_cp2(s, t) for s in range(7) for t in range(7 - s)),
     }
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -640,8 +661,12 @@ class TestIdealRows:
             want = [k for k in range(A.n + 1, top + 1) if ref[k][1].codim > 0]
             assert algebra._excess_degrees(GradedBasis(A)) == want, A
             with_excess += bool(want)
-        # the random presentations mostly leave degrees above n to truncation
-        assert (with_excess > 0) == family.startswith("random")
+        # the random presentations mostly leave degrees above n to truncation,
+        # and so does a lone CP^2 or CP^2-bar: sum_cp2 gives it no cube relation
+        if family.startswith("random"):
+            assert with_excess > 0
+        else:
+            assert with_excess == (2 if family == "sum_cp2" else 0)
 
 
 def leaf_monomials(gens, k):
@@ -665,62 +690,8 @@ def leaf_monomials(gens, k):
     return sorted(out)
 
 
-def _probe_cases(A):
-    """(monomials of degree 0..k, k) for each probe degree k of A."""
-    gb = basis_and_dims(A)
-    monomials = [gb.monomials(j) for j in range(A.n + 1)]
-    for k in range(A.n + 1, A.n + max(d for _, d in A.generators) + 1):
-        monomials.append(algebra._monomials_of_degree(A.generators, k))
-        yield monomials, k
-
-
 class TestTruncationProbe:
-    """The covered-column certificate and the monomial enumeration."""
-
-    PATHS = {p.name.removesuffix(".descriptor"): p for p in corpus_paths()}
-
-    @pytest.mark.parametrize("name", [*PATHS, "random"])
-    def test_fills_mod_p_iff_exact_codim_zero(self, name):
-        if name == "random":
-            rings = list(random_small_presentations())
-        else:
-            rings = [parse_descriptor_file(self.PATHS[name]).cohomology]
-        for A in rings:
-            for monomials, k in _probe_cases(A):
-                fills = algebra._fills_mod_p(
-                    lambda: algebra._ideal_rows(A, monomials, k), len(monomials[k])
-                )
-                assert fills == (algebra._ideal_span(A, monomials, k).codim == 0), (A, k)
-
-    @pytest.mark.parametrize(
-        "coeff", [Fraction(algebra._PRIME), Fraction(1, algebra._PRIME)], ids=["p", "1/p"]
-    )
-    def test_non_unit_one_entry_row_spans_nothing(self, coeff):
-        one = Fraction(1)
-        assert not algebra._fills_mod_p(lambda: iter([{0: coeff}]), 1)
-        assert not algebra._fills_mod_p(lambda: iter([{0: coeff}, {1: one}]), 2)
-        # other rows settle column 0 before the non-unit row is reached
-        rows = [{0: one, 1: one}, {1: Fraction(3)}, {0: coeff}]
-        assert algebra._fills_mod_p(lambda: iter(rows), 2)
-
-    def test_covered_columns_leave_the_rank(self):
-        one = Fraction(1)
-        # column 1 is covered by the last row; the first then pivots on column 0
-        assert algebra._fills_mod_p(lambda: iter([{0: one, 1: one}, {1: Fraction(-2)}]), 2)
-        assert not algebra._fills_mod_p(
-            lambda: iter([{0: one, 1: one}, {0: Fraction(2), 1: Fraction(2)}]), 2
-        )
-        assert algebra._fills_mod_p(lambda: iter([]), 0)
-
-    def test_rows_are_streamed_not_stored(self):
-        calls = []
-
-        def rows():
-            calls.append(1)
-            return iter([{0: Fraction(1), 1: Fraction(1)}, {0: Fraction(1), 1: Fraction(-1)}])
-
-        assert algebra._fills_mod_p(rows, 2)
-        assert len(calls) == 2
+    """The monomial enumeration."""
 
     def test_monomials_match_leaf_enumeration(self):
         rng = random.Random(4242)

@@ -19,6 +19,7 @@ from wrapcheck import algebra
 from wrapcheck.battery import BatteryOptions, run_battery
 from wrapcheck.cli import EXIT_EXCLUDED, EXIT_OK, EXIT_USAGE, corpus_paths, main
 from wrapcheck.algebra import _monomials_of_degree
+from wrapcheck.exterior import MAX_DIMENSION
 from wrapcheck.descriptor import (
     MAX_MONOMIALS,
     ParseError,
@@ -566,6 +567,52 @@ class TestGradedDimensionBound:
         out = capsys.readouterr().out
         assert "embedding: not-found (blocked by graded-dimension-bound)" in out
         assert "witnesses: graded-dimension-bound" in out
+
+
+def sphere_descriptor(n: int) -> str:
+    return (
+        f"name: s{n}\nn: {n}\n[cohomology]\ngenerators: w:{n}\n"
+        + ("relation: w^2\n" if n % 2 == 0 else "")
+        + "fundamental_class: w\n[pi1]\ntype: finite\n"
+    )
+
+
+class TestSearchDimensionLimit:
+    """A search into Lambda*(Q^n) above MAX_DIMENSION is a usage error
+    naming the limit and the flag that avoids it; the other checks run."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(["check"], "--no-embed"), (["embed"], "--n"), (["check", "--budget", "0"], "--no-embed")],
+    )
+    def test_search_above_the_limit_exits_2(self, tmp_path, capsys, argv, flag):
+        path = tmp_path / "s33.descriptor"
+        path.write_text(sphere_descriptor(MAX_DIMENSION + 1))
+        assert main([argv[0], str(path), *argv[1:]]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert f"up to {MAX_DIMENSION}, got n = {MAX_DIMENSION + 1}" in captured.err
+        assert f"pass {flag} " in captured.err
+
+    def test_no_embed_runs_the_other_checks(self, tmp_path, capsys):
+        path = tmp_path / "s33.descriptor"
+        path.write_text(sphere_descriptor(MAX_DIMENSION + 1))
+        assert main(["check", str(path), "--no-embed"]) == EXIT_OK
+        assert "verdict: no-obstruction-found" in capsys.readouterr().out
+
+    def test_embed_into_a_smaller_target_runs(self, tmp_path, capsys):
+        path = tmp_path / "s33.descriptor"
+        path.write_text(sphere_descriptor(MAX_DIMENSION + 1))
+        # b_33 = 1 > C(32, 33) = 0: the graded bound blocks the search
+        assert main(["embed", str(path), "--n", str(MAX_DIMENSION)]) == EXIT_EXCLUDED
+        assert "blocked by: graded-dimension-bound" in capsys.readouterr().out
+
+    def test_the_limit_itself_is_searched(self, tmp_path, capsys):
+        path = tmp_path / "s32.descriptor"
+        path.write_text(sphere_descriptor(MAX_DIMENSION))
+        assert main(["check", str(path), "--budget", "10"]) == EXIT_OK
+        assert capsys.readouterr().err == ""
 
 
 def torus_descriptor(k: int) -> str:

@@ -1,7 +1,9 @@
 import importlib.util
 import itertools
 import json
+import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from wrapcheck.embed import (
     torus_subalgebra_check,
     verify_morphism,
 )
-from wrapcheck.exterior import Multivector, blade_masks, wedge, wedge_terms
+from wrapcheck.exterior import Multivector, blade_masks, graded_dimension, wedge, wedge_terms
 from wrapcheck.nilcoh import NilLieAlgebra
 
 import presentations as P
@@ -395,6 +397,44 @@ EXACT_STAGE_PINS = {
 }
 
 
+class TestTargetFeasibility:
+    """The graded dimension bounds take a binomial only where the ring has
+    positive rank, and fail where a full scan of C(n, k) fails."""
+
+    def test_binomials_only_in_degrees_of_positive_rank(self, monkeypatch):
+        A = P.sphere(100000)
+        degrees = []
+
+        def counting(n, k):
+            degrees.append(k)
+            # C(100000, k) for every k is minutes of big-int work
+            assert len(degrees) <= 2, f"binomial taken in degree {k}, of rank 0"
+            return graded_dimension(n, k)
+
+        monkeypatch.setattr(embed, "graded_dimension", counting)
+        try:
+            result = embed.target_feasibility(A, A.n)
+        finally:
+            algebra.basis_and_dims.cache_clear()  # its basis holds 100001 degrees
+        assert (result.verdict, degrees) == ("pass", [0, A.n])
+
+    def test_first_failure_matches_a_full_scan(self):
+        rings = [parse_descriptor_file(p).cohomology for p in corpus_paths()]
+        rings += random_small_presentations(60, seed=3)
+        for A in rings:
+            ranks = algebra.basis_and_dims(A).ranks
+            for n in range(A.n + 2):
+                want = {"target_n": n}
+                for k, r in enumerate(ranks):
+                    bound = math.comb(n, k) if k <= n else 0
+                    if r > bound:
+                        want = {"degree": k, "rank": r, "bound": bound, "target_n": n}
+                        break
+                result = embed.target_feasibility(A, n)
+                assert result.witness == want, (A, n)
+                assert result.verdict == ("fail" if "degree" in want else "pass")
+
+
 def _witness(m):
     return None if m is None else {nm: repr(mv) for nm, mv in sorted(m.assignment.items())}
 
@@ -674,6 +714,49 @@ class TestOrbitKey:
             swaps = [identity[:i] + [i + 1, i] + identity[i + 2 :] for i in range(n - 1)]
             images = [_signed_permutation_image(c, swap, [1] * n) for c in cands for swap in swaps]
             assert all(image in members for image in images)
+
+
+def full_list_blade_candidates(n, degree, cap):
+    """The candidate list and group built from every blade mask of the
+    degree, as before the masks were cut at the cap."""
+    if degree > n:
+        return [], embed._SIGNED_PERMUTATIONS
+    masks = blade_masks(n, degree)
+    out = []
+    for size in range(1, n // degree + 1):
+        last = (-1,) * size
+        for combo in itertools.combinations(masks, size):
+            if any(a & b for a, b in itertools.combinations(combo, 2)):
+                continue
+            for signs in itertools.product((1, -1), repeat=size):
+                out.append(dict(zip(combo, signs)))
+                if len(out) >= cap:
+                    return out, embed._SIGN_FLIPS if signs == last else embed._NO_SYMMETRY
+    return out, embed._SIGNED_PERMUTATIONS
+
+
+class TestCandidateLists:
+    """The capped candidate lists read only the first cap blade masks."""
+
+    CAPS = (1, 2, 3, 511, 512, 513)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_lists_match_the_full_list_construction(self, n):
+        for degree in range(1, n + 2):
+            for cap in self.CAPS:
+                got = embed._disjoint_blade_candidates.__wrapped__(n, degree, cap)
+                assert got == full_list_blade_candidates(n, degree, cap), (n, degree, cap)
+
+    def test_memory_is_bounded_by_the_cap(self):
+        # C(24, 12) = 2704156 masks; the whole list peaked at 103 MB
+        tracemalloc.start()
+        try:
+            cands, group = embed._disjoint_blade_candidates.__wrapped__(24, 12, 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(cands), group) == (512, embed._SIGN_FLIPS)
+        assert peak < 2 * 1024 * 1024
 
 
 def _polynomial_text(p) -> str:

@@ -187,7 +187,10 @@ class TestBladeMasks:
     def test_matches_the_full_scan(self):
         for n in range(11):
             for k in range(-1, n + 2):
-                assert blade_masks(n, k) == [m for m in range(1 << n) if m.bit_count() == k]
+                full = [m for m in range(1 << n) if m.bit_count() == k]
+                assert blade_masks(n, k) == full
+                for limit in (0, 1, 5, len(full) + 1):
+                    assert blade_masks(n, k, limit=limit) == full[:limit]
 
     def test_maximal_dimension_is_cheap(self):
         start = time.perf_counter()
