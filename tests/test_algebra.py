@@ -690,8 +690,39 @@ def leaf_monomials(gens, k):
     return sorted(out)
 
 
+def _probe_cases(A):
+    """(monomials of degree 0..k, k) for each probe degree k of A."""
+    gb = basis_and_dims(A)
+    monomials = [gb.monomials(j) for j in range(A.n + 1)]
+    for k in range(A.n + 1, A.n + max(d for _, d in A.generators) + 1):
+        monomials.append(algebra._monomials_of_degree(A.generators, k))
+        yield monomials, k
+
+
 class TestTruncationProbe:
-    """The monomial enumeration."""
+    """The product certificate degree by degree, and the monomial enumeration."""
+
+    PATHS = {p.name.removesuffix(".descriptor"): p for p in corpus_paths()}
+
+    @pytest.mark.parametrize("name", [*PATHS, "random"])
+    def test_certificate_implies_exact_codim_zero(self, name):
+        if name == "random":
+            rings = list(random_small_presentations())
+        else:
+            rings = [parse_descriptor_file(self.PATHS[name]).cohomology]
+        settled = 0
+        for A in rings:
+            gb = basis_and_dims(A)
+            # the certificate's premise: every probe degree below k is zero
+            below_zero = True
+            for monomials, k in _probe_cases(A):
+                zero = algebra._ideal_span(A, monomials, k).codim == 0
+                if below_zero and algebra._products_vanish(gb, k):
+                    assert zero, (A, k)
+                    settled += 1
+                below_zero = below_zero and zero
+        # the certificate settles some degree of every ring set tried
+        assert settled > 0
 
     def test_monomials_match_leaf_enumeration(self):
         rng = random.Random(4242)
