@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -88,16 +89,24 @@ def _tokenize(text: str, line_no: int, offset: int):
     return out
 
 
+def _digits(text: str, what: str, line_no: int, col: int) -> int:
+    """int() of ASCII digits after an optional '-', or a ParseError at ``col``
+    if there are more digits than int() converts (``sys.get_int_max_str_digits``)."""
+    count, limit = len(text.removeprefix("-")), sys.get_int_max_str_digits()
+    if limit and count > limit:
+        raise ParseError(f"{what} has {count} digits, over the limit of {limit}", line_no, col)
+    return int(text)
+
+
 def _parse_rational(tok: str, line_no: int, col: int) -> Fraction:
-    try:
-        if "/" in tok:
-            num, den = tok.split("/")
-            if den == "0" or not num or not den:
-                raise ValueError
-            return Fraction(int(num), int(den))
-        return Fraction(int(tok))
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"malformed rational literal {tok!r}", line_no, col) from None
+    """A ``p`` or ``p/q`` literal of ASCII digits, as the tokenizer reads it."""
+    num, _, den = tok.partition("/")
+    what = "coefficient numerator" if den else "coefficient"
+    num = _digits(num, what, line_no, col)
+    den = _digits(den, "coefficient denominator", line_no, col) if den else 1
+    if den == 0:
+        raise ParseError(f"malformed rational literal {tok!r}", line_no, col)
+    return Fraction(num, den)
 
 
 def parse_polynomial(
@@ -153,7 +162,7 @@ def parse_polynomial(
             if i + 1 < len(tokens) and tokens[i + 1][0] == "^":
                 if i + 2 >= len(tokens) or not re.fullmatch(r"[0-9]+", tokens[i + 2][0]):
                     raise ParseError("expected integer exponent after ^", line_no, col)
-                e = int(tokens[i + 2][0])
+                e = _digits(tokens[i + 2][0], "exponent", line_no, tokens[i + 2][1])
                 i += 2
             if degrees[idx] % 2 == 1 and exps[idx] + e > 1:
                 raise ParseError(
@@ -206,13 +215,23 @@ _REPEATABLE = {"relation", "bracket"}
 def _monomial_count(degrees: list[int], top: int) -> int:
     """The number of monomials of degree 0..top, each odd generator at most
     once: the coefficients up to t^top of the product of 1 + t^d over the
-    odd degrees d and of 1 / (1 - t^d) over the even ones."""
-    counts = [1] + [0] * top
+    odd degrees d and of 1 / (1 - t^d) over the even ones.  Past
+    MAX_MONOMIALS it stops and returns a larger number.
+
+    Only the degrees with monomials are kept, and each step adds at least
+    one monomial, so there are at most MAX_MONOMIALS + 1 steps in all
+    however large ``top`` is."""
+    counts = {0: 1}
+    total = 1
     for d in degrees:
-        steps = range(top, d - 1, -1) if d % 2 else range(d, top + 1)
-        for k in steps:
-            counts[k] += counts[k - d]
-    return sum(counts)
+        most = 1 if d % 2 else top  # the highest power of this generator
+        for k, c in list(counts.items()):
+            for j in range(1, min(most, (top - k) // d) + 1):
+                counts[k + j * d] = counts.get(k + j * d, 0) + c
+                total += c
+                if total > MAX_MONOMIALS:
+                    return total
+    return total
 
 
 def _integer(entry, message: str, least: int = 0) -> int:
@@ -220,9 +239,10 @@ def _integer(entry, message: str, least: int = 0) -> int:
     reads '1_0', '+2' and other scripts' digits), at least ``least``; else
     ``message``, formatted with the key and value, at the value's column."""
     line_no, key, value, col = entry
-    if not re.fullmatch(r"[0-9]+", value) or int(value) < least:
+    number = _digits(value, key, line_no, col) if re.fullmatch(r"[0-9]+", value) else None
+    if number is None or number < least:
         raise ParseError(message.format(key=key, value=value), line_no, col)
-    return int(value)
+    return number
 
 
 def parse_descriptor(text: str) -> ManifoldDescriptor:
@@ -296,7 +316,7 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
                     raise ParseError(f"duplicate generator {nm!r}", line_no, col)
                 if not re.fullmatch(r"-?[0-9]+", deg):
                     raise ParseError(f"bad degree {deg!r}", line_no, col)
-                deg = int(deg)
+                deg = _digits(deg, "generator degree", line_no, col)
                 if deg < 1:
                     raise ParseError(f"generator degree must be >= 1, got {deg}", line_no, col)
                 if deg > n:
@@ -307,11 +327,9 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
             generators = tuple(generators)
             degrees = [d for _, d in generators]
             top = n + max(degrees, default=0)
-            count = _monomial_count(degrees, top)
-            if count > MAX_MONOMIALS:
+            if _monomial_count(degrees, top) > MAX_MONOMIALS:
                 raise ParseError(
-                    f"generators span {count} monomials of degree 0..{top}, "
-                    f"over the limit of {MAX_MONOMIALS}",
+                    f"generators span more than {MAX_MONOMIALS} monomials of degree 0..{top}",
                     line_no,
                     value_col,
                 )
@@ -362,7 +380,7 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
                 raise ParseError("bracket must look like [i,j] = expr", line_no, value_col)
             if dim is None:
                 raise ParseError("dim must come before bracket lines", line_no)
-            i, j = int(m.group(1)), int(m.group(2))
+            i, j = (_digits(m.group(k), "bracket index", line_no, value_col + m.start(k)) for k in (1, 2))
             if not 1 <= i < j <= dim:
                 raise ParseError(
                     f"bracket indices must satisfy 1 <= i < j <= {dim}", line_no, value_col
@@ -384,7 +402,8 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
     kind_line, _, kind, kind_col = kind_entry
     free_abelian = re.fullmatch(r"Z(?:\^([0-9]+))?", kind)
     if free_abelian:
-        pi1 = Pi1Data("free-abelian", rank=int(free_abelian.group(1) or 1))
+        rank = _digits(free_abelian.group(1) or "1", "pi1 rank", kind_line, kind_col + 2)
+        pi1 = Pi1Data("free-abelian", rank=rank)
     elif kind in ("finite", "other"):
         pi1 = Pi1Data(kind)
     elif kind == "nilpotent":

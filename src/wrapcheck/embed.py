@@ -30,10 +30,11 @@ of :func:`evaluate_polynomial` on float multivectors -- the left
 operand of each product in the order the dict wedge leaves it, not in
 ascending blade order -- and the residuals, hence the search outcomes,
 equal those of the dict arithmetic bit for bit.  The program evaluates
-a batch of points, one row each, and ``least_squares`` gets a
-``workers`` map that runs all the columns of a finite-difference
-Jacobian through one such call; scipy still picks the steps and forms
-the differences, and each row is bit-identical to one call per column.
+a batch of points, one row each, and ``least_squares`` gets a Jacobian
+that runs the point and all the columns of scipy's '2-point' finite
+difference through one such call.  It takes scipy's steps and forms
+its differences in its order, and each row is bit-identical to one
+call per point, so the Jacobian, and every trajectory, is scipy's own.
 """
 
 from __future__ import annotations
@@ -681,20 +682,21 @@ def _image_program(polys, n: int, gen_masks, offsets):
     pick = np.array(order, dtype=np.intp)
     targets = np.array([stacked[r][1] for r in order], dtype=np.intp)
     coeffs = np.array([c.coeff for c in chains])
-    bins_by_batch: dict[int, list[np.ndarray]] = {}
+    by_batch: dict[int, tuple] = {}
 
-    def bins(batch: int) -> list[np.ndarray]:
-        """The scatter bins of each product, then of the last scatter."""
-        if batch not in bins_by_batch:
+    def prepared(batch: int) -> tuple:
+        """The coefficients broadcast to the batch, the scatter bins of each
+        product, and those of the last scatter."""
+        if batch not in by_batch:
             base = np.arange(batch, dtype=np.intp)[:, None]
             scatters = [(T, size) for _, _, T, _, size in products] + [(targets, out_len)]
-            bins_by_batch[batch] = [(base * size + T).ravel() for T, size in scatters]
-        return bins_by_batch[batch]
+            *product_bins, target_bins = [(base * size + T).ravel() for T, size in scatters]
+            by_batch[batch] = (np.broadcast_to(coeffs, (batch, coeffs.size)), product_bins, target_bins)
+        return by_batch[batch]
 
     def images(X: np.ndarray) -> np.ndarray:
         batch = X.shape[0]
-        *product_bins, target_bins = bins(batch)
-        v = np.broadcast_to(coeffs, (batch, coeffs.size))
+        v, product_bins, target_bins = prepared(batch)
         ended = [v[:, ends[0]:]]
         for (I, G, _, S, size), B, end in zip(products, product_bins, ends[1:]):
             v = np.bincount(B, (v[:, I] * X[:, G] * S).ravel(), minlength=batch * size)
@@ -704,6 +706,12 @@ def _image_program(polys, n: int, gen_masks, offsets):
         return np.bincount(target_bins, picked, minlength=batch * out_len).reshape(batch, out_len)
 
     return images
+
+
+def _row_dots(F: np.ndarray) -> np.ndarray:
+    """``[f @ f for f in F]`` in one stacked matmul, bit for bit: numpy
+    takes each 1 x k by k x 1 product with the dot routine of ``f @ f``."""
+    return np.matmul(F[:, None, :], F[:, :, None])[:, 0, 0]
 
 
 def _float_stage(A: AlgebraPresentation, n: int, restarts: int, seed: int) -> SearchOutcome:
@@ -744,24 +752,31 @@ def _float_stage(A: AlgebraPresentation, n: int, restarts: int, seed: int) -> Se
 
     def residual_rows(X: np.ndarray) -> np.ndarray:
         coords = images(X)
-        norms = [fc_vec @ fc_vec - 1.0 for fc_vec in coords[:, nrel:]]
-        return np.column_stack((coords[:, :nrel], norms))
+        return np.column_stack((coords[:, :nrel], _row_dots(coords[:, nrel:]) - 1.0))
 
     def residuals(x: np.ndarray) -> np.ndarray:
         return residual_rows(x[None, :])[0]
 
-    def jacobian_points(fun, xs) -> np.ndarray:
-        # scipy's finite-difference map; ``fun`` wraps ``residuals``, so
-        # every perturbed point goes through one batch instead, one row each
-        return residual_rows(np.array(list(xs)))
-
     nvars = int(offsets[-1])
+    rel_step = np.finfo(float).eps ** 0.5
+
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        # scipy's '2-point' Jacobian without bounds, bit for bit: its step,
+        # its f0 as row 0, one perturbed coordinate per further row, and
+        # the transpose of its column-by-row array
+        h = rel_step * ((x >= 0).astype(float) * 2 - 1) * np.maximum(1.0, np.abs(x))
+        X = np.tile(x, (nvars + 1, 1))
+        np.fill_diagonal(X[1:], x + h)
+        rows = residual_rows(X)
+        dx = (x + h) - x
+        return ((rows[1:] - rows[0]) / dx[:, None]).T
+
     method = "lm" if nrel + 1 >= nvars and nvars <= 60 else "trf"
     best_res = None
     for trial in range(restarts):
         rng = np.random.default_rng((seed, trial))
         x0 = rng.normal(0.0, 1.0, size=nvars)
-        sol = least_squares(residuals, x0, method=method, workers=jacobian_points)
+        sol = least_squares(residuals, x0, jac=jacobian, method=method)
         coords = images(sol.x[None, :])[0]
         rel_resid = float(np.max(np.abs(coords[:nrel]), initial=0.0))
         fc_norm = math.sqrt(sum(float(c) ** 2 for c in coords[nrel:]))

@@ -36,14 +36,6 @@ def identity(n: int) -> Matrix:
     return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
-    bt = list(zip(*b))
-    return [
-        [sum((Fraction(x) * Fraction(y) for x, y in zip(row, col)), Fraction(0)) for col in bt]
-        for row in a
-    ]
-
-
 class SparseSubspace:
     """Incrementally maintained echelon span of rows.
 

@@ -233,6 +233,19 @@ def all_pairs_closure(n, gens):
 
 
 # ---------------------------------------------------------------------------
+# Dense matrix product over Fractions
+# ---------------------------------------------------------------------------
+
+
+def mat_mul(a, b) -> list[list[Fraction]]:
+    bt = list(zip(*b))
+    return [
+        [sum((Fraction(x) * Fraction(y) for x, y in zip(row, col)), Fraction(0)) for col in bt]
+        for row in a
+    ]
+
+
+# ---------------------------------------------------------------------------
 # Dense reference for nilpotent Lie algebras and their invariant forms
 # ---------------------------------------------------------------------------
 

@@ -6,8 +6,10 @@ import math
 import pathlib
 import random
 import re
+import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -458,6 +460,58 @@ class TestDescriptorMessages:
         assert captured.out == ""
 
 
+class TestDigitLimit:
+    """An integer with more digits than int() converts is refused at its
+    column, naming the limit, in every integer field and in a coefficient;
+    it is never an internal error."""
+
+    BASE = TestDescriptorMessages.BASE
+    LONG = "1" * 5000
+
+    @pytest.mark.parametrize(
+        "old, new, line, col, what",
+        [
+            ("n: 2", f"n: {LONG}", 3, 4, "n"),
+            ("generators: x:1 y:1", f"generators: x:1 y:{LONG}", 5, 17, "generator degree"),
+            ("fundamental_class: x y", f"fundamental_class: x y^{LONG}", 6, 24, "exponent"),
+            ("fundamental_class: x y", f"fundamental_class: {LONG} x y", 6, 20, "coefficient"),
+            ("fundamental_class: x y", f"fundamental_class: {LONG}/2 x y", 6, 20, "coefficient numerator"),
+            ("fundamental_class: x y", f"fundamental_class: 1/{LONG} x y", 6, 20, "coefficient denominator"),
+            ("dim: 3", f"dim: {LONG}", 9, 6, "dim"),
+            ("bracket: [1,2] = e3", f"bracket: [{LONG},2] = e3", 10, 11, "bracket index"),
+            ("bracket: [1,2] = e3", f"bracket: [1,{LONG}] = e3", 10, 13, "bracket index"),
+            ("type: nilpotent\ndim: 3\nbracket: [1,2] = e3", f"type: Z^{LONG}", 8, 9, "pi1 rank"),
+            ("e3\n", f"e3\n[betti]\nb_plus: {LONG}\nb_minus: 0\n", 12, 9, "b_plus"),
+            ("e3\n", f"e3\n[betti]\nb_plus: 0\nb_minus: {LONG}\n", 13, 10, "b_minus"),
+        ],
+        ids=[
+            "n", "degree", "exponent", "coefficient", "numerator", "denominator",
+            "dim", "bracket_i", "bracket_j", "rank", "b_plus", "b_minus",
+        ],
+    )
+    def test_exit_at_the_field(self, tmp_path, capsys, old, new, line, col, what):
+        assert self.BASE.count(old) == 1
+        bad = tmp_path / "bad.descriptor"
+        bad.write_text(self.BASE.replace(old, new))
+        assert main(["check", str(bad)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        limit = sys.get_int_max_str_digits()
+        assert captured.err == (
+            f"error: line {line}, col {col}: {what} has 5000 digits, over the limit of {limit}\n"
+        )
+        assert captured.out == ""
+
+    def test_the_interpreter_limit_is_the_one_named(self):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with pytest.raises(ParseError, match="n has 700 digits, over the limit of 640"):
+                parse_descriptor(self.BASE.replace("n: 2", "n: " + "1" * 700))
+            assert parse_descriptor(self.BASE.replace("n: 2", "n: " + "0" * 639 + "2")).n == 2
+        finally:
+            sys.set_int_max_str_digits(old)
+
+
 def connected_sum(name: str, p: int, q: int, copies: int) -> str:
     """A descriptor of the connected sum of copies of S^p x S^q, written
     with every product that vanishes (a_i b_j for i != j, a_i a_j, b_i b_j,
@@ -637,6 +691,11 @@ class TestMonomialBound:
             want = sum(len(_monomials_of_degree(gens, k)) for k in range(top + 1))
             assert _monomial_count(degrees, top) == want
 
+    @pytest.mark.parametrize("k", [14, 15, 16, 17])
+    def test_count_passes_the_limit_with_the_ring(self, k):
+        # T^k has 2^k monomials of degree 0..k+1
+        assert (_monomial_count([1] * k, k + 1) > MAX_MONOMIALS) == (2**k > MAX_MONOMIALS)
+
     @pytest.mark.parametrize("k", [14, 15])
     def test_tori_within_the_limit_parse(self, k):
         assert 2**k <= MAX_MONOMIALS
@@ -651,10 +710,32 @@ class TestMonomialBound:
         assert time.perf_counter() - start < 2
         captured = capsys.readouterr()
         assert captured.err == (
-            f"error: line 4, col 13: generators span {2**k} monomials of degree 0..{k + 1}, "
-            f"over the limit of {MAX_MONOMIALS}\n"
+            f"error: line 4, col 13: generators span more than {MAX_MONOMIALS} monomials "
+            f"of degree 0..{k + 1}\n"
         )
         assert captured.out == ""
+
+    def test_a_large_n_is_refused_in_bounded_time_and_memory(self, tmp_path, capsys):
+        # the powers of w alone pass the limit: the count stops there instead
+        # of listing n + 2 degrees
+        path = tmp_path / "large_n.descriptor"
+        path.write_text(
+            "name: a\nn: 100000000\n[cohomology]\ngenerators: w:2\nfundamental_class: w\n"
+            "[pi1]\ntype: finite\n"
+        )
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            assert main(["check", str(path)]) == EXIT_USAGE
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 2
+        assert peak < 10 * 2**20
+        assert capsys.readouterr().err == (
+            f"error: line 4, col 13: generators span more than {MAX_MONOMIALS} monomials "
+            "of degree 0..100000002\n"
+        )
 
 
 class TestBattery:

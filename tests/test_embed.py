@@ -851,6 +851,19 @@ class TestCompiledResiduals:
             assert row.tobytes() == want.tobytes()
 
 
+class TestRowDots:
+    def test_same_bits_as_one_dot_per_row(self):
+        # the fundamental-class rows are column slices of the image rows; a
+        # target above the ring's dimension gives them several coordinates
+        rng = np.random.default_rng(5)
+        for batch in (1, 2, 7, 31):
+            for k in range(1, 41):
+                coords = rng.normal(size=(batch, 3 + k))
+                fc = coords[:, 3:]
+                want = np.array([f @ f for f in fc])
+                assert embed._row_dots(fc).tobytes() == want.tobytes()
+
+
 def _regen_golden():
     script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "regen_golden.py"
     spec = importlib.util.spec_from_file_location("regen_golden", script)
@@ -869,9 +882,10 @@ class TestFloatStageGolden:
 
 
 class TestBatchedJacobian:
-    """The float stage hands least_squares a workers map that evaluates
-    every finite-difference column in one batch; dropping it, so scipy
-    calls the residual once per column, must change no bit."""
+    """The float stage hands least_squares its own Jacobian, which forms
+    every finite-difference column in one batch; dropping it, so scipy's
+    '2-point' default calls the residual once per column, must change no
+    bit."""
 
     @staticmethod
     def runs():
@@ -885,16 +899,19 @@ class TestBatchedJacobian:
         )
 
     @staticmethod
-    def searches(monkeypatch, runs, drop_workers: bool):
+    def searches(monkeypatch, runs, drop_jac: bool):
         solve = embed.least_squares
         solutions = []
 
         def recording(fun, x0, **kwargs):
-            assert callable(kwargs["workers"])
-            if drop_workers:
-                del kwargs["workers"]
+            assert callable(kwargs["jac"])
+            if drop_jac:
+                del kwargs["jac"]
             sol = solve(fun, x0, **kwargs)
-            solutions.append((sol.x.tobytes(), sol.jac.tobytes(), sol.nfev, sol.njev, sol.status))
+            # "lm" reports no njev for scipy's own differences, and a count
+            # for a callable Jacobian
+            njev = sol.njev if kwargs["method"] == "trf" else None
+            solutions.append((sol.x.tobytes(), sol.jac.tobytes(), sol.nfev, njev, sol.status))
             return sol
 
         paths = {p.name.removesuffix(".descriptor"): p for p in corpus_paths()}
@@ -910,8 +927,8 @@ class TestBatchedJacobian:
 
     def test_same_bits_as_one_call_per_column(self, monkeypatch):
         runs = self.runs()
-        batched, batched_sols = self.searches(monkeypatch, runs, drop_workers=False)
-        per_column, per_column_sols = self.searches(monkeypatch, runs, drop_workers=True)
+        batched, batched_sols = self.searches(monkeypatch, runs, drop_jac=False)
+        per_column, per_column_sols = self.searches(monkeypatch, runs, drop_jac=True)
         assert [repr(o) for o in batched] == [repr(o) for o in per_column]
         assert batched == per_column
         assert len(batched_sols) > len(runs)

@@ -10,6 +10,8 @@ from wrapcheck import linalg
 from wrapcheck.algebra import ConcreteSubalgebra
 from wrapcheck.exterior import Multivector
 
+from oracles import mat_mul
+
 
 def _random_matrix(rng, m, n, rank=None):
     """An m x n matrix of small rationals; of the given rank (almost surely) if set."""
@@ -21,7 +23,7 @@ def _random_matrix(rng, m, n, rank=None):
         return [[entry() for _ in range(n)] for _ in range(m)]
     left = [[entry() for _ in range(rank)] for _ in range(m)]
     right = [[entry() for _ in range(n)] for _ in range(rank)]
-    return linalg.mat_mul(left, right)
+    return mat_mul(left, right)
 
 
 def _sym(rows, ncols):

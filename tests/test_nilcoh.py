@@ -96,7 +96,7 @@ class TestCEDifferential:
         for g in nilpotent_corpus(17, 15, max_dim=6):
             cx = ce_differential(g)
             for k in range(g.dim - 1):
-                prod = linalg.mat_mul(
+                prod = oracles.mat_mul(
                     [list(r) for r in cx.differentials[k + 1]],
                     [list(r) for r in cx.differentials[k]],
                 )

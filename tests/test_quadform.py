@@ -7,7 +7,6 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from wrapcheck import linalg
 from wrapcheck.quadform import (
     DegenerateForm,
     QuadraticForm,
@@ -20,7 +19,7 @@ from wrapcheck.quadform import (
     wedge_pairing_form,
 )
 
-from oracles import hilbert_oracle
+from oracles import hilbert_oracle, mat_mul
 
 REMARK_FORM = QuadraticForm.diagonal([2, 1, 1, -1, -1, -1])
 HYPERBOLIC = QuadraticForm(((0, 1), (1, 0)))
@@ -59,8 +58,8 @@ class TestDiagonalize:
         for gram in forms:
             f = QuadraticForm(gram)
             diag, t = diagonalize(f)
-            product = linalg.mat_mul(
-                linalg.mat_mul(list(zip(*t)), [list(r) for r in f.gram]), t
+            product = mat_mul(
+                mat_mul(list(zip(*t)), [list(r) for r in f.gram]), t
             )
             n = f.rank
             assert product == [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)], gram
@@ -79,8 +78,8 @@ class TestDiagonalize:
                     g[i][j] = g[j][i]
             f = QuadraticForm(tuple(tuple(row) for row in g))
             diag, t = diagonalize(f)
-            product = linalg.mat_mul(
-                linalg.mat_mul(list(zip(*t)), [list(r) for r in f.gram]), t
+            product = mat_mul(
+                mat_mul(list(zip(*t)), [list(r) for r in f.gram]), t
             )
             for i in range(n):
                 for j in range(n):
@@ -123,7 +122,7 @@ class TestDiscriminant:
                 t = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
                 if abs(sympy.Matrix(t).det()) == 1:
                     break
-            g = linalg.mat_mul(linalg.mat_mul(list(zip(*t)), [list(r) for r in base.gram]), t)
+            g = mat_mul(mat_mul(list(zip(*t)), [list(r) for r in base.gram]), t)
             moved = QuadraticForm(tuple(tuple(row) for row in g))
             assert discriminant(moved) == discriminant(base)
             assert signature(moved) == signature(base)
