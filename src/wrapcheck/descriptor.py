@@ -27,6 +27,7 @@ zero bracket)::
 from __future__ import annotations
 
 import itertools
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ from fractions import Fraction
 
 from . import algebra, quadform
 from .algebra import AlgebraPresentation, GradedPolynomial
+from .linalg import SparseSubspace
 from .nilcoh import NilLieAlgebra, lower_central_series
 
 
@@ -96,6 +98,20 @@ def _digits(text: str, what: str, line_no: int, col: int) -> int:
     if limit and count > limit:
         raise ParseError(f"{what} has {count} digits, over the limit of {limit}", line_no, col)
     return int(text)
+
+
+def _decimal(number: int) -> str:
+    """number in decimal, or "a k-digit number" where it has more digits
+    than str() converts: a value derived from fields within the limit (a
+    sum or product of them) can pass it."""
+    try:
+        return str(number)
+    except ValueError:
+        size = abs(number)
+        digits = int(math.log10(size)) + 1
+        # the logarithm of a power of ten can round either way
+        digits += (size >= 10**digits) - (size < 10 ** (digits - 1))
+        return f"a {digits}-digit number"
 
 
 def _parse_rational(tok: str, line_no: int, col: int) -> Fraction:
@@ -176,7 +192,8 @@ def parse_polynomial(
         term_degree = sum(d * e for d, e in zip(degrees, exps))
         if max_degree is not None and term_degree > max_degree:
             raise ParseError(
-                f"term degree {term_degree} overflows the allowed maximum {max_degree}",
+                f"term degree {_decimal(term_degree)} overflows the allowed maximum "
+                f"{_decimal(max_degree)}",
                 line_no,
                 col,
             )
@@ -184,16 +201,19 @@ def parse_polynomial(
         starts.append((start, term_degree))
     try:
         return GradedPolynomial(tuple(generators), tuple(monomials))
-    except ValueError as exc:
+    except ValueError:
         # mixed degrees among the terms that do not cancel: point at the
-        # first of them whose degree differs from the first one's
+        # first of them whose degree differs from the first one's, and
+        # name the degrees as GradedPolynomial does, each through _decimal
         kept = [
             term
             for term, (_, exps) in zip(starts, monomials)
             if sum(c for c, other in monomials if other == exps)
         ]
         col = next(col for col, deg in kept if deg != kept[0][1])
-        raise ParseError(str(exc), line_no, col) from None
+        degrees = ", ".join(_decimal(deg) for deg in sorted({deg for _, deg in kept}))
+        message = f"mixed graded degrees in one polynomial: [{degrees}]"
+        raise ParseError(message, line_no, col) from None
 
 
 _BRACKET = re.compile(r"\[\s*([0-9]+)\s*,\s*([0-9]+)\s*\]\s*=\s*(.*)")
@@ -329,7 +349,8 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
             top = n + max(degrees, default=0)
             if _monomial_count(degrees, top) > MAX_MONOMIALS:
                 raise ParseError(
-                    f"generators span more than {MAX_MONOMIALS} monomials of degree 0..{top}",
+                    f"generators span more than {MAX_MONOMIALS} monomials "
+                    f"of degree 0..{_decimal(top)}",
                     line_no,
                     value_col,
                 )
@@ -349,7 +370,7 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
                     raise ParseError("fundamental class is zero", line_no, value_col)
                 if poly.degree() != n:
                     raise ParseError(
-                        f"fundamental class has degree {poly.degree()}, expected {n}",
+                        f"fundamental class has degree {_decimal(poly.degree())}, expected {n}",
                         line_no,
                         value_col,
                     )
@@ -409,12 +430,7 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
     elif kind == "nilpotent":
         if dim is None:
             raise ParseError("nilpotent pi1 needs a dim line", headers["pi1"])
-        lie = NilLieAlgebra(dim, brackets)
-        try:
-            series = lower_central_series(lie)  # checks the Jacobi identity, then nilpotency
-        except ValueError as exc:
-            raise ParseError(f"nilpotent pi1: {exc}", kind_line, kind_col) from None
-        pi1 = Pi1Data("nilpotent", algebra=lie)
+        pi1 = Pi1Data("nilpotent", algebra=NilLieAlgebra(dim, brackets))
     else:
         raise ParseError(f"unknown pi1 type {kind!r}", kind_line, kind_col)
 
@@ -432,9 +448,11 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
             raise ParseError(f"[betti] holds 4-manifold data, but n = {n}", betti_line)
         betti = (vals["b_plus"], vals["b_minus"])
 
-    # H^1(M;Q) = Hom(pi1, Q), so the pi1 data fixes b1 (dim g/[g,g] if nilpotent)
+    # H^1(M;Q) = Hom(pi1, Q), so the pi1 data fixes b1: dim g/[g,g] if
+    # nilpotent, [g,g] being the span of the bracket values
     if pi1.kind == "nilpotent":
-        expected_b1 = dim - series[1]
+        values = ({k - 1: c for k, c in row.items()} for row in brackets.values())
+        expected_b1 = SparseSubspace(dim, values).codim
     else:
         expected_b1 = {"finite": 0, "free-abelian": pi1.rank}.get(pi1.kind)
     b1 = gb.rank(1)
@@ -444,6 +462,13 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
             kind_line,
             kind_col,
         )
+    # after the b1 check, whose one echelon span is cheap where the Jacobi
+    # check takes about dim^3 / 2 brackets
+    if pi1.kind == "nilpotent":
+        try:
+            lower_central_series(pi1.algebra)  # checks the Jacobi identity, then nilpotency
+        except ValueError as exc:
+            raise ParseError(f"nilpotent pi1: {exc}", kind_line, kind_col) from None
     # after the b1 check, so that a type the ring contradicts is reported as that
     stray = [entry for key in ("dim", "bracket") for entry in sections["pi1"].get(key, ())]
     if stray and pi1.kind != "nilpotent":
@@ -458,7 +483,7 @@ def parse_descriptor(text: str) -> ManifoldDescriptor:
         b_plus_line, _, _, b_plus_col = sections["betti"]["b_plus"][0]
         if sum(betti) != gb.rank(2):
             raise ParseError(
-                f"[betti] declares b_plus + b_minus = {sum(betti)}, "
+                f"[betti] declares b_plus + b_minus = {_decimal(sum(betti))}, "
                 f"but the cohomology has b2 = {gb.rank(2)}",
                 b_plus_line,
                 b_plus_col,

@@ -17,6 +17,13 @@ neighborhoods are masked out of differentiation samples; estimates are
 a.e.-sampled values, tagged with their grid resolution, and a degree
 report says how many samples the seam mask dropped.
 
+The difference columns and the value come from a map's stencil where it
+has one, and otherwise from 2 * domain_dim + 1 calls of the map.  The
+join map has one: its strip half, of (x, y), is evaluated once per run
+of equal (x, y) at the five (x, y) stencil points, and its torus half,
+of z, at the center and the 2(n - 2) z stencil points, with the bits of
+the generic path.
+
 Grids are never held whole: the quadrature, the Lipschitz scan and the
 Jacobian floor walk their samples in chunks of about CHUNK_POINTS
 points.  The chunks run on a thread pool of WORKERS threads, one per
@@ -141,9 +148,10 @@ def eval_torus_collapse(z):
     angle = 2.0 * np.pi * np.minimum(s, 0.5)
     with np.errstate(invalid="ignore", divide="ignore"):
         factor = np.where(s > 1e-12, np.sin(angle) / np.where(s > 1e-12, s, 1.0), 2.0 * np.pi)
-    head = factor[..., None] * u
-    tail = np.cos(angle)[..., None]
-    return np.concatenate([head, tail], axis=-1)
+    out = np.empty(u.shape[:-1] + (u.shape[-1] + 1,))
+    np.multiply(factor[..., None], u, out=out[..., :-1])
+    out[..., -1] = np.cos(angle)
+    return out
 
 
 def eval_fn(x, y, z, n):
@@ -161,12 +169,25 @@ def eval_fn(x, y, z, n):
     z = np.asarray(z, dtype=float)
     if z.shape[-1] != n - 2:
         raise ValueError(f"z must have {n - 2} coordinates")
-    r, theta, north, lower = _strip_fold(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    flip = ~north ^ lower
-    z = np.array(np.broadcast_to(z, flip.shape + z.shape[-1:]))  # a copy, one row per point
+    w, flip = _strip_half(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    # a copy, one row per point
+    u = _torus_half(np.array(np.broadcast_to(z, flip.shape + z.shape[-1:])), flip)
+    return np.concatenate([w[..., :2], w[..., 2:] * u], axis=-1)
+
+
+def _strip_half(x, y):
+    """The join's strip half: the upper hemisphere chart w of the folded
+    (x, y), and flip, where the torus half negates its first coordinate
+    (the south strips and the lower half plane, not both)."""
+    r, theta, north, lower = _strip_fold(x, y)
+    return _hemisphere_chart(r, theta, True), ~north ^ lower
+
+
+def _torus_half(z, flip):
+    """The join's torus half: the torus collapse of z, a (..., n - 2) array
+    of its own whose first coordinate is negated in place where flip."""
     np.negative(z[..., 0], out=z[..., 0], where=flip)
-    w = _hemisphere_chart(r, theta, True)
-    return np.concatenate([w[..., :2], w[..., 2:] * eval_torus_collapse(z)], axis=-1)
+    return eval_torus_collapse(z)
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +209,18 @@ class TargetSpace:
 
 @dataclass(frozen=True)
 class EvaluableMap:
-    """Vectorized map with target metric data and a seam-distance mask."""
+    """Vectorized map with target metric data, a seam-distance mask and,
+    where the map can form its difference stencil more cheaply than by
+    2 * domain_dim calls of func, that stencil."""
 
     name: str
     domain_dim: int
     target: TargetSpace
     func: Callable[[np.ndarray], np.ndarray]
     seam_distance: Callable[[np.ndarray], np.ndarray] | None = None
+    # stencil(pts, step) -> (columns, value): the bits of
+    # _difference_columns and func at pts, from fewer evaluations
+    stencil: Callable[[np.ndarray, float], tuple[list[np.ndarray], np.ndarray]] | None = None
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         return self.func(np.asarray(pts, dtype=float))
@@ -265,7 +291,99 @@ def join_map(n: int) -> EvaluableMap:
     def seam(p):
         return np.minimum(strip_seam(p), cube_seam(p[..., 2:]))
 
-    return EvaluableMap(f"join({n})", n, TargetSpace("sphere", n + 1), f, seam_distance=seam)
+    return EvaluableMap(
+        f"join({n})",
+        n,
+        TargetSpace("sphere", n + 1),
+        f,
+        seam_distance=seam,
+        stencil=lambda p, step: _join_stencil(n, p, step),
+    )
+
+
+def _join_stencil(n: int, pts: np.ndarray, step: float) -> tuple[list[np.ndarray], np.ndarray]:
+    """join_map(n)'s central-difference columns at pts and its value there,
+    bit for bit those of _difference_columns and eval_fn, with each half
+    of the join evaluated once per distinct input.
+
+    The stencil inputs are pts + e and pts - e, formed as the generic
+    path forms them.  The strip half reads only (x, y).  It is evaluated
+    once per run of bit-equal (x, y) along pts (a quadrature chunk walks
+    z fastest), at the center and the four x and y stencil points, and
+    repeated over the run.  The z stencil points reuse the center's: the
+    fold reads x only through x + 1 and y through |y| and y < 0, so the
+    +0.0 that pts + e adds there changes nothing.  The torus half reads
+    z and the flip.  It is evaluated at the center and at the 2(n - 2)
+    z stencil points.  The x and y stencil points reuse the center's,
+    since z - floor(z) is the same for +0.0 and -0.0, except on rows
+    whose flip differs from the center's (within one step of x = odd or
+    y = 0), which are recomputed.  Each column is written straight from
+    the halves, one stencil coordinate at a time, into an array held
+    component by component, so every step of the arithmetic runs along
+    whole rows; the results are its transposed views.
+    """
+    pts = np.asarray(pts, dtype=float)
+    if pts.shape[-1] != n:
+        raise ValueError(f"z must have {n - 2} coordinates")
+    lead = pts.shape[:-1]
+    pts = pts.reshape(-1, n)
+    count = len(pts)
+    # runs of bit-equal (x, y); int64 views keep +0.0 and -0.0, and
+    # unequal NaNs, apart
+    xbits, ybits = pts[:, 0].view(np.int64), pts[:, 1].view(np.int64)
+    change = np.empty(count, dtype=bool)
+    change[:1] = True
+    np.not_equal(xbits[1:], xbits[:-1], out=change[1:])
+    change[1:] |= ybits[1:] != ybits[:-1]
+    starts = np.flatnonzero(change)
+    lengths = np.diff(starts, append=count)
+
+    def expand(a):
+        """a, one entry per run, repeated over the run's points."""
+        return np.repeat(a, lengths, axis=0)
+
+    xy = pts[starts, :2]
+    z = pts[:, 2:]
+    w_runs, flip_runs = _strip_half(xy[:, 0], xy[:, 1])
+    flip = expand(flip_runs)
+    u = _torus_half(z.copy(), flip).T
+    w2 = expand(w_runs[:, 2])
+    cols = []
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = step
+        col = np.empty((n + 1, count))
+        tail = np.empty((n - 1, count))
+        heads = []
+        for side, out in ((np.add, col[2:]), (np.subtract, tail)):
+            if j < 2:
+                w_side, flip_side = _strip_half(*side(xy, e[:2]).T)
+                u_side = u
+                moved = flip_side != flip_runs
+                if moved.any():
+                    moved = np.flatnonzero(expand(moved))
+                    u_side = u.copy()
+                    u_side[:, moved] = _torus_half(side(z[moved], e[2:]), ~flip[moved]).T
+                heads.append(w_side[:, :2])
+                np.multiply(expand(w_side[:, 2]), u_side, out=out)
+            else:
+                heads.append(w_runs[:, :2])
+                np.multiply(w2, _torus_half(side(z, e[2:]), flip).T, out=out)
+        # the x and y rows are repeated from the runs' differences
+        head = heads[0] - heads[1]
+        head /= 2.0 * step
+        col[0] = expand(head[:, 0])
+        col[1] = expand(head[:, 1])
+        col[2:] -= tail
+        del tail
+        col[2:] /= 2.0 * step
+        cols.append(col.T.reshape(lead + (n + 1,)))
+    # the value last, so that no stencil point's temporaries meet it
+    value = np.empty((n + 1, count))
+    value[0] = expand(w_runs[:, 0])
+    value[1] = expand(w_runs[:, 1])
+    np.multiply(w2, u, out=value[2:])
+    return cols, value.T.reshape(lead + (n + 1,))
 
 
 # ---------------------------------------------------------------------------
@@ -327,16 +445,25 @@ def signed_jacobian(m: EvaluableMap, pts: np.ndarray, step: float = FD_STEP) -> 
     the columns are stacked for np.linalg.det, whose LU factorization
     stays polynomial and within the chunk's memory.
     """
-    pts = np.asarray(pts, dtype=float)
-    return _signed_volume(m, pts, _difference_columns(m, pts, step))
+    return _signed_volume(m, *_columns_and_value(m, np.asarray(pts, dtype=float), step))
 
 
-def _signed_volume(m: EvaluableMap, pts: np.ndarray, cols: list[np.ndarray]) -> np.ndarray:
-    """signed_jacobian from the difference columns at pts."""
+def _columns_and_value(
+    m: EvaluableMap, pts: np.ndarray, step: float
+) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """The difference columns at pts and, for a sphere target, the value
+    m(pts) (None for a euclidean one), from m.stencil where m has one."""
+    if m.stencil is not None:
+        return m.stencil(pts, step)
+    return _difference_columns(m, pts, step), m(pts) if m.target.kind == "sphere" else None
+
+
+def _signed_volume(m: EvaluableMap, cols: list[np.ndarray], value: np.ndarray | None) -> np.ndarray:
+    """signed_jacobian from the difference columns and the value at the samples."""
     if m.target.kind == "euclidean" and m.target.ambient != m.domain_dim:
         raise ValueError("euclidean target dimension must match the domain")
     if m.target.kind == "sphere":
-        cols = [*cols, m(pts)]
+        cols = [*cols, value]
     if len(cols) <= COFACTOR_MAX_ORDER:
         return _cofactor_det(cols)
     return np.linalg.det(np.stack(cols, axis=-1))
@@ -588,8 +715,8 @@ def quasiregularity_ratio(m: EvaluableMap, pts: np.ndarray, fd_step: float = FD_
     fraction of samples with det <= 0 looks positive-measure.
     """
     pts = np.asarray(pts, dtype=float)
-    cols = _difference_columns(m, pts, fd_step)
-    jac = _signed_volume(m, pts, cols)
+    cols, value = _columns_and_value(m, pts, fd_step)
+    jac = _signed_volume(m, cols, value)
     op = np.linalg.svd(np.stack(cols, axis=-1), compute_uv=False)[..., 0]
     positive = jac > 0
     frac_bad = float(np.mean(~positive))

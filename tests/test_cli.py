@@ -25,6 +25,7 @@ from wrapcheck.exterior import MAX_DIMENSION
 from wrapcheck.descriptor import (
     MAX_MONOMIALS,
     ParseError,
+    _decimal,
     _monomial_count,
     parse_descriptor,
     parse_descriptor_file,
@@ -436,8 +437,10 @@ class TestDescriptorMessages:
             (BRACKET, f"{BRACKET}\n{BRACKET}", 11, 10, "duplicate bracket [1,2]"),
             (BRACKET, "bracket: [1,2] = 2", 10, 18,
              "bracket value is a constant, expected a combination of e1..e3"),
+            # the values e3, e1 give b1 = 1, checked before the Jacobi identity
+            # these brackets violate (TestPi1FirstBetti reaches that message)
             (BRACKET, f"{BRACKET}\nbracket: [1,3] = e1", 8, 7,
-             "nilpotent pi1: structure constants violate the Jacobi identity"),
+             "pi1 type nilpotent needs b1 = 1, but the cohomology has b1 = 2"),
             (BRACKET, "bracket: [1,2] = e2", 8, 7,
              "nilpotent pi1: lower central series stabilizes at dimension 1"),
             ("type: nilpotent", "type: solvable", 8, 7, "unknown pi1 type 'solvable'"),
@@ -458,6 +461,50 @@ class TestDescriptorMessages:
         captured = capsys.readouterr()
         assert captured.err == f"error: line {line}, col {col}: {message}\n"
         assert captured.out == ""
+
+
+class TestPi1FirstBetti:
+    """A nilpotent pi1's b1, dim minus the rank of the bracket values, is
+    compared with the ring's before the Jacobi identity is checked."""
+
+    T2 = "name: t2\nn: 2\n[cohomology]\ngenerators: x:1 y:1\nfundamental_class: x y\n"
+    T3 = "name: t3\nn: 3\n[cohomology]\ngenerators: x:1 y:1 z:1\nfundamental_class: x y z\n"
+
+    def _exit(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.descriptor"
+        bad.write_text(text)
+        code = main(["check", str(bad), "--no-embed"])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return code, captured.err
+
+    def test_a_large_dim_is_refused_before_the_jacobi_check(self, tmp_path, capsys):
+        # the Jacobi check alone takes C(200, 3) triples of brackets
+        start = time.perf_counter()
+        code, err = self._exit(tmp_path, capsys, self.T3 + "[pi1]\ntype: nilpotent\ndim: 200\n")
+        assert time.perf_counter() - start < 2.0
+        assert code == EXIT_USAGE
+        assert err == (
+            "error: line 7, col 7: pi1 type nilpotent needs b1 = 200, but the cohomology has b1 = 3\n"
+        )
+
+    def test_a_jacobi_violation_with_the_right_b1_still_exits(self, tmp_path, capsys):
+        # filiform4's table with [X1, X4] = X3 added: the values span e3, e4, so b1 = 2
+        brackets = ["[1,2] = e3", "[2,3] = e4", "[1,3] = e4", "[1,4] = e3"]
+        pi1 = "[pi1]\ntype: nilpotent\ndim: 4\n" + "".join(f"bracket: {b}\n" for b in brackets)
+        code, err = self._exit(tmp_path, capsys, self.T2 + pi1)
+        assert code == EXIT_USAGE
+        assert err == (
+            "error: line 7, col 7: nilpotent pi1: structure constants violate the Jacobi identity\n"
+        )
+
+    def test_a_stalled_series_with_the_right_b1_still_exits(self, tmp_path, capsys):
+        pi1 = "[pi1]\ntype: nilpotent\ndim: 3\nbracket: [1,2] = e1\n"
+        code, err = self._exit(tmp_path, capsys, self.T2 + pi1)
+        assert code == EXIT_USAGE
+        assert err == (
+            "error: line 7, col 7: nilpotent pi1: lower central series stabilizes at dimension 1\n"
+        )
 
 
 class TestDigitLimit:
@@ -500,6 +547,61 @@ class TestDigitLimit:
             f"error: line {line}, col {col}: {what} has 5000 digits, over the limit of {limit}\n"
         )
         assert captured.out == ""
+
+    NINES = "9" * 4300  # within the limit, though n + 2 is not
+    EVEN = "9" * 4299 + "8"  # an even degree of 4300 digits, whose square is allowed
+    HEAD = "name: a\nn: {n}\n[cohomology]\ngenerators: {gens}\n"
+    TAIL = "[pi1]\ntype: finite\n"
+
+    @pytest.mark.parametrize(
+        "n, gens, body, line, col, message",
+        [
+            (
+                NINES, "w:2", "fundamental_class: w\n" + TAIL, 4, 13,
+                "generators span more than 32768 monomials of degree 0..a 4301-digit number",
+            ),
+            (
+                "4", "w:2", f"relation: w^{NINES}\nfundamental_class: w^2\n{TAIL}", 5, 11,
+                "term degree a 4301-digit number overflows the allowed maximum 8",
+            ),
+            (
+                EVEN, f"w:{EVEN}", "relation: w^3\nfundamental_class: w\n" + TAIL, 5, 11,
+                "term degree a 4301-digit number overflows the allowed maximum a 4301-digit number",
+            ),
+            (
+                EVEN, f"w:{EVEN}", "fundamental_class: w^2\n" + TAIL, 5, 20,
+                f"fundamental class has degree a 4301-digit number, expected {EVEN}",
+            ),
+            (
+                EVEN, f"w:{EVEN} v:1", "relation: w^2 + v\nfundamental_class: w\n" + TAIL, 5, 17,
+                "mixed graded degrees in one polynomial: [1, a 4301-digit number]",
+            ),
+            (
+                "4", "w:2", f"relation: w^3\nfundamental_class: w^2\n{TAIL}[betti]\n"
+                f"b_plus: {NINES}\nb_minus: {NINES}\n", 10, 9,
+                "[betti] declares b_plus + b_minus = a 4301-digit number, "
+                "but the cohomology has b2 = 1",
+            ),
+        ],
+        ids=["monomial_limit", "term_degree", "term_and_maximum", "fundamental", "mixed", "betti"],
+    )
+    def test_derived_integers_are_named_by_digit_count(
+        self, tmp_path, capsys, n, gens, body, line, col, message
+    ):
+        bad = tmp_path / "bad.descriptor"
+        bad.write_text(self.HEAD.format(n=n, gens=gens) + body)
+        assert main(["check", str(bad), "--no-embed"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"error: line {line}, col {col}: {message}\n"
+        assert captured.out == ""
+
+    def test_digit_counts_at_powers_of_ten(self):
+        limit = sys.get_int_max_str_digits()
+        for digits in (limit + 1, limit + 2, 2 * limit):
+            for value in (10 ** (digits - 1), 10**digits - 1, -(10 ** (digits - 1))):
+                assert _decimal(value) == f"a {digits}-digit number"
+        assert _decimal(10**limit - 1) == "9" * limit
+        assert _decimal(-5) == "-5"
 
     def test_the_interpreter_limit_is_the_one_named(self):
         old = sys.get_int_max_str_digits()

@@ -696,5 +696,93 @@ class TestSharedStripFold:
     def test_degree_tables_equal(self, make, reference, radii, step):
         m = make()
         got = asymptotic_degree(m, radii, step)
-        want = asymptotic_degree(dataclasses.replace(m, func=reference), radii, step)
+        # without the stencil, so that the reference body is the one differenced
+        want = asymptotic_degree(dataclasses.replace(m, func=reference, stencil=None), radii, step)
         assert got == want
+
+
+class TestJoinStencil:
+    """join_map's factored stencil gives the bits of the generic central
+    differences and of func, and every result built on it is unchanged."""
+
+    @staticmethod
+    def _points(n, seed):
+        pts = TestSharedStripFold._points(n, seed)
+        rng = np.random.default_rng(seed)
+        extra = pts[rng.choice(len(pts), 3000, replace=False)].copy()
+        extra[:1000, 2] = 0.0
+        extra[1000:2000, 2] = -0.0
+        extra[2000:, 0] = -0.0
+        return np.concatenate([pts, extra])
+
+    @staticmethod
+    def _near_seams(n, step, seed):
+        """Points within one step of x = odd or of y = 0, so that an x or y
+        stencil point's flip differs from the center's; in runs of equal
+        (x, y), as a quadrature chunk holds them."""
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-10.0, 10.0, (4000, n))
+        odd = 2.0 * rng.integers(-5, 5, 2000) + 1.0
+        pts[:2000, 0] = odd + rng.uniform(-step, step, 2000)
+        pts[2000:, 1] = rng.uniform(-step, step, 2000)
+        runs = np.repeat(pts[:400], 10, axis=0)
+        runs[:, 2:] = rng.uniform(-3.0, 3.0, (len(runs), n - 2))
+        return np.concatenate([pts, runs])
+
+    @staticmethod
+    def _moved(pts, step):
+        """How many x and y stencil points flip the torus half against their center."""
+        _, flip = wrapmaps._strip_half(pts[..., 0], pts[..., 1])
+        moved = 0
+        for j in (0, 1):
+            e = np.zeros(pts.shape[-1])
+            e[j] = step
+            for shifted in (pts + e, pts - e):
+                _, shifted_flip = wrapmaps._strip_half(shifted[..., 0], shifted[..., 1])
+                moved += int(np.count_nonzero(shifted_flip != flip))
+        return moved
+
+    @staticmethod
+    def _same_as_generic(m, pts, step):
+        cols, value = m.stencil(pts, step)
+        generic = dataclasses.replace(m, stencil=None)
+        want = wrapmaps._difference_columns(generic, pts, step)
+        assert len(cols) == len(want) == m.domain_dim
+        for got, ref in zip([*cols, value], [*want, generic(pts)]):
+            assert got.shape == ref.shape == pts.shape[:-1] + (m.target.ambient,)
+            assert got.dtype == ref.dtype
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("step", [1e-5, 5e-6, 0.3])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_same_bits_as_generic_differences(self, n, step):
+        m = join_map(n)
+        pts = self._points(n, seed=n)
+        self._same_as_generic(m, pts, step)
+        near = self._near_seams(n, step, seed=n)
+        assert self._moved(near, step) > 0
+        self._same_as_generic(m, near, step)
+        # a batched input, and one that broadcasts a row block
+        self._same_as_generic(m, pts[:100].reshape(2, 50, n), step)
+        self._same_as_generic(m, np.broadcast_to(near[:50], (2, 50, n)), step)
+        self._same_as_generic(m, pts[:0], step)
+
+    def test_refuses_other_widths(self):
+        with pytest.raises(ValueError, match="z must have 1 coordinates"):
+            join_map(3).stencil(np.zeros((5, 4)), 1e-5)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_results_equal_without_the_stencil(self, n):
+        m = join_map(n)
+        generic = dataclasses.replace(m, stencil=None)
+        pts = self._near_seams(n, wrapmaps.FD_STEP, seed=10 + n)
+
+        def sample(count, rng):
+            return rng.uniform(-3.0, 3.0, (count, n))
+
+        assert m.stencil is not None
+        floors = [jacobian_floor(a, sample, 20000, seed=1) for a in (m, generic)]
+        assert floors[0] == floors[1]
+        assert quasiregularity_ratio(m, pts) == quasiregularity_ratio(generic, pts)
+        radii, step = ([2, 4], 0.25) if n == 3 else ([1, 2], 0.5)
+        assert asymptotic_degree(m, radii, step) == asymptotic_degree(generic, radii, step)
