@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import itertools
 import json
@@ -1721,3 +1722,35 @@ class TestGoldenCorpus:
             == EXIT_OK
         )
         assert out.read_bytes() == GOLDEN.read_bytes()
+
+
+class TestCommandGolden:
+    """Each argv of ``regen_golden.COMMANDS`` (``lie`` in both formats on
+    every corpus descriptor, and cases of every other subcommand) gives
+    the committed exit code, stdout and stderr, byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def regen(self):
+        script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "regen_golden.py"
+        spec = importlib.util.spec_from_file_location("regen_golden", script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_outcomes_match_committed_table(self, regen):
+        want = json.loads(regen.COMMANDS_GOLDEN.read_text(encoding="utf-8"))
+        got = regen.command_outcomes()
+        assert [row["argv"] for row in got] == [row["argv"] for row in want]
+        for g, w in zip(got, want):
+            assert g == w, g["argv"]
+
+    def test_table_covers_every_subcommand_and_exit(self, regen):
+        want = json.loads(regen.COMMANDS_GOLDEN.read_text(encoding="utf-8"))
+        assert {row["argv"][0] for row in want} == {"check", "embed", "lie", "surface", "map", "corpus"}
+        assert {row["exit"] for row in want} == {EXIT_OK, EXIT_EXCLUDED, EXIT_USAGE}
+        lie = [row["argv"][1:] for row in want if row["argv"][0] == "lie"]
+        assert sorted(lie) == sorted(
+            [f"@{name}", "--format", fmt] for name in regen.CORPUS for fmt in ("text", "structured")
+        )
+        assert len(regen.CORPUS) == 19
+        assert any("relying on truncation" in row["stderr"] for row in want)
