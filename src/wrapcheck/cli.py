@@ -161,6 +161,12 @@ def _cmd_lie(args) -> int:
     if d.pi1.kind != "nilpotent":
         raise ParseError(f"descriptor {d.name} has no nilpotent structure-constant block")
     g = d.pi1.algebra
+    # the invariant-form complex has 2^dim blades
+    if g.dim > nilcoh.MAX_COMPLEX_DIM:
+        raise ParseError(
+            f"lie computes the invariant-form complex for dim up to {nilcoh.MAX_COMPLEX_DIM}, "
+            f"got dim = {g.dim}"
+        )
     series = nilcoh.lower_central_series(g)
     betti = nilcoh.lie_cohomology_dims(g)
     verdict = nilcoh.pi1_verdict(g, d.n)

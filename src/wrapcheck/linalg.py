@@ -5,31 +5,19 @@ cohomology, congruence diagonalization) reduces to row operations on
 rational matrices at desk scale, so plain Gaussian elimination is all
 we need.  Matrices are lists of lists of Fractions; rows are vectors.
 
-:class:`SparseSubspace` is the one echelon-form kernel: ``rank``
-reads it, and callers reduce, test membership or take quotient
-coordinates through it.  Determinants are products of the congruence
+:class:`SparseSubspace` is the one echelon-form kernel: callers read
+its rank, reduce, test membership or take quotient coordinates
+through it.  Determinants are products of the congruence
 diagonal in :mod:`wrapcheck.quadform`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Vector = list[Fraction]
 Matrix = list[Vector]
-
-
-def as_fraction_row(row: Iterable) -> Vector:
-    return [Fraction(x) for x in row]
-
-
-def zero_vector(dim: int) -> Vector:
-    return [Fraction(0)] * dim
-
-
-def rank(rows: Sequence[Sequence]) -> int:
-    return SparseSubspace(len(rows[0]) if rows else 0, rows).rank
 
 
 def identity(n: int) -> Matrix:

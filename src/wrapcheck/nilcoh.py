@@ -15,10 +15,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
+from itertools import combinations
+from typing import Iterable, Mapping
 
 from . import linalg
-from .exterior import Blade, Multivector, blade_masks, wedge
+from .exterior import blade_masks, wedge_terms
+
+# the largest dim whose invariant-form complex `wrapcheck lie` computes.
+# The complex has 2^dim blades: `wrapcheck lie` on a T^2 ring with the
+# model filiform pi1 took 1.8-2.5 s at dim 14, 5.3 s at 15 and 26 s at 16
+# (2-core x86-64 VM, Python 3.11)
+MAX_COMPLEX_DIM = 14
 
 
 class NotNilpotent(ValueError):
@@ -29,9 +36,11 @@ class NilLieAlgebra:
     """Lie algebra on basis X_1..X_m given by rational structure constants.
 
     Brackets are stored for i < j only; antisymmetry is built into the
-    indexing.  The Jacobi identity is checked by :func:`jacobi_check`,
-    nilpotency by :func:`lower_central_series`; both are cached per
-    algebra object, which no method changes after construction.
+    indexing.  Vectors are sparse ``{index: coefficient}`` rows, index
+    i - 1 for X_i, as :class:`linalg.SparseSubspace` takes them.  The
+    Jacobi identity is checked by :func:`jacobi_check`, nilpotency by
+    :func:`lower_central_series`; both are cached per algebra object,
+    which no method changes after construction.
     """
 
     __slots__ = ("dim", "_brackets")
@@ -61,15 +70,18 @@ class NilLieAlgebra:
         return cls(dim, {})
 
     # -- bracket ------------------------------------------------------------
-    def bracket(self, u: Sequence, v: Sequence) -> linalg.Vector:
-        """[u, v] = sum over i < j of (u_i v_j - u_j v_i) [X_i, X_j]."""
-        u, v = linalg.as_fraction_row(u), linalg.as_fraction_row(v)
-        out = linalg.zero_vector(self.dim)
+    def bracket(self, u: Mapping[int, Fraction], v: Mapping[int, Fraction]) -> dict[int, Fraction]:
+        """[u, v] = sum over i < j of (u_i v_j - u_j v_i) [X_i, X_j], on sparse rows."""
+        out: dict[int, Fraction] = {}
         for (i, j), comps in self._brackets.items():
-            coeff = u[i - 1] * v[j - 1] - u[j - 1] * v[i - 1]
+            coeff = u.get(i - 1, 0) * v.get(j - 1, 0) - u.get(j - 1, 0) * v.get(i - 1, 0)
             if coeff:
                 for k, c in comps.items():
-                    out[k - 1] += coeff * c
+                    acc = out.get(k - 1, 0) + coeff * c
+                    if acc:
+                        out[k - 1] = acc
+                    else:
+                        del out[k - 1]
         return out
 
     @property
@@ -86,25 +98,36 @@ class NilLieAlgebra:
 
 @lru_cache(maxsize=256)
 def jacobi_check(g: NilLieAlgebra) -> bool:
-    m = g.dim
-    basis = linalg.identity(m)
-    for i in range(m):
-        for j in range(i + 1, m):
-            for l in range(j + 1, m):
-                total = linalg.zero_vector(m)
-                for (a, b, c) in ((i, j, l), (j, l, i), (l, i, j)):
-                    inner = g.bracket(basis[a], basis[b])
-                    outer = g.bracket(inner, basis[c])
-                    total = [x + y for x, y in zip(total, outer)]
-                if any(x != 0 for x in total):
-                    return False
-    return True
+    """Whether [[X_a, X_b], X_c] summed cyclically vanishes on every triple.
+
+    A term is nonzero only when [X_a, X_b] is stored and one of its
+    components X_k has a stored bracket with X_c, so only those terms
+    are summed, each into the cyclic sum of its sorted triple.
+    """
+    partners: dict[int, list] = {}  # k -> (c, sign, [X_k, X_c] up to the sign)
+    for (i, j), row in g._brackets.items():
+        partners.setdefault(i, []).append((j, 1, row))
+        partners.setdefault(j, []).append((i, -1, row))
+    sums: dict[tuple[int, int, int], dict[int, Fraction]] = {}
+    for (a, b), row in g._brackets.items():
+        for k, x in row.items():
+            for c, sign, inner in partners.get(k, ()):
+                if c == a or c == b:
+                    continue  # the cyclic sum on a repeated index is zero
+                # (a, b, c) is an odd permutation of its sorted triple iff a < c < b
+                if a < c < b:
+                    sign = -sign
+                acc = sums.setdefault(tuple(sorted((a, b, c))), {})
+                for l, y in inner.items():
+                    acc[l] = acc.get(l, 0) + sign * x * y
+    return not any(any(acc.values()) for acc in sums.values())
 
 
-def _subspace_brackets(g: NilLieAlgebra, span_rows: list[linalg.Vector]) -> list[linalg.Vector]:
-    """Reduced echelon basis of the span of [v, X_j] for v in the span and all X_j."""
-    basis = linalg.identity(g.dim)
-    return linalg.SparseSubspace(g.dim, (g.bracket(v, b) for v in span_rows for b in basis)).rows
+def _subspace_brackets(g: NilLieAlgebra, span: linalg.SparseSubspace) -> linalg.SparseSubspace:
+    """The span of [v, X_j] for v in the span and all X_j."""
+    return linalg.SparseSubspace(
+        g.dim, (g.bracket(v, {j: 1}) for v in span.pivot_rows.values() for j in range(g.dim))
+    )
 
 
 def lower_central_series(g: NilLieAlgebra) -> list[int]:
@@ -115,92 +138,79 @@ def lower_central_series(g: NilLieAlgebra) -> list[int]:
     """
     if not jacobi_check(g):
         raise ValueError("structure constants violate the Jacobi identity")
-    return [len(span) for span in _central_series(g)]
-
-
-def lower_central_series_subspaces(g: NilLieAlgebra) -> list[list[linalg.Vector]]:
-    """Reduced echelon bases of g_1 = g, g_2 = [g, g], ... down to 0."""
-    return [[list(v) for v in span] for span in _central_series(g)]
+    return [span.rank for span in _central_series(g)]
 
 
 @lru_cache(maxsize=256)
-def _central_series(g: NilLieAlgebra) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
-    """The lower central series bases, once per algebra and as immutable tuples."""
-    spans = [linalg.identity(g.dim)]
-    while spans[-1]:
+def _central_series(g: NilLieAlgebra) -> tuple[linalg.SparseSubspace, ...]:
+    """The lower central series spans, once per algebra; callers only read them."""
+    spans = [linalg.SparseSubspace(g.dim, ({i: Fraction(1)} for i in range(g.dim)))]
+    while spans[-1].rank:
         nxt = _subspace_brackets(g, spans[-1])
-        if len(nxt) == len(spans[-1]):
-            raise NotNilpotent(f"lower central series stabilizes at dimension {len(nxt)}")
+        if nxt.rank == spans[-1].rank:
+            raise NotNilpotent(f"lower central series stabilizes at dimension {nxt.rank}")
         spans.append(nxt)
-    return tuple(tuple(tuple(v) for v in span) for span in spans)
+    return tuple(spans)
 
 
 @dataclass(frozen=True)
 class CEComplex:
     """Invariant-form complex: Lambda^k of the dual with d dual to the bracket.
 
-    differentials[k] maps degree-k blade coordinates to degree-(k+1)
-    coordinates; d(dual of X_k) = - sum_{i<j} c^k_{ij} xi_i ^ xi_j,
-    extended as a graded derivation.  d o d = 0 is verified exactly.
+    ``d_one[k - 1]`` is d(xi_k) = - sum_{i<j} c^k_{ij} xi_i ^ xi_j as a
+    ``{blade mask: coefficient}`` map; d extends to blades as a graded
+    derivation, through :func:`exterior.wedge_terms`.  d o d = 0 is
+    equivalent to the Jacobi identity, which :func:`ce_differential`
+    checks.
     """
 
     dim: int
-    differentials: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    d_one: tuple[dict[int, Fraction], ...]
+
+    def image(self, mask: int) -> dict[int, Fraction]:
+        """d of the blade ``mask``: sum over its t-th index b of
+        (-1)^t d(xi_b) ^ (the blade without b)."""
+        out: dict[int, Fraction] = {}
+        for t, b in enumerate(b for b in range(self.dim) if mask >> b & 1):
+            for m, c in wedge_terms(self.d_one[b], {mask ^ 1 << b: -1 if t & 1 else 1}).items():
+                acc = out.get(m, 0) + c
+                if acc:
+                    out[m] = acc
+                else:
+                    del out[m]
+        return out
 
     def rank_d(self, k: int) -> int:
         if k < 0 or k >= self.dim:
             return 0
-        return linalg.rank(self.differentials[k])
-
-
-def _d_of_one_form(g: NilLieAlgebra, k: int) -> Multivector:
-    """d(xi_k) = - sum_{i<j} c^k_{ij} xi_i ^ xi_j, in Lambda*(dual)."""
-    terms = {}
-    for (i, j), comps in g._brackets.items():
-        c = comps.get(k)
-        if c:
-            mask = Blade((i, j)).mask
-            terms[mask] = terms.get(mask, Fraction(0)) - c
-    return Multivector(g.dim, terms)
+        # the columns are the blade masks of degree k + 1
+        images = (self.image(mask) for mask in blade_masks(self.dim, k))
+        return linalg.SparseSubspace(1 << self.dim, images).rank
 
 
 def ce_differential(g: NilLieAlgebra) -> CEComplex:
     if not jacobi_check(g):
         raise ValueError("structure constants violate the Jacobi identity")
-    m = g.dim
-    d_one = [_d_of_one_form(g, k) for k in range(1, m + 1)]
-    diffs = []
-    for k in range(m + 1):
-        cols = []
-        for mask in blade_masks(m, k):
-            bits = Blade.from_mask(mask).indices
-            img = Multivector.zero(m)
-            for t, b in enumerate(bits):
-                term = wedge(d_one[b - 1], Multivector.blade(m, bits[:t] + bits[t + 1 :]))
-                img = img + (term if t % 2 == 0 else -term)
-            cols.append(img.coords(k + 1))
-        diffs.append(tuple(zip(*cols)))
-    # d^2 = 0 is equivalent to the Jacobi identity, checked above
-    return CEComplex(m, tuple(diffs))
+    d_one = [{} for _ in range(g.dim)]
+    for (i, j), comps in g._brackets.items():
+        for k, c in comps.items():
+            d_one[k - 1][1 << (i - 1) | 1 << (j - 1)] = -c
+    return CEComplex(g.dim, tuple(d_one))
 
 
 def lie_cohomology_dims(g: NilLieAlgebra) -> tuple[int, ...]:
     """Betti numbers b_0..b_m of the invariant-form complex."""
     cx = ce_differential(g)
     m = g.dim
-    out = []
-    for k in range(m + 1):
-        dim_k = math.comb(m, k)
-        rank_k = cx.rank_d(k)
-        rank_prev = cx.rank_d(k - 1)
-        out.append(dim_k - rank_k - rank_prev)
-    return tuple(out)
+    ranks = [cx.rank_d(k) for k in range(m + 1)] + [0]  # ranks[-1] is d from degree -1
+    return tuple(math.comb(m, k) - ranks[k] - ranks[k - 1] for k in range(m + 1))
 
 
 def quotient_by_central_ideal(
-    g: NilLieAlgebra, ideal_rows: list[linalg.Vector]
-) -> tuple[NilLieAlgebra, list[linalg.Vector]]:
-    """Quotient Lie algebra by a (verified) ideal, with projection matrix rows.
+    g: NilLieAlgebra, ideal_rows: Iterable
+) -> tuple[NilLieAlgebra, list[dict[int, Fraction]]]:
+    """Quotient Lie algebra by a (verified) ideal, with the projection as
+    the sparse image of each basis vector X_1..X_m.
 
     The complement basis is chosen by completing the ideal's reduced
     rows with standard basis vectors; the projection sends v to its
@@ -209,30 +219,20 @@ def quotient_by_central_ideal(
     m = g.dim
     span = linalg.SparseSubspace(m, ideal_rows)
     # verify ideal: [v, X_j] stays inside
-    basis = linalg.identity(m)
-    for v in span.rows:
-        for b in basis:
-            if not span.contains(g.bracket(v, b)):
-                raise ValueError("given subspace is not an ideal")
-    pivots = set(span.pivots)
-    complement = [i for i in range(m) if i not in pivots]
-    q_dim = len(complement)
+    if not all(span.contains(g.bracket(v, {j: 1})) for v in span.pivot_rows.values() for j in range(m)):
+        raise ValueError("given subspace is not an ideal")
+    complement = [i for i in range(m) if i not in span.pivot_rows]
+    index = {i: a for a, i in enumerate(complement)}
 
-    def project(v: linalg.Vector) -> linalg.Vector:
-        red = span.reduce(v)
-        return [red[i] for i in complement]
+    def project(v) -> dict[int, Fraction]:
+        return {index[i]: c for i, c in span.coords_modulo(v).items()}
 
-    table: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for a in range(q_dim):
-        for b in range(a + 1, q_dim):
-            w = project(g.bracket(basis[complement[a]], basis[complement[b]]))
-            comps = {k + 1: c for k, c in enumerate(w) if c != 0}
-            if comps:
-                table[(a + 1, b + 1)] = comps
-    # projection matrix: row k = coordinates of the quotient coordinate k
-    images = [project(e) for e in basis]
-    proj = [[image[idx] for image in images] for idx in range(q_dim)]
-    return NilLieAlgebra(q_dim, table), proj
+    table = {}
+    for a, b in combinations(range(len(complement)), 2):
+        w = project(g.bracket({complement[a]: 1}, {complement[b]: 1}))
+        if w:
+            table[(a + 1, b + 1)] = {k + 1: c for k, c in w.items()}
+    return NilLieAlgebra(len(complement), table), [project({j: 1}) for j in range(m)]
 
 
 @dataclass(frozen=True)
@@ -254,28 +254,26 @@ def nomizu_kernel(g: NilLieAlgebra) -> NomizuKernel:
     """
     if g.is_abelian:
         return NomizuKernel(0, 0, True, g.dim, g.dim)
-    spans = lower_central_series_subspaces(g)
-    gamma2 = spans[1]
-    gamma3 = spans[2] if len(spans) > 2 else []
-    q1, proj1 = quotient_by_central_ideal(g, gamma2)
-    q2, _ = quotient_by_central_ideal(g, gamma3)
-    # the factor map phi: q2 -> q1 with phi . pi2 = pi1.  The basis vectors
-    # off gamma3's pivots are a section of pi2, so phi is pi1 on them
-    # (unique because gamma3 lies in gamma2).
-    pivots3 = set(linalg.SparseSubspace(g.dim, gamma3).pivots)
-    phi = [[row[j] for j in range(g.dim) if j not in pivots3] for row in proj1]
+    # g is nonabelian, so the series g, gamma2, gamma3, ..., 0 has three terms at least
+    _, gamma2, gamma3, *_ = _central_series(g)
+    q1, proj1 = quotient_by_central_ideal(g, gamma2.pivot_rows.values())
+    q2, _ = quotient_by_central_ideal(g, gamma3.pivot_rows.values())
     r = q1.dim
     m2 = q2.dim
-    # pullback of 2-forms along phi: xi_a ^ xi_b -> phi*xi_a ^ phi*xi_b
-    pulled = [Multivector.from_coords(m2, 1, row) for row in phi]
-    pullback_cols = []
-    for mask in blade_masks(r, 2):
-        a, b = Blade.from_mask(mask).indices
-        pullback_cols.append(wedge(pulled[a - 1], pulled[b - 1]).coords(2))
-    # columns of d: 1-forms of q2 -> 2-forms, spanning the exact 2-forms
-    d1_cols = list(zip(*ce_differential(q2).differentials[1]))
-    rank_d1 = linalg.rank(d1_cols)
-    kernel_dim = len(pullback_cols) - (linalg.rank(pullback_cols + d1_cols) - rank_d1)
+    # the factor map phi: q2 -> q1 with phi . pi2 = pi1.  The basis vectors
+    # off gamma3's pivots are a section of pi2, so phi is pi1 on them
+    # (unique because gamma3 lies in gamma2).  phi* xi_a is the 1-form
+    # whose coefficient on q2's c-th basis vector is coordinate a of its image.
+    pulled: list[dict[int, Fraction]] = [{} for _ in range(r)]
+    for c, j in enumerate(j for j in range(g.dim) if j not in gamma3.pivot_rows):
+        for a, x in proj1[j].items():
+            pulled[a][1 << c] = x
+    # d of q2's 1-forms spans its exact 2-forms.  Every 2-form of the abelian
+    # q1 is closed and none is exact, so the kernel's dimension is C(r, 2)
+    # less the rank the pullbacks xi_a ^ xi_b -> phi*xi_a ^ phi*xi_b add to them
+    exact = linalg.SparseSubspace(1 << m2, ce_differential(q2).d_one)
+    grown = sum(exact.add(wedge_terms(pulled[a], pulled[b])) for a, b in combinations(range(r), 2))
+    kernel_dim = math.comb(r, 2) - grown
     expected = m2 - r
     if kernel_dim != expected:
         raise ArithmeticError(

@@ -172,7 +172,8 @@ def eval_fn(x, y, z, n):
     w, flip = _strip_half(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     # a copy, one row per point
     u = _torus_half(np.array(np.broadcast_to(z, flip.shape + z.shape[-1:])), flip)
-    return np.concatenate([w[..., :2], w[..., 2:] * u], axis=-1)
+    # the torus collapse returns a single point as a row of one
+    return np.concatenate([w[..., :2], w[..., 2:] * u.reshape(flip.shape + (n - 1,))], axis=-1)
 
 
 def _strip_half(x, y):

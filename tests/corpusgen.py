@@ -17,14 +17,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from wrapcheck import linalg
 from wrapcheck.algebra import ConcreteSubalgebra
 from wrapcheck.exterior import Multivector, wedge
-from wrapcheck.nilcoh import (
-    NilLieAlgebra,
-    lower_central_series_subspaces,
-    quotient_by_central_ideal,
-)
+from wrapcheck.nilcoh import NilLieAlgebra, quotient_by_central_ideal
 
 import oracles
 
@@ -34,7 +29,7 @@ def _random_invertible(rng: random.Random, n: int) -> list[list[Fraction]]:
         mat = [
             [Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)
         ]
-        if linalg.rank(mat) == n:
+        if oracles.rank(mat) == n:
             return mat
 
 
@@ -93,7 +88,7 @@ def _random_two_step(rng: random.Random, dim: int) -> NilLieAlgebra:
 
 
 def _random_central_quotient(rng: random.Random, g: NilLieAlgebra) -> NilLieAlgebra:
-    spans = lower_central_series_subspaces(g)
+    spans = oracles.dense_central_series(g)
     last = spans[-2] if len(spans) >= 2 else []
     if not last or len(last) == g.dim:
         return g

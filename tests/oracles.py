@@ -4,8 +4,9 @@ Each oracle takes a different route from the implementation it checks:
 wedge signs come from an explicit bubble sort, quotient ranks from a
 sorted-word monomial model with sympy rank computations, local
 solvability from a Hensel-style lifting search, and the invariant-form
-complex of a nilpotent Lie algebra from dense bracket vectors and
-dense differential columns, the signed volume of a wrapping map
+complex of a nilpotent Lie algebra, its Jacobi identity and its lower
+central series from dense bracket vectors and dense differential
+columns, the signed volume of a wrapping map
 from a batched LAPACK determinant, the right side of a bracket line
 from a term loop of its own, the two wrapping maps from their
 bodies before they shared a strip fold, the closure of a
@@ -233,7 +234,7 @@ def all_pairs_closure(n, gens):
 
 
 # ---------------------------------------------------------------------------
-# Dense matrix product over Fractions
+# Dense matrix product and rank over Fractions
 # ---------------------------------------------------------------------------
 
 
@@ -243,6 +244,11 @@ def mat_mul(a, b) -> list[list[Fraction]]:
         [sum((Fraction(x) * Fraction(y) for x, y in zip(row, col)), Fraction(0)) for col in bt]
         for row in a
     ]
+
+
+def rank(rows) -> int:
+    """The rank of a dense matrix, through ``linalg.SparseSubspace``."""
+    return linalg.SparseSubspace(len(rows[0]) if rows else 0, rows).rank
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +285,20 @@ def dense_bracket(g, u, v):
                 if w[k]:
                     out[k] += ui * vj * w[k]
     return out
+
+
+def dense_jacobi(g):
+    """The Jacobi identity on every triple of basis vectors, each cyclic
+    sum of dense brackets of dense brackets."""
+    basis = linalg.identity(g.dim)
+    for i, j, l in itertools.combinations(range(g.dim), 3):
+        total = [Fraction(0)] * g.dim
+        for a, b, c in ((i, j, l), (j, l, i), (l, i, j)):
+            outer = dense_bracket(g, dense_bracket(g, basis[a], basis[b]), basis[c])
+            total = [x + y for x, y in zip(total, outer)]
+        if any(x != 0 for x in total):
+            return False
+    return True
 
 
 def dense_central_series(g):
@@ -365,7 +385,7 @@ def dense_ce_differentials(dim, brackets):
 
 def dense_betti(dim, brackets):
     diffs = dense_ce_differentials(dim, brackets)
-    ranks = [linalg.rank(d) for d in diffs] + [0]
+    ranks = [rank(d) for d in diffs] + [0]
     return tuple(len(blade_masks(dim, k)) - ranks[k] - ranks[k - 1] for k in range(dim + 1))
 
 
@@ -395,8 +415,8 @@ def dense_nomizu_kernel(g):
         pullback_cols.append(col)
     d1 = dense_ce_differentials(m2, table2)[1]
     d1_cols = [[row[j] for row in d1] for j in range(m2)] if d1 else []
-    rank_d1 = linalg.rank(d1_cols)
-    kernel_dim = len(pullback_cols) - (linalg.rank(pullback_cols + d1_cols) - rank_d1)
+    rank_d1 = rank(d1_cols)
+    kernel_dim = len(pullback_cols) - (rank(pullback_cols + d1_cols) - rank_d1)
     return kernel_dim, m2 - r, False, r, m2
 
 

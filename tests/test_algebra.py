@@ -35,6 +35,7 @@ from oracles import (
     pairwise_cup_form,
     pairwise_poincare_duality,
     poly_to_words,
+    rank,
     word_mult,
 )
 
@@ -542,7 +543,7 @@ def reference_products(presentation):
         for k in range(n // 2 + 1):
             left, right = reps(k), reps(n - k)
             if len(left) != len(right) or (
-                left and linalg.rank(gram(left, right, fc)) != len(left)
+                left and rank(gram(left, right, fc)) != len(left)
             ):
                 duality = (False, k)
                 break
@@ -555,7 +556,7 @@ def reference_products(presentation):
     if len(ones) <= n:
         for j in range(2, len(ones) + 1):
             prods = [product(c) for c in itertools.combinations(ones, j)]
-            ranks[j] = linalg.rank([coords(p) for p in prods if not p.is_zero])
+            ranks[j] = rank([coords(p) for p in prods if not p.is_zero])
     return duality, cup, ranks
 
 

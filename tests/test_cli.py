@@ -780,6 +780,69 @@ def torus_descriptor(k: int) -> str:
     )
 
 
+def nilpotent_torus_descriptor(k: int) -> str:
+    """T^k with its pi1 written as the abelian nilpotent algebra of dim k."""
+    return torus_descriptor(k).replace(f"type: Z^{k}\n", f"type: nilpotent\ndim: {k}\n")
+
+
+def filiform_t2_descriptor(dim: int) -> str:
+    """The T^2 ring with the model filiform pi1, [X_1, X_k] = X_{k+1}: its b1 is 2."""
+    brackets = "".join(f"bracket: [1,{k}] = e{k + 1}\n" for k in range(2, dim))
+    return torus_descriptor(2).replace("type: Z^2\n", f"type: nilpotent\ndim: {dim}\n{brackets}")
+
+
+class TestLieDimLimit:
+    """``lie`` computes the invariant-form complex, 2^dim blades, only up to
+    nilcoh.MAX_COMPLEX_DIM; a larger dim is a usage error naming the limit."""
+
+    def _lie(self, tmp_path, capsys, text, *flags):
+        path = tmp_path / "pi1.descriptor"
+        path.write_text(text)
+        start = time.perf_counter()
+        code = main(["lie", str(path), *flags])
+        return code, time.perf_counter() - start, capsys.readouterr()
+
+    def test_past_the_limit_exits_2_before_the_complex(self, tmp_path, capsys):
+        from wrapcheck import nilcoh
+
+        dim = nilcoh.MAX_COMPLEX_DIM + 1
+        code, seconds, captured = self._lie(tmp_path, capsys, filiform_t2_descriptor(dim))
+        assert code == EXIT_USAGE and seconds < 2.0
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: lie computes the invariant-form complex for dim up to "
+            f"{nilcoh.MAX_COMPLEX_DIM}, got dim = {dim}\n"
+        )
+        # a filiform of dim 33 passes the parser's b1 check too
+        code, seconds, captured = self._lie(tmp_path, capsys, filiform_t2_descriptor(33))
+        assert code == EXIT_USAGE and seconds < 2.0
+        assert captured.err.endswith("got dim = 33\n")
+
+    def test_the_limit_itself_is_computed(self, tmp_path, capsys):
+        from wrapcheck import nilcoh
+
+        dim = nilcoh.MAX_COMPLEX_DIM
+        code, seconds, captured = self._lie(
+            tmp_path, capsys, filiform_t2_descriptor(dim), "--format", "structured"
+        )
+        assert code == EXIT_EXCLUDED and seconds < 10.0
+        report = json.loads(captured.out)
+        assert report["dim"] == dim
+        assert report["lower_central_series"] == [dim, *range(dim - 2, -1, -1)]
+        betti = report["betti"]
+        assert betti[:2] == [1, 2] and betti == betti[::-1] and sum(betti) % 2 == 0
+
+    @pytest.mark.parametrize("k", [10, 14])
+    def test_nilpotent_torus_has_binomial_betti_numbers(self, tmp_path, capsys, k):
+        code, seconds, captured = self._lie(
+            tmp_path, capsys, nilpotent_torus_descriptor(k), "--format", "structured"
+        )
+        assert code == EXIT_OK and seconds < 5.0
+        report = json.loads(captured.out)
+        assert report["betti"] == [math.comb(k, j) for j in range(k + 1)]
+        assert report["verdict_closed_n_manifold"] == "pass"
+
+
 class TestMonomialBound:
     """A ring with more than MAX_MONOMIALS monomials of degree 0 .. n + the
     largest generator degree is refused at its generators line, before

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from wrapcheck import linalg
+from wrapcheck import linalg, nilcoh
 from wrapcheck.exterior import blade_masks
 from wrapcheck.nilcoh import (
     NilLieAlgebra,
@@ -16,7 +16,6 @@ from wrapcheck.nilcoh import (
     jacobi_check,
     lie_cohomology_dims,
     lower_central_series,
-    lower_central_series_subspaces,
     nomizu_kernel,
     pi1_verdict,
 )
@@ -27,6 +26,30 @@ from corpusgen import nilpotent_corpus
 
 H3 = NilLieAlgebra(3, {(1, 2): {3: 1}})
 FILIFORM4 = NilLieAlgebra(4, {(1, 2): {3: 1}, (1, 3): {4: 1}})
+
+
+def filiform(dim):
+    """The model filiform algebra: [X_1, X_k] = X_{k+1} for 2 <= k < dim."""
+    return NilLieAlgebra(dim, {(1, k): {k + 1: 1} for k in range(2, dim)})
+
+
+def dense_differentials(cx):
+    """The matrices of d on blade coordinates, read off the complex's
+    sparse images: row i of matrix k is degree-(k+1) blade i, column j is
+    degree-k blade j."""
+    out = []
+    for k in range(cx.dim + 1):
+        cols = [cx.image(mask) for mask in blade_masks(cx.dim, k)]
+        out.append(tuple(tuple(col.get(r, Fraction(0)) for col in cols) for r in blade_masks(cx.dim, k + 1)))
+    return tuple(out)
+
+
+def sparse(row):
+    return {i: Fraction(x) for i, x in enumerate(row) if x != 0}
+
+
+def dense(row, dim):
+    return [row.get(i, Fraction(0)) for i in range(dim)]
 
 
 class TestJacobi:
@@ -49,6 +72,26 @@ class TestJacobi:
         with pytest.raises(NotNilpotent):
             lower_central_series(g)
 
+    def test_matches_dense_reference_on_corruptions(self):
+        # one seeded edit of a corpus table: a new or changed structure
+        # constant, or a deleted bracket; some edits keep the identity
+        rng = random.Random(11)
+        seen = set()
+        for g in nilpotent_corpus(5, 60, max_dim=6):
+            table = {key: dict(row) for key, row in g._brackets.items()}
+            if table and rng.random() < 0.25:
+                del table[rng.choice(sorted(table))]
+            else:
+                i, j = sorted(rng.sample(range(1, g.dim + 1), 2))
+                k = rng.randint(1, g.dim)
+                table.setdefault((i, j), {})[k] = Fraction(rng.choice([-2, -1, 1, 2, 3]))
+            h = NilLieAlgebra(g.dim, table)
+            assert jacobi_check(h) == oracles.dense_jacobi(h), h
+            seen.add(jacobi_check(h))
+        for g in nilpotent_corpus(5, 60, max_dim=6):
+            assert jacobi_check(g) and oracles.dense_jacobi(g)
+        assert seen == {True, False}
+
 
 class TestLowerCentralSeries:
     def test_abelian(self):
@@ -63,7 +106,7 @@ class TestLowerCentralSeries:
     def test_invariant_under_change_of_basis(self):
         rng = random.Random(1)
         t = [[Fraction(rng.randint(-2, 2)) for _ in range(4)] for _ in range(4)]
-        while linalg.rank(t) < 4:
+        while oracles.rank(t) < 4:
             t = [[Fraction(rng.randint(-2, 2)) for _ in range(4)] for _ in range(4)]
         g = NilLieAlgebra(4, oracles.dense_change_basis(FILIFORM4, t))
         assert lower_central_series(g) == [4, 2, 1, 0]
@@ -73,11 +116,11 @@ class TestCEDifferential:
     def test_abelian_is_zero(self):
         cx = ce_differential(NilLieAlgebra.abelian(3))
         for k in range(3):
-            assert all(all(x == 0 for x in row) for row in cx.differentials[k])
+            assert all(all(x == 0 for x in row) for row in dense_differentials(cx)[k])
 
     def test_heisenberg_dual_of_bracket(self):
         cx = ce_differential(H3)
-        d1 = cx.differentials[1]
+        d1 = dense_differentials(cx)[1]
         # columns: xi_1, xi_2, xi_3 over the basis xi_12, xi_13, xi_23
         col = [d1[r][2] for r in range(3)]
         assert col == [Fraction(-1), Fraction(0), Fraction(0)]  # d xi_3 = -xi_1 ^ xi_2
@@ -85,7 +128,7 @@ class TestCEDifferential:
 
     def test_filiform_differentials(self):
         cx = ce_differential(FILIFORM4)
-        d1 = cx.differentials[1]
+        d1 = dense_differentials(cx)[1]
         masks = blade_masks(4, 2)
         idx12 = masks.index(0b0011)
         idx13 = masks.index(0b0101)
@@ -97,8 +140,8 @@ class TestCEDifferential:
             cx = ce_differential(g)
             for k in range(g.dim - 1):
                 prod = oracles.mat_mul(
-                    [list(r) for r in cx.differentials[k + 1]],
-                    [list(r) for r in cx.differentials[k]],
+                    [list(r) for r in dense_differentials(cx)[k + 1]],
+                    [list(r) for r in dense_differentials(cx)[k]],
                 )
                 assert all(all(x == 0 for x in row) for row in prod)
 
@@ -174,19 +217,28 @@ class TestPi1Verdict:
 class TestDenseReference:
     """The structure-constant bracket and the exterior-kernel complex
     equal the dense reference in :mod:`oracles` on the four seeded
-    corpora the other tests draw from (120 algebras)."""
+    corpora the other tests draw from (120 algebras), the model filiform
+    algebras of dimension 5 to 9 and the abelian ones of dimension 1 to 8."""
 
     @pytest.fixture(scope="class")
     def corpus(self):
-        return [
-            g
-            for seed, count, nonabelian in ((17, 15, False), (23, 25, False), (31, 30, True), (2024, 50, True))
-            for g in nilpotent_corpus(seed, count, max_dim=6, nonabelian=nonabelian)
-        ]
+        return (
+            [
+                g
+                for seed, count, nonabelian in ((17, 15, False), (23, 25, False), (31, 30, True), (2024, 50, True))
+                for g in nilpotent_corpus(seed, count, max_dim=6, nonabelian=nonabelian)
+            ]
+            + [filiform(dim) for dim in range(5, 10)]
+            + [NilLieAlgebra.abelian(dim) for dim in range(1, 9)]
+        )
+
+    def test_jacobi(self, corpus):
+        for g in corpus:
+            assert jacobi_check(g) and oracles.dense_jacobi(g)
 
     def test_differentials_and_betti(self, corpus):
         for g in corpus:
-            assert ce_differential(g).differentials == oracles.dense_ce_differentials(g.dim, g._brackets)
+            assert dense_differentials(ce_differential(g)) == oracles.dense_ce_differentials(g.dim, g._brackets)
             assert lie_cohomology_dims(g) == oracles.dense_betti(g.dim, g._brackets)
 
     def test_nomizu_kernel(self, corpus):
@@ -196,7 +248,7 @@ class TestDenseReference:
     def test_lower_central_series(self, corpus):
         for g in corpus:
             spans = oracles.dense_central_series(g)
-            assert lower_central_series_subspaces(g) == spans
+            assert [span.rows for span in nilcoh._central_series(g)] == spans
             assert lower_central_series(g) == [len(span) for span in spans]
 
     def test_brackets(self, corpus):
@@ -205,11 +257,12 @@ class TestDenseReference:
             basis = linalg.identity(g.dim)
             for i in range(1, g.dim + 1):
                 for j in range(1, g.dim + 1):
-                    assert g.bracket(basis[i - 1], basis[j - 1]) == oracles.dense_bracket_basis(g, i, j)
+                    got = dense(g.bracket(sparse(basis[i - 1]), sparse(basis[j - 1])), g.dim)
+                    assert got == oracles.dense_bracket_basis(g, i, j)
             for _ in range(5):
                 u = [rng.randint(-3, 3) for _ in range(g.dim)]
                 v = [rng.randint(-3, 3) for _ in range(g.dim)]
-                assert g.bracket(u, v) == oracles.dense_bracket(g, u, v)
+                assert dense(g.bracket(sparse(u), sparse(v)), g.dim) == oracles.dense_bracket(g, u, v)
 
 
 class TestRingLevelAgreement:
@@ -250,9 +303,9 @@ def _degree_one_subalgebra_is_free(g: NilLieAlgebra) -> bool:
 
     from wrapcheck.exterior import Multivector, wedge
 
-    cx = ce_differential(g)
+    diffs = dense_differentials(ce_differential(g))
     m = g.dim
-    d1 = [list(r) for r in cx.differentials[1]]
+    d1 = [list(r) for r in diffs[1]]
     kernel_basis = (
         [[Fraction(int(x.p), int(x.q)) for x in v] for v in sympy.Matrix(d1).nullspace()]
         if d1
@@ -263,7 +316,7 @@ def _degree_one_subalgebra_is_free(g: NilLieAlgebra) -> bool:
         Multivector(m, {1 << i: v[i] for i in range(m) if v[i] != 0}) for v in kernel_basis
     ]
     for j in range(2, b1 + 1):
-        dmat = [list(r) for r in cx.differentials[j - 1]]
+        dmat = [list(r) for r in diffs[j - 1]]
         exact_rows = (
             [[dmat[r][c] for r in range(len(dmat))] for c in range(len(dmat[0]))]
             if dmat and dmat[0]
@@ -276,6 +329,6 @@ def _degree_one_subalgebra_is_free(g: NilLieAlgebra) -> bool:
             for f in combo[1:]:
                 prod = wedge(prod, f)
             rows.append(list(exact_span.reduce(list(prod.coords(j)))))
-        if linalg.rank(rows) < math.comb(b1, j):
+        if oracles.rank(rows) < math.comb(b1, j):
             return False
     return True

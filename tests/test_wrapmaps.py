@@ -230,6 +230,18 @@ class TestJoinMap:
         with pytest.raises(ValueError):
             join_map(2)
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_a_single_point_is_one_value(self, n):
+        # a point of shape (n,) gives shape (n + 1,), the bits of a batch of one
+        rng = np.random.default_rng(n)
+        m = join_map(n)
+        for p in [np.array([0.5, 2.0, 0.25, -1.5, 0.75][:n]), *rng.uniform(-6, 6, (20, n))]:
+            value = m(p)
+            assert value.shape == (n + 1,)
+            assert value.tobytes() == m(p[None])[0].tobytes()
+            assert eval_fn(p[0], p[1], p[2:], n).tobytes() == value.tobytes()
+            assert value.tobytes() == m.stencil(p, wrapmaps.FD_STEP)[1].tobytes()
+
 
 class TestLipschitz:
     def test_identity(self):
