@@ -12,13 +12,16 @@ from a term loop of its own, the two wrapping maps from their
 bodies before they shared a strip fold, the closure of a
 subalgebra's generators from rounds over all pairs, and the duality
 Gram and cup forms of a presentation from one product per entry,
-multiplied as sorted words.
+multiplied as sorted words.  ``golden_script`` loads the script that
+writes the golden files, so tests recompute its tables.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import math
+import pathlib
 import re
 from fractions import Fraction
 
@@ -28,6 +31,21 @@ import sympy
 from wrapcheck import algebra, descriptor, linalg, wrapmaps
 from wrapcheck.algebra import ConcreteSubalgebra, PDReport
 from wrapcheck.exterior import Multivector, blade_masks, wedge
+
+
+# ---------------------------------------------------------------------------
+# The script that writes the golden files, as a module
+# ---------------------------------------------------------------------------
+
+
+def golden_script():
+    """``scripts/regen_golden.py``, loaded as a module: its tables and the
+    functions that compute them."""
+    script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "regen_golden.py"
+    spec = importlib.util.spec_from_file_location("regen_golden", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
 import contextlib
-import importlib.util
 import io
 import itertools
 import json
@@ -1794,11 +1793,7 @@ class TestCommandGolden:
 
     @pytest.fixture(scope="class")
     def regen(self):
-        script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "regen_golden.py"
-        spec = importlib.util.spec_from_file_location("regen_golden", script)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
+        return oracles.golden_script()
 
     def test_outcomes_match_committed_table(self, regen):
         want = json.loads(regen.COMMANDS_GOLDEN.read_text(encoding="utf-8"))

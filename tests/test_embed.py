@@ -1,4 +1,3 @@
-import importlib.util
 import itertools
 import json
 import math
@@ -25,6 +24,7 @@ from wrapcheck.embed import (
 from wrapcheck.exterior import Multivector, blade_masks, graded_dimension, wedge, wedge_terms
 from wrapcheck.nilcoh import NilLieAlgebra
 
+import oracles
 import presentations as P
 from presentations import random_small_presentations, reverse_generators
 
@@ -864,17 +864,9 @@ class TestRowDots:
                 assert embed._row_dots(fc).tobytes() == want.tobytes()
 
 
-def _regen_golden():
-    script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "regen_golden.py"
-    spec = importlib.util.spec_from_file_location("regen_golden", script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestFloatStageGolden:
     def test_outcomes_match_committed_table(self):
-        regen = _regen_golden()
+        regen = oracles.golden_script()
         want = json.loads(regen.FLOAT_GOLDEN.read_text())
         got = regen.float_stage_outcomes()
         assert len(got) == len(regen.FLOAT_RINGS) * len(regen.FLOAT_SEEDS)
@@ -893,7 +885,7 @@ class TestBatchedJacobian:
         # targets of one more dimension, where the fundamental class has
         # several coordinates
         return (
-            [(ring, 0, seed) for ring in _regen_golden().FLOAT_RINGS for seed in range(4)]
+            [(ring, 0, seed) for ring in oracles.golden_script().FLOAT_RINGS for seed in range(4)]
             + [(ring, 0, seed) for ring in ("s2", "s3") for seed in range(4)]
             + [(ring, 1, seed) for ring in ("t2", "cp2", "s2xs2") for seed in range(4)]
         )
