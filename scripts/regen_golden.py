@@ -97,7 +97,10 @@ COMMANDS = (
     ("check", "@unforced", "--no-embed"),
     ("check", "@s33"),
     ("check", "@s33", "--no-embed", "--format", "structured"),
-    *(("embed", "@cp2", "--budget", "0", "--float-restarts", "1", "--format", fmt) for fmt in FORMATS),
+    *(
+        ("embed", "@cp2", "--budget", "0", "--float-restarts", "1", "--format", fmt)
+        for fmt in FORMATS
+    ),
     ("embed", "@s2xs2", "--n", "3", "--budget", "200"),
     ("embed", "@t4", "--n", "3"),
     ("embed", "@s33"),
@@ -131,7 +134,12 @@ def command_outcomes() -> list[dict]:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main([paths[a[1:]] if a.startswith("@") else a for a in argv])
             rows.append(
-                {"argv": list(argv), "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+                {
+                    "argv": list(argv),
+                    "exit": code,
+                    "stdout": out.getvalue(),
+                    "stderr": err.getvalue(),
+                }
             )
     return rows
 

@@ -94,10 +94,6 @@ class SparseSubspace:
     def _dense(self, row: dict[int, Fraction]) -> Vector:
         return [row.get(c, Fraction(0)) for c in range(self.dim)]
 
-    def reduce(self, vec) -> Vector:
-        """The dense representative of vec modulo the span (zero at every pivot)."""
-        return self._dense(self._reduced(vec))
-
     def contains(self, vec) -> bool:
         return not self._reduced(vec)
 

@@ -104,32 +104,24 @@ class NilLieAlgebra:
 def jacobi_check(g: NilLieAlgebra) -> bool:
     """Whether [[X_a, X_b], X_c] summed cyclically vanishes on every triple.
 
-    A term is nonzero only when [X_a, X_b] is stored and one of its
-    components X_k has a stored bracket with X_c, so only those terms
+    A term is nonzero only when [X_a, X_b] is stored, so only those terms
     are summed, each into the cyclic sum of its sorted triple.
     """
-    partners: dict[int, list] = {}  # k -> (c, sign, [X_k, X_c] up to the sign)
-    for (i, j), row in g._brackets.items():
-        partners.setdefault(i, []).append((j, 1, row))
-        partners.setdefault(j, []).append((i, -1, row))
     sums: dict[tuple[int, int, int], dict[int, Fraction]] = {}
     for (a, b), row in g._brackets.items():
-        for k, x in row.items():
-            for c, sign, inner in partners.get(k, ()):
-                if c == a or c == b:
-                    continue  # the cyclic sum on a repeated index is zero
+        for c, w in enumerate(g.ad({k - 1: x for k, x in row.items()}), 1):
+            if w and c != a and c != b:  # the cyclic sum on a repeated index is zero
                 # (a, b, c) is an odd permutation of its sorted triple iff a < c < b
-                if a < c < b:
-                    sign = -sign
+                sign = -1 if a < c < b else 1
                 acc = sums.setdefault(tuple(sorted((a, b, c))), {})
-                for l, y in inner.items():
-                    acc[l] = acc.get(l, 0) + sign * x * y
+                for k, y in w.items():
+                    acc[k] = acc.get(k, 0) + sign * y
     return not any(any(acc.values()) for acc in sums.values())
 
 
 def _subspace_brackets(g: NilLieAlgebra, span: linalg.SparseSubspace) -> linalg.SparseSubspace:
     """The span of [v, X_j] for v in the span and all X_j."""
-    return linalg.SparseSubspace(g.dim, (w for v in span.pivot_rows.values() for w in g.ad(v)))
+    return linalg.SparseSubspace(g.dim, (w for v in span.pivot_rows.values() for w in g.ad(v) if w))
 
 
 def lower_central_series(g: NilLieAlgebra) -> list[int]:

@@ -360,8 +360,8 @@ def dense_quotient(g, ideal_rows):
     complement = [i for i in range(m) if i not in set(span.pivots)]
 
     def project(v):
-        red = span.reduce(v)
-        return [red[i] for i in complement]
+        red = span.coords_modulo(v)
+        return [red.get(i, Fraction(0)) for i in complement]
 
     table = {}
     for a in range(len(complement)):

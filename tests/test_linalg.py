@@ -76,7 +76,8 @@ class TestAgainstSympy:
         coeffs = [Fraction(rng.randint(-3, 3)) for _ in rows]
         combination = [sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0)) for j in range(ncols)]
         for v in ([Fraction(0)] * ncols, [Fraction(rng.randint(-5, 5)) for _ in range(ncols)], combination):
-            red = span.reduce(v)
+            rep = span.coords_modulo(v)
+            red = [rep.get(c, Fraction(0)) for c in range(ncols)]
             # zero at every pivot, and v - red in the row space: that fixes red
             assert all(red[p] == 0 for p in span.pivots)
             assert a.col_join(_sym([[x - y for x, y in zip(v, red)]], ncols)).rank() == a.rank()
