@@ -6,9 +6,9 @@ rational matrices at desk scale, so plain Gaussian elimination is all
 we need.  Matrices are lists of lists of Fractions; rows are vectors.
 
 :class:`SparseSubspace` is the one echelon-form kernel: callers read
-its rank, reduce, test membership or take quotient coordinates
-through it.  Determinants are products of the congruence
-diagonal in :mod:`wrapcheck.quadform`.
+its rank, test membership or take quotient coordinates through it.
+Determinants are products of the congruence diagonal in
+:mod:`wrapcheck.quadform`.
 """
 
 from __future__ import annotations

@@ -222,11 +222,11 @@ def quotient_by_central_ideal(
         return {index[i]: c for i, c in span.coords_modulo(v).items()}
 
     table = {}
-    for a, b in combinations(range(len(complement)), 2):
-        row = g._brackets.get((complement[a] + 1, complement[b] + 1), {})
-        w = project({k - 1: c for k, c in row.items()})
-        if w:
-            table[(a + 1, b + 1)] = {k + 1: c for k, c in w.items()}
+    for (i, j), row in g._brackets.items():
+        if i - 1 in index and j - 1 in index:
+            w = project({k - 1: c for k, c in row.items()})
+            if w:
+                table[(index[i - 1] + 1, index[j - 1] + 1)] = {k + 1: c for k, c in w.items()}
     return NilLieAlgebra(len(complement), table), [project({j: 1}) for j in range(m)]
 
 
